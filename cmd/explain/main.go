@@ -140,7 +140,8 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	sub := linkage.MatchGroups(graphOld, graphNew, pre, sim, cfg)
+	eng := sim.Compile(oldDS.Records(), newDS.Records())
+	sub := linkage.NewGroupMatcher(pre, eng, *delta, cfg).MatchGroups(graphOld, graphNew)
 	if sub == nil {
 		fmt.Fprintln(stdout, "\nverdict: NO LINK (fewer than two compatible vertices, or no edge")
 		fmt.Fprintln(stdout, "with matching relationship type and similar age difference survived)")

@@ -212,7 +212,7 @@ type Dataset struct {
 	Year int
 
 	records    []*Record
-	byID       map[string]*Record
+	pos        map[string]int32 // record ID -> position in records
 	households []*Household
 	hhByID     map[string]*Household
 }
@@ -221,7 +221,7 @@ type Dataset struct {
 func NewDataset(year int) *Dataset {
 	return &Dataset{
 		Year:   year,
-		byID:   make(map[string]*Record),
+		pos:    make(map[string]int32),
 		hhByID: make(map[string]*Household),
 	}
 }
@@ -245,7 +245,7 @@ func (d *Dataset) AddRecord(r *Record) error {
 	if r.ID == "" {
 		return fmt.Errorf("census: record with empty ID")
 	}
-	if _, dup := d.byID[r.ID]; dup {
+	if _, dup := d.pos[r.ID]; dup {
 		return fmt.Errorf("census: duplicate record ID %q", r.ID)
 	}
 	if r.HouseholdID == "" {
@@ -259,7 +259,7 @@ func (d *Dataset) AddRecord(r *Record) error {
 		}
 	}
 	h.MemberIDs = append(h.MemberIDs, r.ID)
-	d.byID[r.ID] = r
+	d.pos[r.ID] = int32(len(d.records))
 	d.records = append(d.records, r)
 	return nil
 }
@@ -273,7 +273,18 @@ func (d *Dataset) Records() []*Record { return d.records }
 func (d *Dataset) Households() []*Household { return d.households }
 
 // Record returns the record with the given ID, or nil.
-func (d *Dataset) Record(id string) *Record { return d.byID[id] }
+func (d *Dataset) Record(id string) *Record {
+	if i, ok := d.pos[id]; ok {
+		return d.records[i]
+	}
+	return nil
+}
+
+// Pos returns the position of the record with the given ID in Records().
+func (d *Dataset) Pos(id string) (int, bool) {
+	i, ok := d.pos[id]
+	return int(i), ok
+}
 
 // Household returns the household with the given ID, or nil.
 func (d *Dataset) Household(id string) *Household { return d.hhByID[id] }
@@ -288,7 +299,7 @@ func (d *Dataset) NumHouseholds() int { return len(d.households) }
 func (d *Dataset) Members(h *Household) []*Record {
 	out := make([]*Record, 0, len(h.MemberIDs))
 	for _, id := range h.MemberIDs {
-		if r := d.byID[id]; r != nil {
+		if r := d.Record(id); r != nil {
 			out = append(out, r)
 		}
 	}
@@ -317,7 +328,7 @@ func (d *Dataset) Validate() error {
 	seen := make(map[string]string, len(d.records)) // record ID -> household ID
 	for _, h := range d.households {
 		for _, id := range h.MemberIDs {
-			r := d.byID[id]
+			r := d.Record(id)
 			if r == nil {
 				return fmt.Errorf("census: household %q lists unknown record %q", h.ID, id)
 			}

@@ -64,6 +64,7 @@ type Graph struct {
 	Year        int
 
 	members []*census.Record
+	pos     []int32        // member position -> position in the dataset's Records()
 	index   map[string]int // record ID -> member position
 	edges   []Edge
 	// edgeAt[i*len(members)+j] for i<j indexes into edges; -1 otherwise.
@@ -73,11 +74,19 @@ type Graph struct {
 // Build constructs the enriched graph for household h of dataset d
 // (the completeGroups step for one group).
 func Build(d *census.Dataset, h *census.Household) *Graph {
-	members := d.Members(h)
+	members := make([]*census.Record, 0, len(h.MemberIDs))
+	pos := make([]int32, 0, len(h.MemberIDs))
+	for _, id := range h.MemberIDs {
+		if i, ok := d.Pos(id); ok {
+			members = append(members, d.Records()[i])
+			pos = append(pos, int32(i))
+		}
+	}
 	g := &Graph{
 		HouseholdID: h.ID,
 		Year:        d.Year,
 		members:     members,
+		pos:         pos,
 		index:       make(map[string]int, len(members)),
 		edgeAt:      make([]int, len(members)*len(members)),
 	}
@@ -115,6 +124,10 @@ func BuildAll(d *census.Dataset) map[string]*Graph {
 // Members returns the member records in schedule order. The slice is shared.
 func (g *Graph) Members() []*census.Record { return g.members }
 
+// Positions returns the dataset positions (indices into Records()) of the
+// members, parallel to Members(). The slice is shared.
+func (g *Graph) Positions() []int32 { return g.pos }
+
 // NumVertices returns the number of members.
 func (g *Graph) NumVertices() int { return len(g.members) }
 
@@ -136,7 +149,17 @@ func (g *Graph) Contains(id string) bool {
 func (g *Graph) EdgeBetween(x, y string) (t RelType, ageDiff int, ok bool) {
 	i, okX := g.index[x]
 	j, okY := g.index[y]
-	if !okX || !okY || i == j {
+	if !okX || !okY {
+		return RelOther, AgeDiffMissing, false
+	}
+	return g.EdgeAt(i, j)
+}
+
+// EdgeAt is EdgeBetween keyed by member positions (indices into Members()):
+// the unified relationship type and the signed age difference
+// age(member i) - age(member j). ok is false when i == j.
+func (g *Graph) EdgeAt(i, j int) (t RelType, ageDiff int, ok bool) {
+	if i == j {
 		return RelOther, AgeDiffMissing, false
 	}
 	flip := false

@@ -192,9 +192,14 @@ func TestLinkEngineDifferential(t *testing.T) {
 }
 
 // TestLinkEngineDifferentialVariants: identity must also hold under the
-// optimal remainder assignment, the one-shot schedule and ω1 matching.
+// optimal remainder assignment, the one-shot schedule, ω1 matching, both
+// vertex ablations and LSH blocking.
 func TestLinkEngineDifferentialVariants(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 41), 1861, 1871)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsh, err := linkage.ParseBlocking("lsh")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +210,18 @@ func TestLinkEngineDifferentialVariants(t *testing.T) {
 		"single-worker":     func(c *linkage.Config) { c.Workers = 1 },
 		// Non-multiple DeltaHigh-DeltaLow: the schedule clamps its last
 		// step to δ_low; both engines must see the identical thresholds.
-		"clamped-schedule": func(c *linkage.Config) { c.DeltaLow = 0.52 },
+		"clamped-schedule":     func(c *linkage.Config) { c.DeltaLow = 0.52 },
+		"vertex-guards":        func(c *linkage.Config) { c.VertexGuards = true },
+		"direct-vertices-only": func(c *linkage.Config) { c.DirectVerticesOnly = true },
+		"lsh":                  func(c *linkage.Config) { c.Strategies = lsh },
 	}
 	for name, mutate := range variants {
-		cfg := linkage.DefaultConfig()
-		mutate(&cfg)
-		compiled, naive := linkBoth(t, old, new, cfg)
-		requireIdenticalResults(t, compiled, naive, old, new)
-		_ = name
+		t.Run(name, func(t *testing.T) {
+			cfg := linkage.DefaultConfig()
+			mutate(&cfg)
+			compiled, naive := linkBoth(t, old, new, cfg)
+			requireIdenticalResults(t, compiled, naive, old, new)
+		})
 	}
 }
 

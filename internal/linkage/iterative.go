@@ -301,7 +301,7 @@ func runStages(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, st
 		pairs := CandidateGroupPairs(pre, oldDS, newDS)
 		stop()
 		cfg.Obs.Add(obs.GroupPairs, len(pairs))
-		subs, err := stages.subgraphs.MatchSubgraphs(ctx, enr, delta, pairs, pre)
+		subs, err := stages.subgraphs.MatchSubgraphs(ctx, enr, parts, delta, pairs, pre)
 		if err != nil {
 			cfg.Obs.EndIteration()
 			return nil, err
@@ -401,7 +401,7 @@ func runStages(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, st
 
 // RemainderOptions configures one standalone leftover-matching pass (see
 // MatchRemaining). The zero value of every field is usable: year 0, the
-// naive engine, an unsharded greedy pass with no observability.
+// compiled engine, an unsharded greedy pass with no observability.
 type RemainderOptions struct {
 	// Sim is the attribute-only similarity function Sim_func_rem; its own
 	// Delta applies.
@@ -412,8 +412,8 @@ type RemainderOptions struct {
 	Match MatchConfig
 	// Strategies is the blocking configuration; it must not be empty.
 	Strategies []block.Strategy
-	// Engine selects the comparison path (EngineNaive is the zero value,
-	// matching the historical behaviour; results are identical either way).
+	// Engine selects the comparison path (EngineCompiled is the zero value;
+	// results are identical either way).
 	Engine EngineKind
 	// Shards splits the candidate scan into K block-key shards with
 	// per-shard engine/index state (see Config.Shards); <= 1 runs
@@ -610,7 +610,7 @@ func matchRemaining(ctx context.Context, old []*census.Record, oldYear int, new 
 	return greedyRemainder(cands), nil
 }
 
-// matchGroupsParallel runs MatchGroups over all candidate group pairs with
+// matchGroupsParallel runs gm.MatchGroups over all candidate group pairs with
 // a bounded worker pool; the output order matches the input pair order, so
 // the result is deterministic. Every worker isolates panics: under
 // PanicFailFast the pool drains promptly and the first failure (in pair
@@ -618,7 +618,7 @@ func matchRemaining(ctx context.Context, old []*census.Record, oldYear int, new 
 // PanicSkip the poisoned pairs contribute no subgraph and are counted on
 // obs.PanicsRecovered. Cancellation stops the pool between pairs.
 func matchGroupsParallel(ctx context.Context, delta float64, pairs []GroupPair, oldGraphs, newGraphs map[string]*hgraph.Graph,
-	pre *PreMatchResult, f SimFunc, matchCfg MatchConfig, workers int, policy PanicPolicy, st *obs.Stats) ([]*Subgraph, error) {
+	gm *GroupMatcher, workers int, policy PanicPolicy, st *obs.Stats) ([]*Subgraph, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -639,7 +639,7 @@ func matchGroupsParallel(ctx context.Context, delta float64, pairs []GroupPair, 
 		if e := faultinject.Hit("linkage.match_groups"); e != nil {
 			return &PipelineError{Stage: "subgraph_match", Delta: delta, Group: gp, Chunk: -1, Err: e}
 		}
-		slots[i] = MatchGroups(oldGraphs[gp.Old], newGraphs[gp.New], pre, f, matchCfg)
+		slots[i] = gm.MatchGroups(oldGraphs[gp.Old], newGraphs[gp.New])
 		return nil
 	}
 	if workers <= 1 {

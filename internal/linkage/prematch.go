@@ -52,7 +52,7 @@ func (p *PreMatchResult) Label(id string) (int, bool) {
 
 // PreMatchOptions configures one standalone pre-matching pass (see
 // PreMatchOpts). The zero value of every field is usable: year 0, the
-// naive engine, GOMAXPROCS workers, fail-fast panics, no observability.
+// compiled engine, GOMAXPROCS workers, fail-fast panics, no observability.
 type PreMatchOptions struct {
 	// Sim is the record similarity function; pairs below its Delta are
 	// dropped.
@@ -64,11 +64,10 @@ type PreMatchOptions struct {
 	Strategies []block.Strategy
 	// Workers bounds the chunk parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Engine selects the comparison path. EngineNaive (the zero value here,
-	// matching the historical PreMatch behaviour) compares strings directly;
-	// EngineCompiled interns the record lists, builds the blocking index and
-	// scores through the memoizing engine — compile cost included. The
-	// result is identical either way.
+	// Engine selects the comparison path. EngineCompiled (the zero value)
+	// interns the record lists, builds the blocking index and scores through
+	// the memoizing engine — compile cost included; EngineNaive compares
+	// strings directly. The result is identical either way.
 	Engine EngineKind
 	// Shards splits the pass into K block-key shards, each scanned with its
 	// own transient engine/index state on a worker pool bounded by Workers

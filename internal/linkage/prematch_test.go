@@ -11,7 +11,7 @@ import (
 )
 
 // preMatchT is the test shorthand for a standalone pre-matching pass with
-// the naive engine and a background context; errors are impossible there.
+// the default engine and a background context; errors are impossible there.
 func preMatchT(old []*census.Record, oldYear int, new []*census.Record, newYear int,
 	f SimFunc, strategies []block.Strategy, workers int) *PreMatchResult {
 	pre, err := PreMatchOpts(context.Background(), old, new, PreMatchOptions{

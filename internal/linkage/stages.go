@@ -54,6 +54,10 @@ type Partitions struct {
 	// K==1 compiled path; nil under the naive engine or when sharded (the
 	// sharded stages build transient per-shard state instead).
 	resident *residentState
+	// match is the full-dataset Sim engine the SubgraphMatch stage scores
+	// transitively linked vertex pairs through: resident.sim on the
+	// resident path, otherwise an engine compiled for that stage alone.
+	match *compiledPair
 }
 
 // residentState is the per-run compiled state of the unsharded path: one
@@ -85,7 +89,7 @@ type PreMatcher interface {
 // SubgraphMatcher matches the candidate group pairs' household graphs
 // (Section 3.3) into scored subgraphs.
 type SubgraphMatcher interface {
-	MatchSubgraphs(ctx context.Context, enr *Enriched, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error)
+	MatchSubgraphs(ctx context.Context, enr *Enriched, parts *Partitions, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error)
 }
 
 // Selector is Algorithm 2: the record-disjoint greedy selection of group
@@ -141,32 +145,37 @@ func (b *keyBlocker) Block(ctx context.Context, enr *Enriched) (*Partitions, err
 		return nil, cancelErr("block", 0, err)
 	}
 	parts := &Partitions{K: 1, OldYear: enr.Old.Year, NewYear: enr.New.Year}
+	oldRecs, newRecs := enr.Old.Records(), enr.New.Records()
 	if b.cfg.Shards > 1 {
 		stop := b.cfg.Obs.Stage("block_partition")
 		parts.K = b.cfg.Shards
-		parts.Parts = partitionRecords(enr.Old.Records(), enr.Old.Year,
-			enr.New.Records(), enr.New.Year, b.cfg.Strategies, b.cfg.Shards)
+		parts.Parts = partitionRecords(oldRecs, enr.Old.Year,
+			newRecs, enr.New.Year, b.cfg.Strategies, b.cfg.Shards)
 		stop()
+	} else {
+		parts.Parts = []*Partition{{Old: oldRecs, New: newRecs}}
+	}
+	stop := b.cfg.Obs.Stage("compile")
+	defer stop()
+	if b.cfg.Shards > 1 || b.cfg.Engine != EngineCompiled {
+		// The naive and sharded stages hold no full-dataset engine, so the
+		// subgraph stage gets one of its own.
+		parts.match = &compiledPair{eng: b.cfg.Sim.Compile(oldRecs, newRecs)}
 		return parts, nil
 	}
-	parts.Parts = []*Partition{{Old: enr.Old.Records(), New: enr.New.Records()}}
-	if b.cfg.Engine == EngineCompiled {
-		// Compiled resident path: intern both datasets and build the
-		// blocking index once per year-pair. The engines (and their
-		// distinct-pair memo tables) live for the whole call, so
-		// similarities computed at a higher δ are reused verbatim at
-		// relaxed thresholds, and the iteration loop only narrows the
-		// shared active mask instead of rebuilding the index.
-		stop := b.cfg.Obs.Stage("compile")
-		oldRecs, newRecs := enr.Old.Records(), enr.New.Records()
-		fullIx := block.NewIndex(newRecs, enr.New.Year, b.cfg.Strategies)
-		active := make([]bool, len(newRecs))
-		parts.resident = &residentState{
-			sim: &compiledPair{eng: b.cfg.Sim.Compile(oldRecs, newRecs), ix: fullIx, active: active},
-			rem: &compiledPair{eng: b.cfg.Remainder.Compile(oldRecs, newRecs), ix: fullIx, active: active},
-		}
-		stop()
+	// Compiled resident path: intern both datasets and build the blocking
+	// index once per year-pair. The engines (and their distinct-pair memo
+	// tables) live for the whole call, so similarities computed at a higher
+	// δ are reused verbatim at relaxed thresholds and by the subgraph stage,
+	// and the iteration loop only narrows the shared active mask instead of
+	// rebuilding the index.
+	fullIx := block.NewIndex(newRecs, enr.New.Year, b.cfg.Strategies)
+	active := make([]bool, len(newRecs))
+	parts.resident = &residentState{
+		sim: &compiledPair{eng: b.cfg.Sim.Compile(oldRecs, newRecs), ix: fullIx, active: active},
+		rem: &compiledPair{eng: b.cfg.Remainder.Compile(oldRecs, newRecs), ix: fullIx, active: active},
 	}
+	parts.match = parts.resident.sim
 	return parts, nil
 }
 
@@ -193,18 +202,24 @@ func (m *residentPreMatcher) PreMatch(ctx context.Context, parts *Partitions, de
 	return pre, err
 }
 
-// poolSubgraphMatcher is the default SubgraphMatch stage: MatchGroups over
-// every candidate group pair on a bounded worker pool (group pairs are the
-// natural subgraph partition — the stage holds no per-shard index or memo
-// state, so it needs no sharded variant).
+// poolSubgraphMatcher is the default SubgraphMatch stage: the position view
+// of the pass, then MatchGroups over every candidate group pair on a bounded
+// worker pool (group pairs are the natural subgraph partition — the stage
+// holds no per-shard index state, so it needs no sharded variant).
 type poolSubgraphMatcher struct{ cfg Config }
 
-func (m *poolSubgraphMatcher) MatchSubgraphs(ctx context.Context, enr *Enriched, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error) {
-	f := m.cfg.Sim.WithDelta(delta)
+func (m *poolSubgraphMatcher) MatchSubgraphs(ctx context.Context, enr *Enriched, parts *Partitions, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error) {
 	stop := m.cfg.Obs.Stage("subgraph_match")
-	defer stop()
-	return matchGroupsParallel(ctx, delta, pairs, enr.OldGraphs, enr.NewGraphs,
-		pre, f, enr.Match, m.cfg.Workers, m.cfg.Panics, m.cfg.Obs)
+	gm := NewGroupMatcher(pre, parts.match.eng, delta, enr.Match)
+	subs, err := matchGroupsParallel(ctx, delta, pairs, enr.OldGraphs, enr.NewGraphs,
+		gm, m.cfg.Workers, m.cfg.Panics, m.cfg.Obs)
+	stop()
+	// Flushed inside the δ iteration, so the memo counters land in its
+	// snapshot; a naive-engine run reports none.
+	if m.cfg.Engine == EngineCompiled {
+		parts.match.flushCounters(m.cfg.Obs)
+	}
+	return subs, err
 }
 
 // heapSelector is the default Select stage: Algorithm 2's record-disjoint

@@ -1,9 +1,11 @@
 package linkage
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"censuslink/internal/census"
+	"censuslink/internal/compare"
 	"censuslink/internal/hgraph"
 )
 
@@ -109,6 +111,79 @@ func (c MatchConfig) ageConsistent(o, n *census.Record) bool {
 	return dev <= c.AgeTolerance
 }
 
+// GroupMatcher is the subgraph stage's view of one pre-matching pass
+// (Section 3.3), keyed by dataset position instead of record ID: the
+// cluster label of every record, the label sizes of the uniqueness score and
+// the directly compared pairs with their similarities, plus the compiled
+// engine that scores pairs linked only transitively. It is built once per
+// δ-iteration in O(records + links) and is read-only afterwards, so the
+// stage's workers share it.
+type GroupMatcher struct {
+	eng   *compare.Engine
+	delta float64
+	cfg   MatchConfig
+	// oldLabel[i] and newLabel[j] are the cluster labels of old record i and
+	// new record j, or -1 for a record outside the pre-matching input.
+	oldLabel, newLabel []int32
+	// oldLabelSize[i] is |label(old record i)| (Eq. 7).
+	oldLabelSize []int32
+	// direct holds the similarity of every directly compared pair, keyed
+	// by posKey(old position, new position).
+	direct map[uint64]float64
+}
+
+// posKey packs an (old, new) dataset position pair into a map key.
+func posKey(oi, ni int32) uint64 { return uint64(uint32(oi))<<32 | uint64(uint32(ni)) }
+
+// NewGroupMatcher builds the position view of a pre-matching pass at
+// threshold delta. The engine must be compiled over the full record lists
+// of the two datasets the household graphs were built from, so that its
+// positions are the graphs' member positions (hgraph.Graph.Positions). Pairs
+// linked only transitively are scored through it, bit-for-bit equal to
+// SimFunc.AggSim.
+func NewGroupMatcher(pre *PreMatchResult, eng *compare.Engine, delta float64, cfg MatchConfig) *GroupMatcher {
+	nOld := len(eng.Old.Recs)
+	m := &GroupMatcher{
+		eng:          eng,
+		delta:        delta,
+		cfg:          cfg,
+		oldLabel:     make([]int32, nOld),
+		newLabel:     make([]int32, len(eng.New.Recs)),
+		oldLabelSize: make([]int32, nOld),
+		direct:       make(map[uint64]float64, len(pre.Sims)),
+	}
+	for i, r := range eng.Old.Recs {
+		l, ok := pre.Labels[r.ID]
+		if !ok {
+			m.oldLabel[i] = -1
+			continue
+		}
+		m.oldLabel[i] = int32(l)
+		m.oldLabelSize[i] = int32(pre.LabelSize[l])
+	}
+	for j, r := range eng.New.Recs {
+		m.newLabel[j] = -1
+		if l, ok := pre.Labels[r.ID]; ok {
+			m.newLabel[j] = int32(l)
+		}
+	}
+	for p, sim := range pre.Sims {
+		oi, okO := eng.Old.Pos(p.Old)
+		ni, okN := eng.New.Pos(p.New)
+		if okO && okN {
+			m.direct[posKey(int32(oi), int32(ni))] = sim
+		}
+	}
+	return m
+}
+
+// vertexCand is a candidate vertex: member positions i in the old graph and
+// j in the new graph, and the record pair's similarity.
+type vertexCand struct {
+	i, j int
+	sim  float64
+}
+
 // MatchGroups computes the common subgraph of one group pair (Section 3.3)
 // and its selection scores. It returns nil when the groups share no
 // structurally supported subgraph (fewer than two compatible vertices or no
@@ -120,63 +195,72 @@ func (c MatchConfig) ageConsistent(o, n *census.Record) bool {
 // is chosen greedily by (edge support, record similarity). Vertices left
 // without any compatible edge are dropped, following the reduction shown in
 // Fig. 4 of the paper.
-func MatchGroups(gOld, gNew *hgraph.Graph, pre *PreMatchResult, f SimFunc, cfg MatchConfig) *Subgraph {
-	// Collect candidate vertex pairs: equally labelled (i.e. similar)
-	// record pairs that are age-consistent with the census interval. For
-	// pairs that were only linked transitively, the aggregated similarity
-	// is computed on demand.
-	var cands []VertexPair
-	for _, o := range gOld.Members() {
-		lo, okO := pre.Label(o.ID)
-		if !okO {
+func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
+	oldMembers, newMembers := gOld.Members(), gNew.Members()
+	oldPos, newPos := gOld.Positions(), gNew.Positions()
+
+	// Member pairs that share a cluster label and fit the age window. A
+	// directly compared pair always shares a label, because pre-matching
+	// clusters the transitive closure of its links, so every vertex
+	// candidate is among these. With fewer than two the group pair has no
+	// subgraph, and nothing is scored.
+	var cands []vertexCand
+	for i, o := range oldMembers {
+		lo := m.oldLabel[oldPos[i]]
+		if lo < 0 {
 			continue
 		}
-		for _, n := range gNew.Members() {
-			sim, direct := pre.Sims[Pair{Old: o.ID, New: n.ID}]
-			if !direct {
-				if cfg.DirectVerticesOnly {
-					continue
-				}
-				ln, okN := pre.Label(n.ID)
-				if !okN || lo != ln {
-					continue
-				}
-				// Transitively linked pair: the records sit in one cluster
-				// but were never compared directly. With VertexGuards on,
-				// chains of barely-similar records are cut: contradictory
-				// sex values and pairs below half of the direct threshold
-				// are rejected.
-				if cfg.VertexGuards {
-					if o.Sex != census.SexUnknown && n.Sex != census.SexUnknown && o.Sex != n.Sex {
-						continue
-					}
-				}
-				sim = f.AggSim(o, n)
-				if cfg.VertexGuards && sim < f.Delta/2 {
-					continue
-				}
+		for j, n := range newMembers {
+			if m.newLabel[newPos[j]] == lo && m.cfg.ageConsistent(o, n) {
+				cands = append(cands, vertexCand{i: i, j: j})
 			}
-			if !cfg.ageConsistent(o, n) {
-				continue
-			}
-			cands = append(cands, VertexPair{Old: o, New: n, Sim: sim})
 		}
 	}
 	if len(cands) < 2 {
 		return nil
 	}
 
+	// Directly compared pairs carry their pre-matching similarity; pairs
+	// linked only transitively are scored through the engine.
+	kept := cands[:0]
+	for _, c := range cands {
+		sim, direct := m.direct[posKey(oldPos[c.i], newPos[c.j])]
+		if !direct {
+			if m.cfg.DirectVerticesOnly {
+				continue
+			}
+			// The records sit in one cluster but were never compared
+			// directly. With VertexGuards on, chains of barely-similar
+			// records are cut: contradictory sex values and pairs below half
+			// of the direct threshold are rejected.
+			o, n := oldMembers[c.i], newMembers[c.j]
+			if m.cfg.VertexGuards && o.Sex != census.SexUnknown && n.Sex != census.SexUnknown && o.Sex != n.Sex {
+				continue
+			}
+			sim = m.eng.AggSim(int(oldPos[c.i]), int(newPos[c.j]))
+			if m.cfg.VertexGuards && sim < m.delta/2 {
+				continue
+			}
+		}
+		c.sim = sim
+		kept = append(kept, c)
+	}
+	cands = kept
+	if len(cands) < 2 {
+		return nil
+	}
+
 	// Edge compatibility between candidate vertex pairs.
-	compatible := func(a, b VertexPair) (float64, bool) {
-		if a.Old.ID == b.Old.ID || a.New.ID == b.New.ID {
+	compatible := func(a, b vertexCand) (float64, bool) {
+		if oldPos[a.i] == oldPos[b.i] || newPos[a.j] == newPos[b.j] {
 			return 0, false
 		}
-		tOld, dOld, okOld := gOld.EdgeBetween(a.Old.ID, b.Old.ID)
-		tNew, dNew, okNew := gNew.EdgeBetween(a.New.ID, b.New.ID)
+		tOld, dOld, okOld := gOld.EdgeAt(a.i, b.i)
+		tNew, dNew, okNew := gNew.EdgeAt(a.j, b.j)
 		if !okOld || !okNew || tOld != tNew {
 			return 0, false
 		}
-		return cfg.rpSim(dOld, dNew)
+		return m.cfg.rpSim(dOld, dNew)
 	}
 	support := make([]int, len(cands))
 	for i := 0; i < len(cands); i++ {
@@ -194,33 +278,37 @@ func MatchGroups(gOld, gNew *hgraph.Graph, pre *PreMatchResult, f SimFunc, cfg M
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
-		i, j := order[x], order[y]
+	slices.SortFunc(order, func(i, j int) int {
 		if support[i] != support[j] {
-			return support[i] > support[j]
+			return support[j] - support[i]
 		}
-		if cands[i].Sim != cands[j].Sim {
-			return cands[i].Sim > cands[j].Sim
+		if a, b := cands[i].sim, cands[j].sim; a != b {
+			if a > b {
+				return -1
+			}
+			return 1
 		}
-		if cands[i].Old.ID != cands[j].Old.ID {
-			return cands[i].Old.ID < cands[j].Old.ID
+		if c := strings.Compare(oldMembers[cands[i].i].ID, oldMembers[cands[j].i].ID); c != 0 {
+			return c
 		}
-		return cands[i].New.ID < cands[j].New.ID
+		return strings.Compare(newMembers[cands[i].j].ID, newMembers[cands[j].j].ID)
 	})
-	usedOld := make(map[string]bool, len(cands))
-	usedNew := make(map[string]bool, len(cands))
-	var chosen []VertexPair
-	for _, i := range order {
-		v := cands[i]
-		if usedOld[v.Old.ID] || usedNew[v.New.ID] {
+	usedOld := make([]bool, len(oldMembers))
+	usedNew := make([]bool, len(newMembers))
+	var chosen []vertexCand
+	for _, k := range order {
+		c := cands[k]
+		if usedOld[c.i] || usedNew[c.j] {
 			continue
 		}
-		usedOld[v.Old.ID] = true
-		usedNew[v.New.ID] = true
-		chosen = append(chosen, v)
+		usedOld[c.i] = true
+		usedNew[c.j] = true
+		chosen = append(chosen, c)
 	}
 	// Restore member order for deterministic output.
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i].Old.ID < chosen[j].Old.ID })
+	slices.SortFunc(chosen, func(a, b vertexCand) int {
+		return strings.Compare(oldMembers[a.i].ID, oldMembers[b.i].ID)
+	})
 
 	// Final edges among the chosen vertices.
 	var edges []SubEdge
@@ -240,11 +328,13 @@ func MatchGroups(gOld, gNew *hgraph.Graph, pre *PreMatchResult, f SimFunc, cfg M
 
 	// Drop vertices without edge support (Fig. 4 reduction) and remap edges.
 	remap := make([]int, len(chosen))
-	var kept []VertexPair
-	for i, v := range chosen {
+	var vertices []VertexPair
+	labelSum := 0
+	for i, c := range chosen {
 		if degree[i] > 0 {
-			remap[i] = len(kept)
-			kept = append(kept, v)
+			remap[i] = len(vertices)
+			vertices = append(vertices, VertexPair{Old: oldMembers[c.i], New: newMembers[c.j], Sim: c.sim})
+			labelSum += int(m.oldLabelSize[oldPos[c.i]])
 		} else {
 			remap[i] = -1
 		}
@@ -257,23 +347,20 @@ func MatchGroups(gOld, gNew *hgraph.Graph, pre *PreMatchResult, f SimFunc, cfg M
 	sub := &Subgraph{
 		OldGroup: gOld.HouseholdID,
 		NewGroup: gNew.HouseholdID,
-		Vertices: kept,
+		Vertices: vertices,
 		Edges:    edges,
 	}
-	sub.score(gOld, gNew, pre, cfg)
+	sub.score(gOld, gNew, labelSum, m.cfg)
 	return sub
 }
 
 // score fills in avg_sim (Eq. 5), e_sim (Eq. 6), unique (Eq. 7) and the
-// aggregated g_sim (Eq. 4).
-func (s *Subgraph) score(gOld, gNew *hgraph.Graph, pre *PreMatchResult, cfg MatchConfig) {
+// aggregated g_sim (Eq. 4). labelSum is Σ|label(v)| over the vertices'
+// old-side records.
+func (s *Subgraph) score(gOld, gNew *hgraph.Graph, labelSum int, cfg MatchConfig) {
 	simSum := 0.0
-	labelSum := 0
 	for _, v := range s.Vertices {
 		simSum += v.Sim
-		if l, ok := pre.Label(v.Old.ID); ok {
-			labelSum += pre.LabelSize[l]
-		}
 	}
 	s.AvgSim = simSum / float64(len(s.Vertices))
 

@@ -1,17 +1,175 @@
 package linkage
 
 import (
+	"context"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"censuslink/internal/block"
 	"censuslink/internal/census"
 	"censuslink/internal/hgraph"
+	"censuslink/internal/obs"
 	"censuslink/internal/paperexample"
+	"censuslink/internal/synth"
 )
 
 func paperMatchConfig() MatchConfig {
 	return MatchConfig{AgeTolerance: 3, YearGap: 10, Alpha: 0.2, Beta: 0.7}
+}
+
+// matchGroupsOracle is the string-keyed subgraph matcher the position-keyed
+// GroupMatcher.MatchGroups replaced: labels, direct similarities and edges
+// are looked up by record ID, and transitively linked pairs are scored with
+// the interpreted SimFunc.AggSim. It is the bit-identity oracle of the
+// subgraph stage.
+func matchGroupsOracle(gOld, gNew *hgraph.Graph, pre *PreMatchResult, f SimFunc, cfg MatchConfig) *Subgraph {
+	var cands []VertexPair
+	for _, o := range gOld.Members() {
+		lo, okO := pre.Label(o.ID)
+		if !okO {
+			continue
+		}
+		for _, n := range gNew.Members() {
+			sim, direct := pre.Sims[Pair{Old: o.ID, New: n.ID}]
+			if !direct {
+				if cfg.DirectVerticesOnly {
+					continue
+				}
+				ln, okN := pre.Label(n.ID)
+				if !okN || lo != ln {
+					continue
+				}
+				if cfg.VertexGuards {
+					if o.Sex != census.SexUnknown && n.Sex != census.SexUnknown && o.Sex != n.Sex {
+						continue
+					}
+				}
+				sim = f.AggSim(o, n)
+				if cfg.VertexGuards && sim < f.Delta/2 {
+					continue
+				}
+			}
+			if !cfg.ageConsistent(o, n) {
+				continue
+			}
+			cands = append(cands, VertexPair{Old: o, New: n, Sim: sim})
+		}
+	}
+	if len(cands) < 2 {
+		return nil
+	}
+
+	compatible := func(a, b VertexPair) (float64, bool) {
+		if a.Old.ID == b.Old.ID || a.New.ID == b.New.ID {
+			return 0, false
+		}
+		tOld, dOld, okOld := gOld.EdgeBetween(a.Old.ID, b.Old.ID)
+		tNew, dNew, okNew := gNew.EdgeBetween(a.New.ID, b.New.ID)
+		if !okOld || !okNew || tOld != tNew {
+			return 0, false
+		}
+		return cfg.rpSim(dOld, dNew)
+	}
+	support := make([]int, len(cands))
+	for i := 0; i < len(cands); i++ {
+		for j := i + 1; j < len(cands); j++ {
+			if _, ok := compatible(cands[i], cands[j]); ok {
+				support[i]++
+				support[j]++
+			}
+		}
+	}
+
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(x, y int) bool {
+		i, j := order[x], order[y]
+		if support[i] != support[j] {
+			return support[i] > support[j]
+		}
+		if cands[i].Sim != cands[j].Sim {
+			return cands[i].Sim > cands[j].Sim
+		}
+		if cands[i].Old.ID != cands[j].Old.ID {
+			return cands[i].Old.ID < cands[j].Old.ID
+		}
+		return cands[i].New.ID < cands[j].New.ID
+	})
+	usedOld := make(map[string]bool, len(cands))
+	usedNew := make(map[string]bool, len(cands))
+	var chosen []VertexPair
+	for _, i := range order {
+		v := cands[i]
+		if usedOld[v.Old.ID] || usedNew[v.New.ID] {
+			continue
+		}
+		usedOld[v.Old.ID] = true
+		usedNew[v.New.ID] = true
+		chosen = append(chosen, v)
+	}
+	sort.Slice(chosen, func(i, j int) bool { return chosen[i].Old.ID < chosen[j].Old.ID })
+
+	var edges []SubEdge
+	degree := make([]int, len(chosen))
+	for i := 0; i < len(chosen); i++ {
+		for j := i + 1; j < len(chosen); j++ {
+			if rp, ok := compatible(chosen[i], chosen[j]); ok {
+				edges = append(edges, SubEdge{I: i, J: j, RpSim: rp})
+				degree[i]++
+				degree[j]++
+			}
+		}
+	}
+	if len(edges) == 0 {
+		return nil
+	}
+
+	remap := make([]int, len(chosen))
+	var kept []VertexPair
+	for i, v := range chosen {
+		if degree[i] > 0 {
+			remap[i] = len(kept)
+			kept = append(kept, v)
+		} else {
+			remap[i] = -1
+		}
+	}
+	for i := range edges {
+		edges[i].I = remap[edges[i].I]
+		edges[i].J = remap[edges[i].J]
+	}
+
+	labelSum := 0
+	for _, v := range kept {
+		if l, ok := pre.Label(v.Old.ID); ok {
+			labelSum += pre.LabelSize[l]
+		}
+	}
+	sub := &Subgraph{
+		OldGroup: gOld.HouseholdID,
+		NewGroup: gNew.HouseholdID,
+		Vertices: kept,
+		Edges:    edges,
+	}
+	sub.score(gOld, gNew, labelSum, cfg)
+	return sub
+}
+
+// matchChecked matches one group pair through the production GroupMatcher
+// over the two datasets and fails the test unless the oracle agrees.
+func matchChecked(t *testing.T, old, new *census.Dataset, gOld, gNew *hgraph.Graph,
+	pre *PreMatchResult, f SimFunc, cfg MatchConfig) *Subgraph {
+	t.Helper()
+	gm := NewGroupMatcher(pre, f.Compile(old.Records(), new.Records()), f.Delta, cfg)
+	got := gm.MatchGroups(gOld, gNew)
+	if want := matchGroupsOracle(gOld, gNew, pre, f, cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("(%s, %s): MatchGroups %+v, oracle %+v", gOld.HouseholdID, gNew.HouseholdID, got, want)
+	}
+	return got
 }
 
 // paperSubgraphs builds the enriched graphs and pre-matching of the running
@@ -25,7 +183,7 @@ func paperSubgraphs(t *testing.T) (func(oldHH, newHH string) *Subgraph, *PreMatc
 	f := NameOnly(1.0)
 	cfg := paperMatchConfig()
 	return func(oldHH, newHH string) *Subgraph {
-		return MatchGroups(oldGraphs[oldHH], newGraphs[newHH], pre, f, cfg)
+		return matchChecked(t, old, new, oldGraphs[oldHH], newGraphs[newHH], pre, f, cfg)
 	}, pre
 }
 
@@ -145,7 +303,7 @@ func TestSubgraphAgeConsistencyFilter(t *testing.T) {
 	}
 	pre := preMatchT(old.Records(), old.Year, new.Records(), new.Year,
 		NameOnly(1.0), block.DefaultStrategies(), 1)
-	s := MatchGroups(hgraph.Build(old, old.Household("oh")),
+	s := matchChecked(t, old, new, hgraph.Build(old, old.Household("oh")),
 		hgraph.Build(new, new.Household("nh")), pre, NameOnly(1.0), paperMatchConfig())
 	if s != nil {
 		t.Errorf("age-inconsistent pair matched: %+v", s)
@@ -177,7 +335,7 @@ func TestSubgraphDuplicateNamesOneToOne(t *testing.T) {
 	}
 	pre := preMatchT(old.Records(), old.Year, new.Records(), new.Year,
 		NameOnly(1.0), block.DefaultStrategies(), 1)
-	s := MatchGroups(hgraph.Build(old, old.Household("oh")),
+	s := matchChecked(t, old, new, hgraph.Build(old, old.Household("oh")),
 		hgraph.Build(new, new.Household("nh")), pre, NameOnly(1.0), paperMatchConfig())
 	if s == nil {
 		t.Fatal("no subgraph for duplicate-name household")
@@ -251,5 +409,140 @@ func TestAgeConsistent(t *testing.T) {
 	}
 	if !cfg.ageConsistent(mk(census.AgeMissing), mk(44)) {
 		t.Error("missing age should pass")
+	}
+}
+
+// oracleCheckingMatcher is a SubgraphMatch stage that, before running the
+// production stage, matches every candidate group pair of the iteration
+// with both GroupMatcher.MatchGroups and the string-keyed oracle and
+// requires deep-equal subgraphs (nil for nil).
+type oracleCheckingMatcher struct {
+	t             *testing.T
+	cfg           Config
+	checked, subs int
+}
+
+func (m *oracleCheckingMatcher) MatchSubgraphs(ctx context.Context, enr *Enriched, parts *Partitions, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error) {
+	f := m.cfg.Sim.WithDelta(delta)
+	gm := NewGroupMatcher(pre, parts.match.eng, delta, enr.Match)
+	for _, gp := range pairs {
+		gOld, gNew := enr.OldGraphs[gp.Old], enr.NewGraphs[gp.New]
+		got := gm.MatchGroups(gOld, gNew)
+		if want := matchGroupsOracle(gOld, gNew, pre, f, enr.Match); !reflect.DeepEqual(got, want) {
+			m.t.Fatalf("delta=%v %v: MatchGroups %+v, oracle %+v", delta, gp, got, want)
+		}
+		m.checked++
+		if got != nil {
+			m.subs++
+		}
+	}
+	return (&poolSubgraphMatcher{cfg: m.cfg}).MatchSubgraphs(ctx, enr, parts, delta, pairs, pre)
+}
+
+// TestMatchGroupsOracleDifferential: across ω1/ω2, three δ schedules and
+// both vertex ablations, every candidate group pair of every iteration gets
+// the oracle's subgraph from the position-keyed, engine-scored matcher.
+func TestMatchGroupsOracleDifferential(t *testing.T) {
+	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 29), 1861, 1871)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := map[string]SimFunc{"omega1": OmegaOne(0.7), "omega2": OmegaTwo(0.7)}
+	schedules := map[string]func(*Config){
+		"default":  func(*Config) {},
+		"one-shot": func(c *Config) { c.DeltaHigh, c.DeltaLow, c.DeltaStep = 0.5, 0.5, 0 },
+		"clamped":  func(c *Config) { c.DeltaLow = 0.52 },
+	}
+	for simName, sim := range sims {
+		for schedName, schedule := range schedules {
+			for _, guards := range []bool{false, true} {
+				for _, directOnly := range []bool{false, true} {
+					cfg := DefaultConfig()
+					cfg.Sim = sim
+					schedule(&cfg)
+					cfg.VertexGuards, cfg.DirectVerticesOnly = guards, directOnly
+					check := &oracleCheckingMatcher{t: t, cfg: cfg}
+					stages := newStageSet(cfg)
+					stages.subgraphs = check
+					if _, err := runStages(context.Background(), old, new, cfg, stages); err != nil {
+						t.Fatal(err)
+					}
+					if check.subs == 0 {
+						t.Errorf("%s/%s guards=%v direct=%v: no subgraph among %d group pairs",
+							simName, schedName, guards, directOnly, check.checked)
+					}
+				}
+			}
+		}
+	}
+}
+
+// cacheSink records, at the close of every δ iteration, the cumulative
+// memo counters of the engine the iteration scored through.
+type cacheSink struct {
+	obs.NopSink
+	eng  func() (hits, misses int64)
+	seen []int64
+}
+
+func (s *cacheSink) IterationDone(obs.Iteration) {
+	h, m := s.eng()
+	s.seen = append(s.seen, h+m)
+}
+
+// capturingBlocker hands the Block stage's partitions to the test.
+type capturingBlocker struct {
+	inner Blocker
+	parts *Partitions
+}
+
+func (b *capturingBlocker) Block(ctx context.Context, enr *Enriched) (*Partitions, error) {
+	parts, err := b.inner.Block(ctx, enr)
+	b.parts = parts
+	return parts, err
+}
+
+// TestObsSubgraphCacheAttribution: the memo lookups of the resident Sim
+// engine (pre-matching and subgraph matching) land in the snapshot of the
+// δ iteration that made them, and those of the remainder engine in the run
+// totals only, so per-iteration counts plus the remainder's equal the run
+// totals and the engines' own counters.
+func TestObsSubgraphCacheAttribution(t *testing.T) {
+	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 7), 1861, 1871)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	sink := &cacheSink{}
+	cfg.Obs = obs.NewStats(sink)
+	stages := newStageSet(cfg)
+	blocker := &capturingBlocker{inner: stages.block}
+	stages.block = blocker
+	sink.eng = func() (int64, int64) {
+		h, m, _ := blocker.parts.resident.sim.eng.Counters()
+		return h, m
+	}
+	if _, err := runStages(context.Background(), old, new, cfg, stages); err != nil {
+		t.Fatal(err)
+	}
+	rep := cfg.Obs.Report()
+	lookups := func(c map[string]int64) int64 { return c[obs.SimCacheHits] + c[obs.SimCacheMisses] }
+	if len(rep.Iterations) != len(sink.seen) || len(rep.Iterations) == 0 {
+		t.Fatalf("%d iterations reported, %d seen", len(rep.Iterations), len(sink.seen))
+	}
+	var prev, iterSum int64
+	for i, it := range rep.Iterations {
+		if got, want := lookups(it.Counters), sink.seen[i]-prev; got != want {
+			t.Errorf("iteration %d (delta %v): %d memo lookups reported, engine made %d", i, it.Delta, got, want)
+		}
+		prev = sink.seen[i]
+		iterSum += lookups(it.Counters)
+	}
+	h, m, _ := blocker.parts.resident.rem.eng.Counters()
+	if got, want := iterSum+h+m, lookups(rep.Counters); got != want {
+		t.Errorf("iterations %d + remainder %d = %d, run totals %d", iterSum, h+m, got, want)
+	}
+	if sh, sm, _ := blocker.parts.resident.sim.eng.Counters(); sh+sm != iterSum {
+		t.Errorf("Sim engine made %d memo lookups, iterations report %d", sh+sm, iterSum)
 	}
 }
