@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check bench bench-regress pgo pgo-profile shard-smoke store-golden chaos report fuzz fuzz-smoke clean
+.PHONY: all build test vet check bench bench-regress pgo pgo-profile store-golden chaos report fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -21,9 +21,8 @@ test:
 	$(GO) test ./...
 
 # One iteration of every table/figure benchmark plus the micro benchmarks,
-# then the naive-vs-compiled pre-matching trajectory report and the
-# serving-layer load report (the loadgen harness against a precomputed
-# synthetic series).
+# then the pre-matching trajectory report and the serving-layer load report
+# (the loadgen harness against a precomputed synthetic series).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	CENSUSLINK_BENCH_JSON=BENCH_prematch.json $(GO) test -run TestBenchTrajectory -v .
@@ -48,13 +47,6 @@ pgo-profile:
 # default profile (see pgo-profile to refresh it after hot-path changes).
 pgo:
 	$(GO) build -pgo=$(CURDIR)/default.pgo ./...
-
-# Sharded differential gate: the K-shard determinism tests under -race,
-# then a quarter-scale end-to-end run proving shards 1 and 8 produce
-# identical record links, group links and provenance.
-shard-smoke:
-	$(GO) test -count=1 -race -run 'TestShardDeterminism|TestPreMatchShardedDifferential|TestMatchRemainingSharded|TestPartitionCoversKeyedPairs' ./internal/linkage/
-	CENSUSLINK_SHARD_SMOKE=1 $(GO) test -count=1 -run TestShardSmoke -v .
 
 # Snapshot-store golden gate: format round trip, deterministic payloads,
 # corruption rejection, and the end-to-end incremental differential (a warm

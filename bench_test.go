@@ -163,22 +163,13 @@ func BenchmarkLinkPair(b *testing.B) {
 	}
 }
 
-// benchEngines lists the two comparison paths side by side.
-var benchEngines = []linkage.EngineKind{linkage.EngineNaive, linkage.EngineCompiled}
-
-// benchShards is the shard count of the sharded bench rows — wide enough to
-// exercise the partition/merge machinery, narrow enough that per-shard
-// compile overhead stays visible rather than dominant.
-const benchShards = 4
-
 // benchPreMatch runs one standalone pre-matching pass; with a background
 // context and no fault injection the error path is unreachable.
-func benchPreMatch(oldDS, newDS *census.Dataset, f linkage.SimFunc, cfg linkage.Config,
-	kind linkage.EngineKind, shards int) *linkage.PreMatchResult {
+func benchPreMatch(oldDS, newDS *census.Dataset, f linkage.SimFunc, cfg linkage.Config) *linkage.PreMatchResult {
 	pre, err := linkage.PreMatchOpts(context.Background(), oldDS.Records(), newDS.Records(),
 		linkage.PreMatchOptions{
 			Sim: f, OldYear: oldDS.Year, NewYear: newDS.Year,
-			Strategies: cfg.Strategies, Workers: cfg.Workers, Engine: kind, Shards: shards,
+			Strategies: cfg.Strategies, Workers: cfg.Workers,
 		})
 	if err != nil {
 		panic(err)
@@ -186,10 +177,9 @@ func benchPreMatch(oldDS, newDS *census.Dataset, f linkage.SimFunc, cfg linkage.
 	return pre
 }
 
-// BenchmarkPreMatch compares one full pre-matching pass at δ_high through
-// the interpreted and the compiled comparison engine. The compiled run pays
-// for interning, profile construction and the blocking index on every
-// iteration — the honest per-pass cost.
+// BenchmarkPreMatch times one full pre-matching pass at δ_high. Each pass
+// pays for interning, profile construction and the blocking index — the
+// honest standalone per-pass cost.
 func BenchmarkPreMatch(b *testing.B) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(benchScale(), 1871), 1871, 1881)
 	if err != nil {
@@ -197,36 +187,27 @@ func BenchmarkPreMatch(b *testing.B) {
 	}
 	cfg := linkage.DefaultConfig()
 	f := cfg.Sim.WithDelta(cfg.DeltaHigh)
-	for _, kind := range benchEngines {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pre := benchPreMatch(old, new, f, cfg, kind, 0)
-				if pre.Compared == 0 {
-					b.Fatal("no candidate pairs compared")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pre := benchPreMatch(old, new, f, cfg)
+		if pre.Compared == 0 {
+			b.Fatal("no candidate pairs compared")
+		}
 	}
 }
 
-// BenchmarkLinkSeries times the full six-census series linkage per engine.
+// BenchmarkLinkSeries times the full six-census series linkage.
 func BenchmarkLinkSeries(b *testing.B) {
 	series, err := synth.Generate(synth.TestConfig(benchScale(), 1871))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, kind := range benchEngines {
-		b.Run(kind.String(), func(b *testing.B) {
-			cfg := linkage.DefaultConfig()
-			cfg.Engine = kind
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := linkage.LinkSeries(series, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := linkage.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := linkage.LinkSeries(series, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -275,7 +256,7 @@ func BenchmarkLinkSeriesIncremental(b *testing.B) {
 	})
 }
 
-// TestBenchTrajectory measures the naive-vs-compiled pre-matching speedup
+// TestBenchTrajectory measures the standalone pre-matching pass
 // programmatically and writes a JSON report to the path named by the
 // CENSUSLINK_BENCH_JSON environment variable. The report also carries the
 // similarity-memo counters of one compiled Link run so the cache
@@ -299,19 +280,9 @@ func TestBenchTrajectory(t *testing.T) {
 	}
 	cfg := linkage.DefaultConfig()
 	f := cfg.Sim.WithDelta(cfg.DeltaHigh)
-	run := func(kind linkage.EngineKind) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchPreMatch(old, new, f, cfg, kind, 0)
-			}
-		})
-	}
-	naive := run(linkage.EngineNaive)
-	compiled := run(linkage.EngineCompiled)
-	speedup := float64(naive.NsPerOp()) / float64(compiled.NsPerOp())
-	sharded := testing.Benchmark(func(b *testing.B) {
+	compiled := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchPreMatch(old, new, f, cfg, linkage.EngineCompiled, benchShards)
+			benchPreMatch(old, new, f, cfg)
 		}
 	})
 
@@ -328,7 +299,7 @@ func TestBenchTrajectory(t *testing.T) {
 	lshCfg.Strategies = lshStrategies
 	lshBench := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchPreMatch(old, new, f, lshCfg, linkage.EngineCompiled, 0)
+			benchPreMatch(old, new, f, lshCfg)
 		}
 	})
 	truth := evaluate.TrueRecordMapping(old, new)
@@ -357,7 +328,6 @@ func TestBenchTrajectory(t *testing.T) {
 	}
 
 	statsCfg := linkage.DefaultConfig()
-	statsCfg.Engine = linkage.EngineCompiled
 	statsCfg.Obs = obs.NewStats(nil)
 	if _, err := linkage.Link(old, new, statsCfg); err != nil {
 		t.Fatal(err)
@@ -367,17 +337,13 @@ func TestBenchTrajectory(t *testing.T) {
 	misses := rep.Counters[obs.SimCacheMisses]
 
 	report := map[string]any{
-		"benchmark":              "PreMatch",
-		"scale":                  benchScale(),
-		"naive_ns_op":            naive.NsPerOp(),
-		"compiled_ns_op":         compiled.NsPerOp(),
-		"prematch_sharded_ns_op": sharded.NsPerOp(),
-		"prematch_shards":        benchShards,
-		"speedup":                speedup,
-		"sim_cache_hits":         hits,
-		"sim_cache_misses":       misses,
-		"sim_cache_hit_rate":     float64(hits) / float64(hits+misses),
-		"pruned_comparisons":     rep.Counters[obs.PrunedComparisons],
+		"benchmark":          "PreMatch",
+		"scale":              benchScale(),
+		"compiled_ns_op":     compiled.NsPerOp(),
+		"sim_cache_hits":     hits,
+		"sim_cache_misses":   misses,
+		"sim_cache_hit_rate": float64(hits) / float64(hits+misses),
+		"pruned_comparisons": rep.Counters[obs.PrunedComparisons],
 
 		"prematch_lsh_ns_op":           lshBench.NsPerOp(),
 		"prematch_lsh_pairs":           lshPairs,
@@ -522,12 +488,7 @@ func TestBenchTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("prematch naive %v/op, compiled %v/op (sharded x%d %v/op), speedup %.2fx, memo hit rate %.3f",
-		naive.NsPerOp(), compiled.NsPerOp(), benchShards, sharded.NsPerOp(),
-		speedup, float64(hits)/float64(hits+misses))
-	if speedup < 2 {
-		t.Errorf("compiled pre-matching speedup %.2fx below the 2x target", speedup)
-	}
+	t.Logf("prematch %v/op, memo hit rate %.3f", compiled.NsPerOp(), float64(hits)/float64(hits+misses))
 
 	if basePath != "" {
 		base, err := readBenchBaseline(basePath)
@@ -543,15 +504,6 @@ func TestBenchTrajectory(t *testing.T) {
 		if ratio > 2 {
 			t.Errorf("compiled pre-matching regressed %.2fx vs the committed baseline (limit 2x): %d ns/op vs %d ns/op",
 				ratio, compiled.NsPerOp(), base.CompiledNsOp)
-		}
-		if base.ShardedNsOp > 0 {
-			sr := float64(sharded.NsPerOp()) / float64(base.ShardedNsOp)
-			t.Logf("sharded prematch vs baseline: %d ns/op now, %d ns/op then (%.2fx)",
-				sharded.NsPerOp(), base.ShardedNsOp, sr)
-			if sr > 2 {
-				t.Errorf("sharded pre-matching regressed %.2fx vs the committed baseline (limit 2x): %d ns/op vs %d ns/op",
-					sr, sharded.NsPerOp(), base.ShardedNsOp)
-			}
 		}
 		if base.LSHNsOp > 0 {
 			lr := float64(lshBench.NsPerOp()) / float64(base.LSHNsOp)
@@ -570,7 +522,6 @@ func TestBenchTrajectory(t *testing.T) {
 type benchBaseline struct {
 	Scale        float64 `json:"scale"`
 	CompiledNsOp int64   `json:"compiled_ns_op"`
-	ShardedNsOp  int64   `json:"prematch_sharded_ns_op"`
 	LSHNsOp      int64   `json:"prematch_lsh_ns_op"`
 }
 

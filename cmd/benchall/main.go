@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"censuslink/internal/experiments"
-	"censuslink/internal/linkage"
 	"censuslink/internal/obs"
 	"censuslink/internal/report"
 )
@@ -39,12 +38,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); the -stats report is still written")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	engineFlag := flag.String("engine", "compiled", "comparison engine: compiled (interned values + similarity memo) or naive (interpreted oracle)")
 	flag.Parse()
-	engine, err := linkage.ParseEngine(*engineFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	// SIGINT/SIGTERM and -timeout cancel every linkage run through
 	// Options.Ctx; the experiments abort at the next linkage checkpoint.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -103,7 +97,7 @@ func main() {
 	w := io.MultiWriter(sinks...)
 
 	start := time.Now()
-	env, err := experiments.NewEnv(experiments.Options{Scale: *scale, Seed: *seed, Workers: *workers, Obs: stats, Ctx: ctx, Engine: engine})
+	env, err := experiments.NewEnv(experiments.Options{Scale: *scale, Seed: *seed, Workers: *workers, Obs: stats, Ctx: ctx})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,7 +48,6 @@ func main() {
 	storeDir := flag.String("store", "", "persist per-pair linkage results as snapshots in this directory (write-through)")
 	incremental := flag.Bool("incremental", false, "with -store: skip year pairs whose snapshot already matches this input and configuration")
 	pairWorkers := flag.Int("pair-workers", 1, "link up to this many year pairs concurrently")
-	shards := flag.Int("shards", 0, "partition pre-matching and the remainder pass of each year pair into this many block-key shards, bounding peak memory (0 = unsharded; results are identical)")
 	blocking := flag.String("blocking", "", "blocking scheme: default, high-recall, lsh or lsh+default")
 	appendPath := flag.String("append", "", "append this census CSV to the linked series via the incremental pair-append path")
 	appendYear := flag.Int("append-year", 0, "census year of the -append file (0 = derive from its census_<year>.csv name)")
@@ -95,9 +94,6 @@ func main() {
 
 	cfg := linkage.DefaultConfig()
 	cfg.Obs = stats
-	if *shards > 0 {
-		cfg.Shards = *shards
-	}
 	if *blocking != "" {
 		strategies, err := linkage.ParseBlocking(*blocking)
 		if err != nil {

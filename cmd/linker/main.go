@@ -66,9 +66,7 @@ func main() {
 	lenient := flag.Bool("lenient", false, "skip bad input rows instead of aborting, printing a data-quality summary to stderr")
 	maxBadRows := flag.Int("max-bad-rows", 0, "with -lenient: give up once more than this many rows are skipped (0 = no cap)")
 	panicPolicy := flag.String("panic-policy", "fail-fast", "worker panic policy: fail-fast or skip")
-	engineFlag := flag.String("engine", "compiled", "comparison engine: compiled (interned values + similarity memo) or naive (interpreted oracle)")
 	blockingFlag := flag.String("blocking", "", "blocking scheme: default, high-recall, lsh or lsh+default (empty = the config's choice)")
-	shards := flag.Int("shards", 0, "partition pre-matching and the remainder pass into this many block-key shards with transient per-shard state, bounding peak memory (0 = unsharded; results are identical)")
 	storeDir := flag.String("store", "", "persist the linkage result as a content-addressed snapshot in this directory (iterative/oneshot only)")
 	incremental := flag.Bool("incremental", false, "with -store: serve a stored snapshot matching this input and configuration instead of recomputing")
 	storeVerify := flag.Bool("store-verify", false, "with -store: verify and repair the snapshot directory, print the summary and exit")
@@ -135,18 +133,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	engine, err := linkage.ParseEngine(*engineFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// A JSON config may carry its own engine choice; an explicit -engine
-	// flag wins over it.
-	engineSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engineSet = true
-		}
-	})
 	loadOpts := census.LoadOptions{Strict: !*lenient, MaxBadRows: *maxBadRows}
 
 	oldDS := loadCensus(*oldPath, *oldYear, loadOpts)
@@ -178,12 +164,6 @@ func main() {
 			cfg.DeltaHigh, cfg.DeltaLow, cfg.DeltaStep = *deltaHigh, *deltaLow, *deltaStep
 			cfg.Alpha, cfg.Beta = *alpha, *beta
 			cfg.AgeTolerance = *ageTol
-		}
-		if *configPath == "" || engineSet {
-			cfg.Engine = engine
-		}
-		if *shards > 0 {
-			cfg.Shards = *shards
 		}
 		// A JSON config may carry its own blocking choice; an explicit
 		// -blocking flag wins over it.
@@ -223,10 +203,8 @@ func main() {
 		fmt.Printf("%d iterations, %d remainder record links\n",
 			len(res.Iterations), res.RemainderRecordLinks)
 	case "cl":
-		clCfg := collective.DefaultConfig()
-		clCfg.Engine = engine
 		stop := stats.Stage("baseline_cl")
-		recordLinks = collective.Link(oldDS, newDS, clCfg)
+		recordLinks = collective.Link(oldDS, newDS, collective.DefaultConfig())
 		stop()
 	case "graphsim":
 		stop := stats.Stage("baseline_graphsim")

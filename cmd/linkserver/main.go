@@ -11,8 +11,7 @@
 //
 // Usage:
 //
-//	linkserver -dir data/series [-addr :8199] [-eager] \
-//	           [-engine compiled|naive] [-config cfg.json] \
+//	linkserver -dir data/series [-addr :8199] [-eager] [-config cfg.json] \
 //	           [-compute-timeout 5m] [-max-concurrent 2] \
 //	           [-max-inflight 256] [-rate-limit 50 -rate-burst 32] \
 //	           [-read-header-timeout 5s] [-read-timeout 60s] \
@@ -76,9 +75,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	dir := fs.String("dir", "", "directory of census_<year>.csv files (required)")
 	addr := fs.String("addr", "localhost:8199", "HTTP listen address")
 	eager := fs.Bool("eager", false, "compute all year pairs and the evolution graph at startup")
-	engineFlag := fs.String("engine", "compiled", "comparison engine: compiled or naive")
 	blockingFlag := fs.String("blocking", "", "blocking scheme: default, high-recall, lsh or lsh+default (empty = the config's choice)")
-	shards := fs.Int("shards", 0, "partition pre-matching and the remainder pass into this many block-key shards, bounding peak memory per computation (0 = unsharded; results and snapshots are identical)")
 	configPath := fs.String("config", "", "load the linkage configuration from this JSON file")
 	computeTimeout := fs.Duration("compute-timeout", 0, "cap one year-pair computation (0 = no cap)")
 	maxConcurrent := fs.Int("max-concurrent", 2, "year-pair computations allowed to run at once")
@@ -121,22 +118,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if cfg, err = spec.Build(); err != nil {
 			return err
 		}
-	}
-	engineSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engineSet = true
-		}
-	})
-	if *configPath == "" || engineSet {
-		engine, err := linkage.ParseEngine(*engineFlag)
-		if err != nil {
-			return err
-		}
-		cfg.Engine = engine
-	}
-	if *shards > 0 {
-		cfg.Shards = *shards
 	}
 	// A JSON config may carry its own blocking choice; an explicit -blocking
 	// flag wins over it.

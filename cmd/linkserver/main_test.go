@@ -229,9 +229,9 @@ func TestRunFlagErrors(t *testing.T) {
 		t.Error("empty series dir accepted")
 	}
 	if err := run(context.Background(), []string{
-		"-dir", writeSeries(t), "-engine", "nope", "-addr", "127.0.0.1:0",
+		"-dir", writeSeries(t), "-blocking", "nope", "-addr", "127.0.0.1:0",
 	}, &out); err == nil {
-		t.Error("bad -engine accepted")
+		t.Error("bad -blocking accepted")
 	}
 }
 

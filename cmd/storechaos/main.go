@@ -103,13 +103,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := census.WriteSeriesDir(seriesDir, series); err != nil {
 		return err
 	}
-	cfg := linkage.DefaultConfig()
-	engine, err := linkage.ParseEngine("compiled")
-	if err != nil {
-		return err
-	}
-	cfg.Engine = engine
-	expected, err := linkage.LinkContext(ctx, old, new, cfg)
+	expected, err := linkage.LinkContext(ctx, old, new, linkage.DefaultConfig())
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 
 	"censuslink/internal/block"
 	"censuslink/internal/census"
-	"censuslink/internal/compare"
 	"censuslink/internal/linkage"
 )
 
@@ -42,10 +41,6 @@ type Config struct {
 	AgeTolerance int
 	// Strategies is the blocking configuration.
 	Strategies []block.Strategy
-	// Engine selects the comparison path for the candidate scan (zero
-	// value: compiled). The accepted candidates and their similarities are
-	// identical either way.
-	Engine linkage.EngineKind
 }
 
 // DefaultConfig mirrors the paper's CL setup.
@@ -131,14 +126,10 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
 		return dev <= cfg.AgeTolerance
 	}
 
-	// Candidate generation via blocking, with the age filter. Under the
-	// compiled engine the scan scores through interned value pairs with an
-	// early exit at the floor threshold; accepted candidates carry the
-	// exact similarity either way.
-	var eng *compare.Engine
-	if cfg.Engine == linkage.EngineCompiled {
-		eng = cfg.Sim.Compile(oldRecs, newRecs)
-	}
+	// Candidate generation via blocking, with the age filter. The scan
+	// scores through interned value pairs with an early exit at the floor
+	// threshold; accepted candidates carry the exact similarity.
+	eng := cfg.Sim.Compile(oldRecs, newRecs)
 	var cands []candidate
 	candIdx := make(map[[2]int]int) // (oldIdx, newIdx) -> candidate index
 	byOld := make([][]int, len(oldRecs))
@@ -149,17 +140,10 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
 				return
 			}
 			oi, ni := oldIdx[o.ID], newIdx[n.ID]
-			var sim float64
-			if eng != nil {
-				var keep bool
-				// Hopeless pairs never become competitive.
-				if sim, keep = eng.AggSimAtLeast(oi, ni, cfg.AcceptThreshold/2); !keep {
-					return
-				}
-			} else {
-				if sim = cfg.Sim.AggSim(o, n); sim < cfg.AcceptThreshold/2 {
-					return
-				}
+			// Hopeless pairs never become competitive.
+			sim, keep := eng.AggSimAtLeast(oi, ni, cfg.AcceptThreshold/2)
+			if !keep {
+				return
 			}
 			ci := len(cands)
 			cands = append(cands, candidate{oldIdx: oi, newIdx: ni, attrSim: sim})

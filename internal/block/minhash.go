@@ -21,9 +21,7 @@ import (
 //
 // Because the scheme emits plain string keys through the same Strategy
 // interface as the exact passes, it composes with everything downstream:
-// multi-pass union, the prebuilt Index, per-δ filtering, and Config.Shards
-// block-key sharding (a record is replicated into the shards its band keys
-// hash to, so the sharded union still covers every LSH candidate pair).
+// multi-pass union, the prebuilt Index and per-δ filtering.
 
 // MinHashParams configures the q-gram MinHash/LSH scheme.
 type MinHashParams struct {
@@ -285,8 +283,7 @@ func (c LSHConfig) withDefaults() LSHConfig {
 // LSHStrategies is the MinHash/LSH multi-pass blocking configuration: the
 // birth-year-guarded surname and first-name+sex LSH passes plus the
 // full-name recovery pass (see LSHConfig for why). Every pass emits plain
-// string keys, so the scheme shares the exact-key index machinery and
-// composes with block-key sharding unchanged.
+// string keys, so the scheme shares the exact-key index machinery.
 func LSHStrategies(c LSHConfig) []Strategy {
 	c = c.withDefaults()
 	sur := SurnameMinHash(c.Name)

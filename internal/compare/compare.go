@@ -234,7 +234,7 @@ func (e *Engine) AggSim(oi, ni int) float64 {
 // the pair cannot reach delta it stops early and returns the partial sum
 // with false; the partial value must not be used as an exact similarity.
 // The epsilon guard guarantees no pair whose full similarity is ≥ delta is
-// ever pruned, so accepted pairs are exactly the naive path's.
+// ever pruned, so accepted pairs are exactly those AggSim accepts.
 func (e *Engine) AggSimAtLeast(oi, ni int, delta float64) (float64, bool) {
 	s := 0.0
 	for mi := range e.suffixW {

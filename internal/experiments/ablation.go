@@ -31,9 +31,6 @@ type AblationData struct {
 //     (α=1, β=0), ignoring edges and uniqueness
 //   - optimal-remainder — Hungarian assignment instead of greedy matching
 //     for the leftover records
-//   - naive-engine     — interpreted comparison path instead of the
-//     compiled engine (a no-op for quality: the rows must be identical to
-//     "default" by construction)
 func (e *Env) Ablation() (*report.Table, *AblationData, error) {
 	old, new := e.evalPair()
 	variants := []struct {
@@ -47,7 +44,6 @@ func (e *Env) Ablation() (*report.Table, *AblationData, error) {
 		{"no-remainder", func(c *linkage.Config) { c.Remainder = c.Remainder.WithDelta(1.0) }},
 		{"no-structure", func(c *linkage.Config) { c.Alpha, c.Beta = 1.0, 0.0 }},
 		{"optimal-remainder", func(c *linkage.Config) { c.OptimalRemainder = true }},
-		{"naive-engine", func(c *linkage.Config) { c.Engine = linkage.EngineNaive }},
 	}
 	data := &AblationData{Results: make(map[string]Quality)}
 	t := &report.Table{

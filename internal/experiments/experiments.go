@@ -47,11 +47,6 @@ type Options struct {
 	// environment performs: cancelling it aborts the experiment suite at
 	// the next pipeline checkpoint (see linkage.LinkContext).
 	Ctx context.Context
-	// Engine selects the comparison path for every linkage run the
-	// environment performs (zero value: compiled). Results are identical
-	// either way; the naive engine exists for differential testing and
-	// speedup measurements.
-	Engine linkage.EngineKind
 }
 
 // DefaultOptions runs at 10% of the paper's scale — large enough for stable
@@ -98,7 +93,6 @@ func (e *Env) baseConfig() linkage.Config {
 	cfg := linkage.DefaultConfig()
 	cfg.Workers = e.Opts.Workers
 	cfg.Obs = e.Opts.Obs
-	cfg.Engine = e.Opts.Engine
 	return cfg
 }
 
@@ -356,9 +350,7 @@ func (e *Env) Table6() (*report.Table, *Table6Data, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	clCfg := collective.DefaultConfig()
-	clCfg.Engine = e.Opts.Engine
-	clLinks := collective.Link(old, new, clCfg)
+	clLinks := collective.Link(old, new, collective.DefaultConfig())
 	data := &Table6Data{
 		CL:   e.quality(&linkage.Result{RecordLinks: clLinks}, old, new).Record,
 		Ours: e.quality(res, old, new).Record,

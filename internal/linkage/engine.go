@@ -1,51 +1,11 @@
 package linkage
 
 import (
-	"fmt"
-	"strings"
-
 	"censuslink/internal/block"
 	"censuslink/internal/census"
 	"censuslink/internal/compare"
 	"censuslink/internal/obs"
 )
-
-// EngineKind selects the comparison path of the linkage pipeline.
-type EngineKind int
-
-const (
-	// EngineCompiled scores candidate pairs through the compiled comparison
-	// engine (internal/compare): interned attribute values, precomputed
-	// profiles, a distinct-pair memo table reused across δ-iterations and a
-	// remaining-weight early exit. This is the default; its results are
-	// bit-for-bit identical to the naive path.
-	EngineCompiled EngineKind = iota
-	// EngineNaive scores every candidate pair through the interpreted
-	// string path, rebuilding the blocking index per iteration. Retained as
-	// the differential-testing oracle.
-	EngineNaive
-)
-
-// String names the engine kind as accepted by ParseEngine.
-func (k EngineKind) String() string {
-	if k == EngineNaive {
-		return "naive"
-	}
-	return "compiled"
-}
-
-// ParseEngine resolves an -engine flag value ("compiled" or "naive"; the
-// empty string selects the compiled default).
-func ParseEngine(s string) (EngineKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "compiled":
-		return EngineCompiled, nil
-	case "naive", "interpreted":
-		return EngineNaive, nil
-	default:
-		return 0, fmt.Errorf("linkage: unknown engine %q (want compiled or naive)", s)
-	}
-}
 
 // CompareMatchers converts the SimFunc's matchers into their compiled form
 // for internal/compare. Matchers without a profile comparator fall back to
@@ -66,7 +26,7 @@ func (f SimFunc) Compile(old, new []*census.Record) *compare.Engine {
 	return compare.NewEngine(compare.Compile(old, ms), compare.Compile(new, ms))
 }
 
-// compiledPair is the per-year-pair state of the compiled path: one scoring
+// compiledPair is the per-year-pair comparison state: one scoring
 // engine, the blocking index built once over the full new dataset, and the
 // active-record mask the δ-iteration loop narrows instead of rebuilding the
 // index per iteration.

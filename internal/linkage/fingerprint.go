@@ -19,9 +19,9 @@ const fingerprintVersion = "censuslink/config-v1"
 //
 // Parameters that provably do NOT affect the output are excluded so
 // equivalent runs share snapshots: Workers and Panics only schedule work,
-// Obs only observes, and Engine is differential-tested to produce identical
-// results on both paths. The fingerprint is the config third of the store's
-// content address (see internal/store).
+// GraphCache only memoizes enrichment and Obs only observes. The
+// fingerprint is the config third of the store's content address (see
+// internal/store).
 func (c Config) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n", fingerprintVersion)

@@ -3,6 +3,7 @@ package linkage
 import (
 	"testing"
 
+	"censuslink/internal/hgraph"
 	"censuslink/internal/obs"
 )
 
@@ -47,16 +48,15 @@ func TestFingerprintSeesOutputAffectingKnobs(t *testing.T) {
 }
 
 // TestFingerprintIgnoresExecutionKnobs: fields proven not to affect the
-// output — scheduling, observability, engine selection (differentially
-// tested identical) — must NOT invalidate snapshots.
+// output — scheduling, observability, graph caching — must NOT invalidate
+// snapshots.
 func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	base := DefaultConfig().Fingerprint()
 	mutations := map[string]func(*Config){
 		"workers": func(c *Config) { c.Workers = 7 },
-		"shards":  func(c *Config) { c.Shards = 8 },
-		"engine":  func(c *Config) { c.Engine = EngineNaive },
 		"panics":  func(c *Config) { c.Panics = PanicSkip },
 		"obs":     func(c *Config) { c.Obs = obs.NewStats(nil) },
+		"graphs":  func(c *Config) { c.GraphCache = hgraph.NewCache() },
 	}
 	for name, mutate := range mutations {
 		cfg := DefaultConfig()
@@ -64,5 +64,26 @@ func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 		if cfg.Fingerprint() != base {
 			t.Errorf("execution knob %s changed the fingerprint; it must not", name)
 		}
+	}
+}
+
+// TestFingerprintPinned: the fingerprints of the default configuration and
+// of the same configuration with LSH blocking are the config third of every
+// stored snapshot's address, so they must not drift — snapshots written by
+// earlier builds still resolve.
+func TestFingerprintPinned(t *testing.T) {
+	if got, want := DefaultConfig().Fingerprint(),
+		"eca717a9c092041c229985915238dc5a8a418aa1e5f869ecc86c0a57071432ea"; got != want {
+		t.Errorf("default fingerprint %s, want %s", got, want)
+	}
+	cfg := DefaultConfig()
+	lsh, err := ParseBlocking("lsh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Strategies = lsh
+	if got, want := cfg.Fingerprint(),
+		"f2260063441cefc8f76b84ada4eaf2ceffb7f4a70226466e1386b52fc282ea59"; got != want {
+		t.Errorf("lsh fingerprint %s, want %s", got, want)
 	}
 }

@@ -39,19 +39,9 @@ type Config struct {
 	Remainder SimFunc
 	// Strategies is the blocking configuration for candidate generation.
 	Strategies []block.Strategy
-	// Workers bounds pre-matching parallelism; <= 0 means GOMAXPROCS.
-	// Under sharded execution it bounds the shard worker pool instead.
+	// Workers bounds the pre-matching and subgraph-matching worker pools;
+	// <= 0 means GOMAXPROCS.
 	Workers int
-	// Shards partitions the pre-matching and remainder record space by
-	// blocking key into this many independent shards, each scanned with its
-	// own transient engine/index/memo state on a worker pool bounded by
-	// Workers — bounding peak memory by the shard size instead of the
-	// dataset size, at the cost of the resident path's cross-iteration memo
-	// reuse. Results are identical for every K (differential-tested);
-	// <= 1 selects the resident single-shard path. Like Workers, this is
-	// an execution knob: Fingerprint ignores it, so store snapshots are
-	// shared across shard counts.
-	Shards int
 	// StopOnEmpty terminates the loop as soon as an iteration yields no new
 	// group links (the M_G^p = ∅ condition of Algorithm 1). Enabled in the
 	// default configuration.
@@ -75,18 +65,12 @@ type Config struct {
 	// for the run (see internal/obs). Nil disables observability; the
 	// pipeline never logs on its own.
 	Obs *obs.Stats
-	// Engine selects the comparison path. The zero value is EngineCompiled:
-	// records are interned once per year-pair, the blocking index is built
-	// once and filtered per δ-iteration, and pair similarities are memoized
-	// across iterations. EngineNaive keeps the interpreted per-iteration
-	// path as a differential-testing oracle; both produce identical results.
-	Engine EngineKind
 	// GraphCache, when non-nil, memoizes household-graph enrichment per
 	// dataset content hash, so a process linking many year pairs over a
 	// shared series (LinkSeries, the linkserver, an append-only evolution
 	// build) enriches each census year once instead of once per pair. Like
-	// Workers and Shards this is an execution knob: results are identical
-	// with or without it and Fingerprint ignores it.
+	// Workers this is an execution knob: results are identical with or
+	// without it and Fingerprint ignores it.
 	GraphCache *hgraph.Cache
 }
 
@@ -127,9 +111,6 @@ func (c Config) Validate() error {
 	}
 	if c.AgeTolerance < 0 {
 		return fmt.Errorf("linkage: negative age tolerance %d", c.AgeTolerance)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("linkage: negative shard count %d", c.Shards)
 	}
 	if len(c.Strategies) == 0 {
 		return fmt.Errorf("linkage: no blocking strategies configured")
@@ -246,35 +227,29 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) (*Result, error) {
 
 // LinkContext is Link with cooperative cancellation: the iteration loop,
 // the pre-matching chunk workers, the subgraph-match worker pool and the
-// remainder matchers all observe ctx at checkpoints, so a deadline or
-// SIGINT aborts the run promptly with a *PipelineError wrapping ctx.Err()
+// remainder pass all observe ctx at checkpoints, so a deadline or SIGINT
+// aborts the run promptly with a *PipelineError wrapping ctx.Err()
 // (errors.Is sees context.Canceled / context.DeadlineExceeded) instead of
 // wedging the process. Worker panics are isolated per Config.Panics.
 //
-// LinkContext itself is a thin composition: it validates the configuration,
-// wires the default stage set (stages.go; the sharded variants when
-// cfg.Shards > 1) and hands control to the stage executor below.
+// LinkContext validates the configuration and hands control to the
+// executor below.
 func LinkContext(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return runStages(ctx, oldDS, newDS, cfg, newStageSet(cfg))
+	return link(ctx, oldDS, newDS, cfg, nil)
 }
 
-// runStages is the stage executor of Algorithm 1: Enrich and Block once,
-// then per δ-iteration PreMatch → candidate group pairs → SubgraphMatch →
-// Select with the global remaining-record bookkeeping, and finally the
-// Remainder pass plus extractGroupLinks. All cross-stage state — the
+// link is the executor of Algorithm 1. All cross-stage state — the
 // remaining record lists, the seen-group dedup, provenance, iteration
 // statistics — lives here; the stages only transform their typed artifacts.
-func runStages(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, stages *stageSet) (*Result, error) {
-	// completeGroups: enrich every household graph once.
-	enr, err := stages.enrich.Enrich(ctx, oldDS, newDS)
+func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook runHook) (*Result, error) {
+	rs, err := buildGraphs(ctx, oldDS, newDS, cfg)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := stages.block.Block(ctx, enr)
-	if err != nil {
+	if err := rs.compile(ctx); err != nil {
 		return nil, err
 	}
 
@@ -288,10 +263,13 @@ func runStages(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, st
 			return nil, cancelErr("iterate", delta, err)
 		}
 		cfg.Obs.BeginIteration(delta)
-		pre, err := stages.prematch.PreMatch(ctx, parts, delta, remainingOld, remainingNew)
+		pre, err := rs.prematch(ctx, delta, remainingOld, remainingNew)
 		if err != nil {
 			cfg.Obs.EndIteration()
 			return nil, err
+		}
+		if hook != nil {
+			hook(rs, delta, remainingOld, remainingNew, pre, nil)
 		}
 		cfg.Obs.Add(obs.BlockingPairs, pre.Blocked)
 		cfg.Obs.Add(obs.PairsCompared, pre.Compared)
@@ -301,13 +279,15 @@ func runStages(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, st
 		pairs := CandidateGroupPairs(pre, oldDS, newDS)
 		stop()
 		cfg.Obs.Add(obs.GroupPairs, len(pairs))
-		subs, err := stages.subgraphs.MatchSubgraphs(ctx, enr, parts, delta, pairs, pre)
+		subs, err := rs.subgraphMatch(ctx, delta, pairs, pre)
 		if err != nil {
 			cfg.Obs.EndIteration()
 			return nil, err
 		}
 		cfg.Obs.Add(obs.Subgraphs, len(subs))
-		accepted := stages.selector.Select(subs)
+		stop = cfg.Obs.Stage("selection")
+		accepted := SelectGroupLinksDetailed(subs)
+		stop()
 		var groups []GroupLink
 		var records []RecordLink
 		for _, acc := range accepted {
@@ -355,9 +335,12 @@ func runStages(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, st
 	}
 
 	// Match the remaining records attribute-only (line 17 of Algorithm 1).
-	remLinks, remErr := stages.remainder.MatchRemainder(ctx, enr, parts, remainingOld, remainingNew)
-	if remErr != nil {
-		return nil, remErr
+	remLinks, err := rs.remainder(ctx, remainingOld, remainingNew)
+	if err != nil {
+		return nil, err
+	}
+	if hook != nil {
+		hook(rs, cfg.Remainder.Delta, remainingOld, remainingNew, nil, remLinks)
 	}
 	cfg.Obs.Add(obs.RemainderLinks, len(remLinks))
 	res.RecordLinks = append(res.RecordLinks, remLinks...)
@@ -400,8 +383,8 @@ func runStages(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, st
 }
 
 // RemainderOptions configures one standalone leftover-matching pass (see
-// MatchRemaining). The zero value of every field is usable: year 0, the
-// compiled engine, an unsharded greedy pass with no observability.
+// MatchRemaining). The zero value of every field is usable: year 0, a
+// greedy pass with no observability.
 type RemainderOptions struct {
 	// Sim is the attribute-only similarity function Sim_func_rem; its own
 	// Delta applies.
@@ -412,15 +395,6 @@ type RemainderOptions struct {
 	Match MatchConfig
 	// Strategies is the blocking configuration; it must not be empty.
 	Strategies []block.Strategy
-	// Engine selects the comparison path (EngineCompiled is the zero value;
-	// results are identical either way).
-	Engine EngineKind
-	// Shards splits the candidate scan into K block-key shards with
-	// per-shard engine/index state (see Config.Shards); <= 1 runs
-	// unsharded. The 1:1 selection always runs globally.
-	Shards int
-	// Workers bounds the shard worker pool; <= 0 selects GOMAXPROCS.
-	Workers int
 	// Optimal solves the 1:1 matching optimally (Hungarian) instead of
 	// greedily by descending similarity.
 	Optimal bool
@@ -433,62 +407,33 @@ type RemainderOptions struct {
 // age-consistent with the census interval, selected into a 1:1 mapping —
 // greedily by descending similarity, or optimally (maximum total similarity
 // via the Hungarian algorithm) with opts.Optimal. It is the single
-// standalone entry point of the remainder pass; it replaces the former
-// MatchRemaining/MatchRemainingOptimal pair.
+// standalone entry point of the remainder pass.
 func MatchRemaining(ctx context.Context, old, new []*census.Record, opts RemainderOptions) ([]RecordLink, error) {
-	if opts.Shards > 1 {
-		parts := partitionRecords(old, opts.OldYear, new, opts.NewYear, opts.Strategies, opts.Shards)
-		cands, err := shardedRemainderCands(ctx, parts, opts.OldYear, opts.NewYear,
-			old, new, opts.Sim, opts.Match, opts.Engine, opts.Strategies, opts.Workers, opts.Obs)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Optimal {
-			return optimalRemainder(cands, old, new), nil
-		}
-		return greedyRemainder(cands), nil
+	active := make([]bool, len(new))
+	for i := range active {
+		active[i] = true
 	}
-	var cp *compiledPair
-	if opts.Engine == EngineCompiled {
-		active := make([]bool, len(new))
-		for i := range active {
-			active[i] = true
-		}
-		cp = &compiledPair{
-			eng:    opts.Sim.Compile(old, new),
-			ix:     block.NewIndex(new, opts.NewYear, opts.Strategies),
-			active: active,
-		}
-		defer cp.flushCounters(opts.Obs)
+	cp := &compiledPair{
+		eng:    opts.Sim.Compile(old, new),
+		ix:     block.NewIndex(new, opts.NewYear, opts.Strategies),
+		active: active,
 	}
-	if opts.Optimal {
-		return matchRemainingOptimal(ctx, old, opts.OldYear, new, opts.NewYear, opts.Sim, opts.Match, opts.Strategies, cp)
-	}
-	return matchRemaining(ctx, old, opts.OldYear, new, opts.NewYear, opts.Sim, opts.Match, opts.Strategies, cp)
+	defer cp.flushCounters(opts.Obs)
+	return matchRemainder(ctx, old, opts.OldYear, new, opts.Sim, opts.Match, cp, opts.Optimal)
 }
 
-// remainderCands collects the blocked, age-consistent candidate links with
-// similarity at or above Sim_func_rem's δ, in deterministic scan order,
-// after the remainder fault-injection checkpoint. It is the shared front
-// half of the greedy and optimal remainder matchers.
-func remainderCands(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	f SimFunc, cfg MatchConfig, strategies []block.Strategy, cp *compiledPair) ([]RecordLink, error) {
+// matchRemainder is the remainder pass: after the remainder fault-injection
+// checkpoint it collects the blocked, age-consistent candidate links with
+// similarity at or above Sim_func_rem's δ — candidates from cp's prebuilt
+// index filtered by its active mask, scored through the memoizing engine —
+// and selects them into a 1:1 mapping, greedily or optimally. The candidate
+// scan observes ctx every few records and aborts with a typed error; the
+// assignment solve runs to completion (it is in-memory and brief relative
+// to the scan). With a background context it never fails.
+func matchRemainder(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record,
+	f SimFunc, cfg MatchConfig, cp *compiledPair, optimal bool) ([]RecordLink, error) {
 	if err := faultinject.Hit("linkage.remainder"); err != nil {
 		return nil, &PipelineError{Stage: "remainder", Delta: f.Delta, Chunk: -1, Err: err}
-	}
-	return remainderScan(ctx, old, oldYear, new, newYear, f, cfg, strategies, cp)
-}
-
-// remainderScan is the remainder candidate scan proper (no fault-injection
-// checkpoint — the sharded path hits it once per pass, not per shard). With
-// a compiled pair the candidates come from the prebuilt index filtered by
-// the active mask and are scored through the memoizing engine; the accepted
-// links and similarities are identical to the naive scan's.
-func remainderScan(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	f SimFunc, cfg MatchConfig, strategies []block.Strategy, cp *compiledPair) ([]RecordLink, error) {
-	var ix *block.Index
-	if cp == nil {
-		ix = block.NewIndex(new, newYear, strategies)
 	}
 	var cands []RecordLink
 	var scratch block.Scratch
@@ -498,35 +443,27 @@ func remainderScan(ctx context.Context, old []*census.Record, oldYear int, new [
 				return nil, cancelErr("remainder", f.Delta, err)
 			}
 		}
-		if cp != nil {
-			oi, ok := cp.eng.Old.Pos(o.ID)
-			if !ok {
-				continue
-			}
-			for _, ni := range cp.ix.CandidateIndices(o, oldYear, &scratch) {
-				if !cp.active[ni] {
-					continue
-				}
-				n := cp.ix.Record(ni)
-				if !cfg.ageConsistent(o, n) {
-					continue
-				}
-				if s, hit := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); hit {
-					cands = append(cands, RecordLink{Old: o.ID, New: n.ID, Sim: s})
-				}
-			}
+		oi, ok := cp.eng.Old.Pos(o.ID)
+		if !ok {
 			continue
 		}
-		for _, n := range ix.Candidates(o, oldYear, &scratch) {
+		for _, ni := range cp.ix.CandidateIndices(o, oldYear, &scratch) {
+			if !cp.active[ni] {
+				continue
+			}
+			n := cp.ix.Record(ni)
 			if !cfg.ageConsistent(o, n) {
 				continue
 			}
-			if s := f.AggSim(o, n); s >= f.Delta {
+			if s, hit := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); hit {
 				cands = append(cands, RecordLink{Old: o.ID, New: n.ID, Sim: s})
 			}
 		}
 	}
-	return cands, nil
+	if optimal {
+		return optimalRemainder(cands, old, new), nil
+	}
+	return greedyRemainder(cands), nil
 }
 
 // greedyRemainder selects a 1:1 mapping from the candidate links greedily by
@@ -595,19 +532,6 @@ func optimalRemainder(cands []RecordLink, old, new []*census.Record) []RecordLin
 		return out[i].New < out[j].New
 	})
 	return out
-}
-
-// matchRemaining is the unsharded greedy remainder pass with cooperative
-// cancellation: the candidate scan observes ctx every few records and
-// aborts with a typed error, so the final pass of Algorithm 1 cannot wedge
-// a cancelled run. With a background context it never fails.
-func matchRemaining(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	f SimFunc, cfg MatchConfig, strategies []block.Strategy, cp *compiledPair) ([]RecordLink, error) {
-	cands, err := remainderCands(ctx, old, oldYear, new, newYear, f, cfg, strategies, cp)
-	if err != nil {
-		return nil, err
-	}
-	return greedyRemainder(cands), nil
 }
 
 // matchGroupsParallel runs gm.MatchGroups over all candidate group pairs with
@@ -705,19 +629,6 @@ func matchGroupsParallel(ctx context.Context, delta float64, pairs []GroupPair, 
 		}
 	}
 	return subs, nil
-}
-
-// matchRemainingOptimal is the unsharded optimal remainder pass with
-// cooperative cancellation during the candidate scan (the assignment solve
-// itself runs to completion; it is in-memory and brief relative to the
-// scan). With a background context it never fails.
-func matchRemainingOptimal(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	f SimFunc, cfg MatchConfig, strategies []block.Strategy, cp *compiledPair) ([]RecordLink, error) {
-	cands, err := remainderCands(ctx, old, oldYear, new, newYear, f, cfg, strategies, cp)
-	if err != nil {
-		return nil, err
-	}
-	return optimalRemainder(cands, old, new), nil
 }
 
 // withoutLinked filters out the records that appear on the given side of any

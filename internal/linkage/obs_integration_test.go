@@ -151,47 +151,6 @@ func TestObsNilConfigUnchanged(t *testing.T) {
 	}
 }
 
-// TestObsCompiledCacheCounters: under the compiled engine the report must
-// carry the similarity-memo counters, and the interned dictionaries must pay
-// off — most attribute comparisons hit the memo because distinct value pairs
-// are far fewer than record pairs. The naive engine must report none.
-func TestObsCompiledCacheCounters(t *testing.T) {
-	old, new, err := synth.GeneratePair(synth.TestConfig(0.03, 7), 1861, 1871)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := linkage.DefaultConfig()
-	cfg.Engine = linkage.EngineCompiled
-	cfg.Obs = obs.NewStats(nil)
-	if _, err := linkage.Link(old, new, cfg); err != nil {
-		t.Fatal(err)
-	}
-	rep := cfg.Obs.Report()
-	hits, misses := rep.Counters[obs.SimCacheHits], rep.Counters[obs.SimCacheMisses]
-	if hits <= 0 || misses <= 0 {
-		t.Fatalf("compiled run recorded hits=%d misses=%d; want both positive", hits, misses)
-	}
-	if rate := float64(hits) / float64(hits+misses); rate < 0.5 {
-		t.Errorf("memo hit rate %.3f below 0.5 (hits=%d misses=%d)", rate, hits, misses)
-	}
-	if _, ok := rep.Stages["compile"]; !ok {
-		t.Error("compile stage missing from report")
-	}
-
-	naiveCfg := linkage.DefaultConfig()
-	naiveCfg.Engine = linkage.EngineNaive
-	naiveCfg.Obs = obs.NewStats(nil)
-	if _, err := linkage.Link(old, new, naiveCfg); err != nil {
-		t.Fatal(err)
-	}
-	naiveRep := naiveCfg.Obs.Report()
-	for _, c := range []string{obs.SimCacheHits, obs.SimCacheMisses, obs.PrunedComparisons} {
-		if got := naiveRep.Counters[c]; got != 0 {
-			t.Errorf("naive run recorded %s=%d; want 0", c, got)
-		}
-	}
-}
-
 // TestIndexGeneratedCounter: the blocking index counts raw hits across
 // concurrent queries (exercised under -race by the tier-1 gate).
 func TestIndexGeneratedCounter(t *testing.T) {

@@ -38,9 +38,9 @@ type PreMatchResult struct {
 	Compared int
 	// Blocked is the raw number of candidate pairs the blocking index
 	// generated across all strategies before deduplication; Blocked -
-	// Compared measures the overlap of the multi-pass strategies. Under the
-	// compiled engine the index covers the full new dataset, so hits on
-	// records already linked in earlier iterations are included too.
+	// Compared measures the overlap of the multi-pass strategies. Inside
+	// Link the index covers the full new dataset, so hits on records
+	// already linked in earlier iterations are included too.
 	Blocked int
 }
 
@@ -51,8 +51,8 @@ func (p *PreMatchResult) Label(id string) (int, bool) {
 }
 
 // PreMatchOptions configures one standalone pre-matching pass (see
-// PreMatchOpts). The zero value of every field is usable: year 0, the
-// compiled engine, GOMAXPROCS workers, fail-fast panics, no observability.
+// PreMatchOpts). The zero value of every field is usable: year 0,
+// GOMAXPROCS workers, fail-fast panics, no observability.
 type PreMatchOptions struct {
 	// Sim is the record similarity function; pairs below its Delta are
 	// dropped.
@@ -64,16 +64,6 @@ type PreMatchOptions struct {
 	Strategies []block.Strategy
 	// Workers bounds the chunk parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Engine selects the comparison path. EngineCompiled (the zero value)
-	// interns the record lists, builds the blocking index and scores through
-	// the memoizing engine — compile cost included; EngineNaive compares
-	// strings directly. The result is identical either way.
-	Engine EngineKind
-	// Shards splits the pass into K block-key shards, each scanned with its
-	// own transient engine/index state on a worker pool bounded by Workers
-	// (see Config.Shards); <= 1 runs unsharded. The transitive closure is
-	// always clustered globally, so the result is identical for every K.
-	Shards int
 	// Panics selects the worker panic policy (fail-fast by default).
 	Panics PanicPolicy
 	// Obs, when non-nil, receives the PanicsRecovered counter under
@@ -90,22 +80,13 @@ type PreMatchOptions struct {
 // typed errors naming the offending chunk (or are skipped and counted,
 // per opts.Panics).
 func PreMatchOpts(ctx context.Context, old, new []*census.Record, opts PreMatchOptions) (*PreMatchResult, error) {
-	if opts.Shards > 1 {
-		parts := partitionRecords(old, opts.OldYear, new, opts.NewYear, opts.Strategies, opts.Shards)
-		return shardedPreMatchRun(ctx, parts, opts.OldYear, opts.NewYear, old, new,
-			opts.Sim, opts.Engine, opts.Strategies, opts.Workers, opts.Panics, opts.Obs)
+	cp := &compiledPair{
+		eng:    opts.Sim.Compile(old, new),
+		ix:     block.NewIndex(new, opts.NewYear, opts.Strategies),
+		active: make([]bool, len(new)),
 	}
-	var cp *compiledPair
-	if opts.Engine == EngineCompiled {
-		cp = &compiledPair{
-			eng:    opts.Sim.Compile(old, new),
-			ix:     block.NewIndex(new, opts.NewYear, opts.Strategies),
-			active: make([]bool, len(new)),
-		}
-		cp.setActive(new)
-	}
-	return preMatch(ctx, old, opts.OldYear, new, opts.NewYear, opts.Sim, opts.Strategies,
-		opts.Workers, opts.Panics, opts.Obs, cp)
+	cp.setActive(new)
+	return preMatch(ctx, old, opts.OldYear, new, opts.Sim, opts.Workers, opts.Panics, opts.Obs, cp)
 }
 
 // cancelCheckEvery is the number of records a pipeline loop processes
@@ -119,24 +100,16 @@ const cancelCheckEvery = 64
 // counted on obs.PanicsRecovered; the surviving chunks still merge
 // deterministically because results are slotted by chunk index.
 //
-// With cp == nil the interpreted path runs: a fresh blocking index over the
-// new records and string-level AggSim per candidate pair. With a compiled
-// pair, candidates come from cp's prebuilt full-dataset index filtered by
-// the active mask (cp.setActive must have been called for this new slice)
-// and pairs are scored through the memoizing engine with early exit — the
-// accepted pairs and their similarities are identical on both paths.
-func preMatch(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	f SimFunc, strategies []block.Strategy, workers int, policy PanicPolicy, st *obs.Stats, cp *compiledPair) (*PreMatchResult, error) {
+// Candidates come from cp's prebuilt index filtered by the active mask
+// (cp.setActive must have been called for this new slice), and pairs are
+// scored through the memoizing engine with early exit; accepted pairs carry
+// similarities bit-for-bit equal to SimFunc.AggSim.
+func preMatch(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record,
+	f SimFunc, workers int, policy PanicPolicy, st *obs.Stats, cp *compiledPair) (*PreMatchResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var ix *block.Index
-	var gen0 int64
-	if cp == nil {
-		ix = block.NewIndex(new, newYear, strategies)
-	} else {
-		gen0 = cp.ix.Generated()
-	}
+	gen0 := cp.ix.Generated()
 
 	type chunkResult struct {
 		pairs []Pair
@@ -179,27 +152,17 @@ func preMatch(ctx context.Context, old []*census.Record, oldYear int, new []*cen
 					return res, cancelErr("prematch", f.Delta, e)
 				}
 			}
-			if cp != nil {
-				oi, ok := cp.eng.Old.Pos(o.ID)
-				if !ok {
-					continue
-				}
-				for _, ni := range cp.ix.CandidateIndices(o, oldYear, &scratch) {
-					if !cp.active[ni] {
-						continue
-					}
-					res.n++
-					if s, hit := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); hit {
-						res.pairs = append(res.pairs, Pair{Old: o.ID, New: cp.ix.Record(ni).ID})
-						res.sims = append(res.sims, s)
-					}
-				}
+			oi, ok := cp.eng.Old.Pos(o.ID)
+			if !ok {
 				continue
 			}
-			for _, n := range ix.Candidates(o, oldYear, &scratch) {
+			for _, ni := range cp.ix.CandidateIndices(o, oldYear, &scratch) {
+				if !cp.active[ni] {
+					continue
+				}
 				res.n++
-				if s := f.AggSim(o, n); s >= f.Delta {
-					res.pairs = append(res.pairs, Pair{Old: o.ID, New: n.ID})
+				if s, hit := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); hit {
+					res.pairs = append(res.pairs, Pair{Old: o.ID, New: cp.ix.Record(ni).ID})
 					res.sims = append(res.sims, s)
 				}
 			}
@@ -261,14 +224,10 @@ func preMatch(ctx context.Context, old []*census.Record, oldYear int, new []*cen
 	for _, l := range out.Labels {
 		out.LabelSize[l]++
 	}
-	if cp == nil {
-		out.Blocked = int(ix.Generated())
-	} else {
-		// The shared full-dataset index counts raw hits cumulatively across
-		// iterations (and including currently inactive records), so report
-		// this call's delta. On the first iteration, when every record is
-		// active, this equals the naive figure exactly.
-		out.Blocked = int(cp.ix.Generated() - gen0)
-	}
+	// The shared full-dataset index counts raw hits cumulatively across
+	// iterations (and including currently inactive records), so report this
+	// call's delta. On the first iteration, when every record is active,
+	// this equals the raw count of an index over the remaining records.
+	out.Blocked = int(cp.ix.Generated() - gen0)
 	return out, nil
 }

@@ -37,14 +37,10 @@ type ConfigSpec struct {
 	AgeTolerance       int         `json:"age_tolerance"`
 	Remainder          SimFuncSpec `json:"remainder"`
 	Workers            int         `json:"workers,omitempty"`
-	Shards             int         `json:"shards,omitempty"`
 	StopOnEmpty        bool        `json:"stop_on_empty"`
 	DirectVerticesOnly bool        `json:"direct_vertices_only,omitempty"`
 	VertexGuards       bool        `json:"vertex_guards,omitempty"`
 	OptimalRemainder   bool        `json:"optimal_remainder,omitempty"`
-	// Engine selects the comparison path: "compiled" (default when empty)
-	// or "naive" (see ParseEngine).
-	Engine string `json:"engine,omitempty"`
 	// Blocking selects the candidate-generation scheme: "default" (when
 	// empty), "high-recall", "lsh" or "lsh+default" (see ParseBlocking).
 	Blocking string `json:"blocking,omitempty"`
@@ -129,10 +125,6 @@ func (s ConfigSpec) Build() (Config, error) {
 	if err != nil {
 		return Config{}, fmt.Errorf("linkage: remainder: %w", err)
 	}
-	engine, err := ParseEngine(s.Engine)
-	if err != nil {
-		return Config{}, err
-	}
 	cfg := Config{
 		Sim:                sim,
 		DeltaHigh:          s.DeltaHigh,
@@ -143,12 +135,10 @@ func (s ConfigSpec) Build() (Config, error) {
 		AgeTolerance:       s.AgeTolerance,
 		Remainder:          rem,
 		Workers:            s.Workers,
-		Shards:             s.Shards,
 		StopOnEmpty:        s.StopOnEmpty,
 		DirectVerticesOnly: s.DirectVerticesOnly,
 		VertexGuards:       s.VertexGuards,
 		OptimalRemainder:   s.OptimalRemainder,
-		Engine:             engine,
 	}
 	cfg.Strategies, err = ParseBlocking(s.Blocking)
 	if err != nil {

@@ -82,6 +82,24 @@ func TestConfigSpecErrors(t *testing.T) {
 	}
 }
 
+// TestConfigSpecRejectsRemovedFields: a config file still carrying the
+// removed "shards" or "engine" field fails to load with an error naming
+// the field, rather than silently running without it.
+func TestConfigSpecRejectsRemovedFields(t *testing.T) {
+	for _, field := range []string{`"shards": 4`, `"engine": "naive"`} {
+		var buf bytes.Buffer
+		if err := WriteConfigSpec(&buf, DefaultConfigSpec()); err != nil {
+			t.Fatal(err)
+		}
+		js := strings.Replace(buf.String(), "{", "{"+field+",", 1)
+		_, err := ReadConfigSpec(strings.NewReader(js))
+		name := field[:strings.Index(field, ":")]
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("spec with %s: error %v, want one naming %s", field, err, name)
+		}
+	}
+}
+
 func TestMatcherNamesComplete(t *testing.T) {
 	names := MatcherNames()
 	if len(names) < 8 {

@@ -1,14 +1,9 @@
-// Stage layer of the linkage pipeline (DESIGN.md §14): Algorithm 1 is
-// decomposed into explicit stages — Enrich, Block, PreMatch, SubgraphMatch,
-// Select and the final Remainder pass — each behind a small interface that
-// consumes and produces typed artifacts and carries the existing
-// ctx/obs/faultinject plumbing. Link/LinkContext compose the stages through
-// the executor in iterative.go; the sharded stage variants live in shard.go.
-//
-// The stage interfaces live inside package linkage rather than a separate
-// pipeline package because the artifacts they exchange (PreMatchResult,
-// Subgraph, compiled engine state) are the package's own types — a child
-// package would need them all exported and would import-cycle back.
+// Stages of Algorithm 1 (DESIGN.md §14). One LinkContext call builds one
+// runState, and the executor in iterative.go drives the stages over it in
+// order: build_graphs and compile once, then per δ prematch →
+// candidate_groups → subgraph_match → selection, and finally the remainder
+// pass. Each stage is a plain function or runState method timed under its
+// obs stage name.
 package linkage
 
 import (
@@ -19,275 +14,112 @@ import (
 	"censuslink/internal/hgraph"
 )
 
-// Enriched is the artifact of the Enrich stage: the two datasets with every
-// household graph materialized (completeGroups of Algorithm 1) and the
-// group-match configuration derived from the census interval.
-type Enriched struct {
-	Old, New *census.Dataset
-	// Match is the subgraph-matching configuration (τ, year gap, α, β and
-	// the ablation toggles) shared by the SubgraphMatch and Remainder
-	// stages.
-	Match MatchConfig
-	// OldGraphs and NewGraphs hold one household graph per household ID.
-	OldGraphs, NewGraphs map[string]*hgraph.Graph
-}
-
-// Partition is one shard of the record space: the old- and new-dataset
-// records whose blocking keys hash to this shard, in dataset order. A
-// record carrying keys that hash to several shards is replicated into each,
-// so the union of per-shard candidate pairs is exactly the global candidate
-// pair set (duplicates are deduplicated at merge time).
-type Partition struct {
-	Index    int
-	Old, New []*census.Record
-}
-
-// Partitions is the artifact of the Block stage: the shard layout of the
-// record space, plus — on the resident single-shard path — the compiled
-// engine state that lives for the whole run.
-type Partitions struct {
-	// K is the shard count (1 = unsharded).
-	K                int
-	OldYear, NewYear int
-	Parts            []*Partition
-	// resident holds the compiled engines and shared blocking index of the
-	// K==1 compiled path; nil under the naive engine or when sharded (the
-	// sharded stages build transient per-shard state instead).
-	resident *residentState
-	// match is the full-dataset Sim engine the SubgraphMatch stage scores
-	// transitively linked vertex pairs through: resident.sim on the
-	// resident path, otherwise an engine compiled for that stage alone.
-	match *compiledPair
-}
-
-// residentState is the per-run compiled state of the unsharded path: one
-// memoizing engine per similarity function, sharing the full-dataset
-// blocking index and active mask across δ-iterations.
-type residentState struct {
+// runState is the per-run state of one LinkContext call: the two datasets,
+// the subgraph-matching configuration, the household graphs and the two
+// resident compiled engines.
+type runState struct {
+	cfg      Config
+	old, new *census.Dataset
+	// match is the subgraph-matching configuration (τ, year gap, α, β and
+	// the ablation toggles) shared by the subgraph and remainder stages.
+	match MatchConfig
+	// oldGraphs and newGraphs hold one household graph per household ID
+	// (completeGroups of Algorithm 1).
+	oldGraphs, newGraphs map[string]*hgraph.Graph
+	// sim scores pre-matching and the transitively linked vertex pairs of
+	// the subgraph stage; rem scores the remainder pass with Sim_func_rem.
+	// Both share the blocking index over the full new dataset and the
+	// active-record mask the δ loop narrows, and their memo tables live for
+	// the whole call, so a similarity computed at a higher δ is reused
+	// verbatim at relaxed thresholds and by the subgraph stage.
 	sim, rem *compiledPair
 }
 
-// Enricher prepares the household graphs and match configuration of a year
-// pair.
-type Enricher interface {
-	Enrich(ctx context.Context, oldDS, newDS *census.Dataset) (*Enriched, error)
-}
+// runHook is the executor's one test seam; it is nil in production. It is
+// called after each δ's pre-match, before subgraph matching (pre set, rem
+// nil), and after the remainder scan (pre nil, rem the remainder links),
+// with the records that were still unlinked when the pass ran.
+type runHook func(rs *runState, delta float64, remOld, remNew []*census.Record, pre *PreMatchResult, rem []RecordLink)
 
-// Blocker lays out the record space into partitions (and, on the resident
-// path, compiles the engines).
-type Blocker interface {
-	Block(ctx context.Context, enr *Enriched) (*Partitions, error)
-}
-
-// PreMatcher runs one δ pre-matching pass (Section 3.2) over the remaining
-// unlinked records and returns the candidate record links with their
-// transitive-closure cluster labels.
-type PreMatcher interface {
-	PreMatch(ctx context.Context, parts *Partitions, delta float64, remOld, remNew []*census.Record) (*PreMatchResult, error)
-}
-
-// SubgraphMatcher matches the candidate group pairs' household graphs
-// (Section 3.3) into scored subgraphs.
-type SubgraphMatcher interface {
-	MatchSubgraphs(ctx context.Context, enr *Enriched, parts *Partitions, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error)
-}
-
-// Selector is Algorithm 2: the record-disjoint greedy selection of group
-// links by descending aggregated similarity.
-type Selector interface {
-	Select(subs []*Subgraph) []Accepted
-}
-
-// RemainderMatcher is the final attribute-only pass (line 17 of
-// Algorithm 1) over the records no iteration linked.
-type RemainderMatcher interface {
-	MatchRemainder(ctx context.Context, enr *Enriched, parts *Partitions, remOld, remNew []*census.Record) ([]RecordLink, error)
-}
-
-// graphEnricher is the default Enrich stage: hgraph.BuildAll over both
-// datasets under the build_graphs timer.
-type graphEnricher struct{ cfg Config }
-
-func (g *graphEnricher) Enrich(ctx context.Context, oldDS, newDS *census.Dataset) (*Enriched, error) {
+// buildGraphs is the build_graphs stage: it enriches every household graph
+// of both datasets once and derives the group-match configuration from the
+// census interval.
+func buildGraphs(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) (*runState, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, cancelErr("build_graphs", 0, err)
 	}
-	stop := g.cfg.Obs.Stage("build_graphs")
+	stop := cfg.Obs.Stage("build_graphs")
 	defer stop()
 	buildAll := hgraph.BuildAll
-	if g.cfg.GraphCache != nil {
-		buildAll = g.cfg.GraphCache.BuildAll
+	if cfg.GraphCache != nil {
+		buildAll = cfg.GraphCache.BuildAll
 	}
-	return &Enriched{
-		Old: oldDS,
-		New: newDS,
-		Match: MatchConfig{
-			AgeTolerance:       g.cfg.AgeTolerance,
+	return &runState{
+		cfg: cfg,
+		old: oldDS,
+		new: newDS,
+		match: MatchConfig{
+			AgeTolerance:       cfg.AgeTolerance,
 			YearGap:            newDS.Year - oldDS.Year,
-			Alpha:              g.cfg.Alpha,
-			Beta:               g.cfg.Beta,
-			DirectVerticesOnly: g.cfg.DirectVerticesOnly,
-			VertexGuards:       g.cfg.VertexGuards,
+			Alpha:              cfg.Alpha,
+			Beta:               cfg.Beta,
+			DirectVerticesOnly: cfg.DirectVerticesOnly,
+			VertexGuards:       cfg.VertexGuards,
 		},
-		OldGraphs: buildAll(oldDS),
-		NewGraphs: buildAll(newDS),
+		oldGraphs: buildAll(oldDS),
+		newGraphs: buildAll(newDS),
 	}, nil
 }
 
-// keyBlocker is the default Block stage. Unsharded it exposes the full
-// record lists as one partition and compiles the resident engines; sharded
-// it hashes every blocking key into one of K shards and replicates each
-// record into the shards its keys map to (shard.go).
-type keyBlocker struct{ cfg Config }
-
-func (b *keyBlocker) Block(ctx context.Context, enr *Enriched) (*Partitions, error) {
+// compile is the compile stage: it interns both datasets against each
+// similarity function and builds the blocking index once per year pair.
+func (rs *runState) compile(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
-		return nil, cancelErr("block", 0, err)
+		return cancelErr("compile", 0, err)
 	}
-	parts := &Partitions{K: 1, OldYear: enr.Old.Year, NewYear: enr.New.Year}
-	oldRecs, newRecs := enr.Old.Records(), enr.New.Records()
-	if b.cfg.Shards > 1 {
-		stop := b.cfg.Obs.Stage("block_partition")
-		parts.K = b.cfg.Shards
-		parts.Parts = partitionRecords(oldRecs, enr.Old.Year,
-			newRecs, enr.New.Year, b.cfg.Strategies, b.cfg.Shards)
-		stop()
-	} else {
-		parts.Parts = []*Partition{{Old: oldRecs, New: newRecs}}
-	}
-	stop := b.cfg.Obs.Stage("compile")
+	stop := rs.cfg.Obs.Stage("compile")
 	defer stop()
-	if b.cfg.Shards > 1 || b.cfg.Engine != EngineCompiled {
-		// The naive and sharded stages hold no full-dataset engine, so the
-		// subgraph stage gets one of its own.
-		parts.match = &compiledPair{eng: b.cfg.Sim.Compile(oldRecs, newRecs)}
-		return parts, nil
-	}
-	// Compiled resident path: intern both datasets and build the blocking
-	// index once per year-pair. The engines (and their distinct-pair memo
-	// tables) live for the whole call, so similarities computed at a higher
-	// δ are reused verbatim at relaxed thresholds and by the subgraph stage,
-	// and the iteration loop only narrows the shared active mask instead of
-	// rebuilding the index.
-	fullIx := block.NewIndex(newRecs, enr.New.Year, b.cfg.Strategies)
+	oldRecs, newRecs := rs.old.Records(), rs.new.Records()
+	ix := block.NewIndex(newRecs, rs.new.Year, rs.cfg.Strategies)
 	active := make([]bool, len(newRecs))
-	parts.resident = &residentState{
-		sim: &compiledPair{eng: b.cfg.Sim.Compile(oldRecs, newRecs), ix: fullIx, active: active},
-		rem: &compiledPair{eng: b.cfg.Remainder.Compile(oldRecs, newRecs), ix: fullIx, active: active},
-	}
-	parts.match = parts.resident.sim
-	return parts, nil
+	rs.sim = &compiledPair{eng: rs.cfg.Sim.Compile(oldRecs, newRecs), ix: ix, active: active}
+	rs.rem = &compiledPair{eng: rs.cfg.Remainder.Compile(oldRecs, newRecs), ix: ix, active: active}
+	return nil
 }
 
-// residentPreMatcher is the unsharded PreMatch stage: one preMatch pass over
-// the remaining records, through the resident compiled pair when present.
-type residentPreMatcher struct{ cfg Config }
-
-func (m *residentPreMatcher) PreMatch(ctx context.Context, parts *Partitions, delta float64, remOld, remNew []*census.Record) (*PreMatchResult, error) {
-	f := m.cfg.Sim.WithDelta(delta)
-	var cp *compiledPair
-	if parts.resident != nil {
-		cp = parts.resident.sim
-	}
-	stop := m.cfg.Obs.Stage("prematch")
-	if cp != nil {
-		cp.setActive(remNew)
-	}
-	pre, err := preMatch(ctx, remOld, parts.OldYear, remNew, parts.NewYear, f,
-		m.cfg.Strategies, m.cfg.Workers, m.cfg.Panics, m.cfg.Obs, cp)
+// prematch is the prematch stage: one δ pass over the remaining records.
+func (rs *runState) prematch(ctx context.Context, delta float64, remOld, remNew []*census.Record) (*PreMatchResult, error) {
+	stop := rs.cfg.Obs.Stage("prematch")
+	rs.sim.setActive(remNew)
+	pre, err := preMatch(ctx, remOld, rs.old.Year, remNew, rs.cfg.Sim.WithDelta(delta),
+		rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs, rs.sim)
 	stop()
-	if cp != nil {
-		cp.flushCounters(m.cfg.Obs)
-	}
+	rs.sim.flushCounters(rs.cfg.Obs)
 	return pre, err
 }
 
-// poolSubgraphMatcher is the default SubgraphMatch stage: the position view
-// of the pass, then MatchGroups over every candidate group pair on a bounded
-// worker pool (group pairs are the natural subgraph partition — the stage
-// holds no per-shard index state, so it needs no sharded variant).
-type poolSubgraphMatcher struct{ cfg Config }
-
-func (m *poolSubgraphMatcher) MatchSubgraphs(ctx context.Context, enr *Enriched, parts *Partitions, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error) {
-	stop := m.cfg.Obs.Stage("subgraph_match")
-	gm := NewGroupMatcher(pre, parts.match.eng, delta, enr.Match)
-	subs, err := matchGroupsParallel(ctx, delta, pairs, enr.OldGraphs, enr.NewGraphs,
-		gm, m.cfg.Workers, m.cfg.Panics, m.cfg.Obs)
+// subgraphMatch is the subgraph_match stage: the position view of the pass,
+// then MatchGroups over every candidate group pair on a bounded worker pool.
+func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error) {
+	stop := rs.cfg.Obs.Stage("subgraph_match")
+	gm := NewGroupMatcher(pre, rs.sim.eng, delta, rs.match)
+	subs, err := matchGroupsParallel(ctx, delta, pairs, rs.oldGraphs, rs.newGraphs,
+		gm, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs)
 	stop()
 	// Flushed inside the δ iteration, so the memo counters land in its
-	// snapshot; a naive-engine run reports none.
-	if m.cfg.Engine == EngineCompiled {
-		parts.match.flushCounters(m.cfg.Obs)
-	}
+	// snapshot.
+	rs.sim.flushCounters(rs.cfg.Obs)
 	return subs, err
 }
 
-// heapSelector is the default Select stage: Algorithm 2's record-disjoint
-// greedy selection.
-type heapSelector struct{ cfg Config }
-
-func (s *heapSelector) Select(subs []*Subgraph) []Accepted {
-	stop := s.cfg.Obs.Stage("selection")
-	defer stop()
-	return SelectGroupLinksDetailed(subs)
-}
-
-// residentRemainderMatcher is the unsharded Remainder stage, scoring through
-// the resident compiled pair when present.
-type residentRemainderMatcher struct{ cfg Config }
-
-func (m *residentRemainderMatcher) MatchRemainder(ctx context.Context, enr *Enriched, parts *Partitions, remOld, remNew []*census.Record) ([]RecordLink, error) {
-	var cp *compiledPair
-	if parts.resident != nil {
-		cp = parts.resident.rem
-	}
-	stop := m.cfg.Obs.Stage("remainder")
-	if cp != nil {
-		cp.setActive(remNew)
-	}
-	var links []RecordLink
-	var err error
-	if m.cfg.OptimalRemainder {
-		links, err = matchRemainingOptimal(ctx, remOld, parts.OldYear, remNew, parts.NewYear,
-			m.cfg.Remainder, enr.Match, m.cfg.Strategies, cp)
-	} else {
-		links, err = matchRemaining(ctx, remOld, parts.OldYear, remNew, parts.NewYear,
-			m.cfg.Remainder, enr.Match, m.cfg.Strategies, cp)
-	}
+// remainder is the remainder stage: the attribute-only pass (line 17 of
+// Algorithm 1) over the records no iteration linked.
+func (rs *runState) remainder(ctx context.Context, remOld, remNew []*census.Record) ([]RecordLink, error) {
+	stop := rs.cfg.Obs.Stage("remainder")
+	rs.rem.setActive(remNew)
+	links, err := matchRemainder(ctx, remOld, rs.old.Year, remNew, rs.cfg.Remainder, rs.match,
+		rs.rem, rs.cfg.OptimalRemainder)
 	stop()
-	if cp != nil {
-		cp.flushCounters(m.cfg.Obs)
-	}
+	rs.rem.flushCounters(rs.cfg.Obs)
 	return links, err
-}
-
-// stageSet bundles one implementation per pipeline stage; the executor in
-// iterative.go drives them through the δ-relaxation loop.
-type stageSet struct {
-	enrich    Enricher
-	block     Blocker
-	prematch  PreMatcher
-	subgraphs SubgraphMatcher
-	selector  Selector
-	remainder RemainderMatcher
-}
-
-// newStageSet wires the default stage implementations for a validated
-// configuration: resident single-shard stages, or the sharded variants when
-// cfg.Shards > 1.
-func newStageSet(cfg Config) *stageSet {
-	s := &stageSet{
-		enrich:    &graphEnricher{cfg: cfg},
-		block:     &keyBlocker{cfg: cfg},
-		subgraphs: &poolSubgraphMatcher{cfg: cfg},
-		selector:  &heapSelector{cfg: cfg},
-	}
-	if cfg.Shards > 1 {
-		s.prematch = &shardedPreMatcher{cfg: cfg}
-		s.remainder = &shardedRemainderMatcher{cfg: cfg}
-	} else {
-		s.prematch = &residentPreMatcher{cfg: cfg}
-		s.remainder = &residentRemainderMatcher{cfg: cfg}
-	}
-	return s
 }

@@ -412,31 +412,32 @@ func TestAgeConsistent(t *testing.T) {
 	}
 }
 
-// oracleCheckingMatcher is a SubgraphMatch stage that, before running the
-// production stage, matches every candidate group pair of the iteration
-// with both GroupMatcher.MatchGroups and the string-keyed oracle and
+// subgraphOracleHook is a run hook that, before the subgraph stage of every
+// δ iteration, matches each candidate group pair the stage is about to
+// match with both GroupMatcher.MatchGroups and the string-keyed oracle and
 // requires deep-equal subgraphs (nil for nil).
-type oracleCheckingMatcher struct {
+type subgraphOracleHook struct {
 	t             *testing.T
-	cfg           Config
 	checked, subs int
 }
 
-func (m *oracleCheckingMatcher) MatchSubgraphs(ctx context.Context, enr *Enriched, parts *Partitions, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error) {
-	f := m.cfg.Sim.WithDelta(delta)
-	gm := NewGroupMatcher(pre, parts.match.eng, delta, enr.Match)
-	for _, gp := range pairs {
-		gOld, gNew := enr.OldGraphs[gp.Old], enr.NewGraphs[gp.New]
+func (h *subgraphOracleHook) hook(rs *runState, delta float64, _, _ []*census.Record, pre *PreMatchResult, _ []RecordLink) {
+	if pre == nil {
+		return
+	}
+	f := rs.cfg.Sim.WithDelta(delta)
+	gm := NewGroupMatcher(pre, rs.sim.eng, delta, rs.match)
+	for _, gp := range CandidateGroupPairs(pre, rs.old, rs.new) {
+		gOld, gNew := rs.oldGraphs[gp.Old], rs.newGraphs[gp.New]
 		got := gm.MatchGroups(gOld, gNew)
-		if want := matchGroupsOracle(gOld, gNew, pre, f, enr.Match); !reflect.DeepEqual(got, want) {
-			m.t.Fatalf("delta=%v %v: MatchGroups %+v, oracle %+v", delta, gp, got, want)
+		if want := matchGroupsOracle(gOld, gNew, pre, f, rs.match); !reflect.DeepEqual(got, want) {
+			h.t.Fatalf("delta=%v %v: MatchGroups %+v, oracle %+v", delta, gp, got, want)
 		}
-		m.checked++
+		h.checked++
 		if got != nil {
-			m.subs++
+			h.subs++
 		}
 	}
-	return (&poolSubgraphMatcher{cfg: m.cfg}).MatchSubgraphs(ctx, enr, parts, delta, pairs, pre)
 }
 
 // TestMatchGroupsOracleDifferential: across ω1/ω2, three δ schedules and
@@ -461,10 +462,8 @@ func TestMatchGroupsOracleDifferential(t *testing.T) {
 					cfg.Sim = sim
 					schedule(&cfg)
 					cfg.VertexGuards, cfg.DirectVerticesOnly = guards, directOnly
-					check := &oracleCheckingMatcher{t: t, cfg: cfg}
-					stages := newStageSet(cfg)
-					stages.subgraphs = check
-					if _, err := runStages(context.Background(), old, new, cfg, stages); err != nil {
+					check := &subgraphOracleHook{t: t}
+					if _, err := link(context.Background(), old, new, cfg, check.hook); err != nil {
 						t.Fatal(err)
 					}
 					if check.subs == 0 {
@@ -490,18 +489,6 @@ func (s *cacheSink) IterationDone(obs.Iteration) {
 	s.seen = append(s.seen, h+m)
 }
 
-// capturingBlocker hands the Block stage's partitions to the test.
-type capturingBlocker struct {
-	inner Blocker
-	parts *Partitions
-}
-
-func (b *capturingBlocker) Block(ctx context.Context, enr *Enriched) (*Partitions, error) {
-	parts, err := b.inner.Block(ctx, enr)
-	b.parts = parts
-	return parts, err
-}
-
 // TestObsSubgraphCacheAttribution: the memo lookups of the resident Sim
 // engine (pre-matching and subgraph matching) land in the snapshot of the
 // δ iteration that made them, and those of the remainder engine in the run
@@ -515,14 +502,13 @@ func TestObsSubgraphCacheAttribution(t *testing.T) {
 	cfg := DefaultConfig()
 	sink := &cacheSink{}
 	cfg.Obs = obs.NewStats(sink)
-	stages := newStageSet(cfg)
-	blocker := &capturingBlocker{inner: stages.block}
-	stages.block = blocker
+	var rs *runState
+	capture := func(r *runState, _ float64, _, _ []*census.Record, _ *PreMatchResult, _ []RecordLink) { rs = r }
 	sink.eng = func() (int64, int64) {
-		h, m, _ := blocker.parts.resident.sim.eng.Counters()
+		h, m, _ := rs.sim.eng.Counters()
 		return h, m
 	}
-	if _, err := runStages(context.Background(), old, new, cfg, stages); err != nil {
+	if _, err := link(context.Background(), old, new, cfg, capture); err != nil {
 		t.Fatal(err)
 	}
 	rep := cfg.Obs.Report()
@@ -538,11 +524,11 @@ func TestObsSubgraphCacheAttribution(t *testing.T) {
 		prev = sink.seen[i]
 		iterSum += lookups(it.Counters)
 	}
-	h, m, _ := blocker.parts.resident.rem.eng.Counters()
+	h, m, _ := rs.rem.eng.Counters()
 	if got, want := iterSum+h+m, lookups(rep.Counters); got != want {
 		t.Errorf("iterations %d + remainder %d = %d, run totals %d", iterSum, h+m, got, want)
 	}
-	if sh, sm, _ := blocker.parts.resident.sim.eng.Counters(); sh+sm != iterSum {
+	if sh, sm, _ := rs.sim.eng.Counters(); sh+sm != iterSum {
 		t.Errorf("Sim engine made %d memo lookups, iterations report %d", sh+sm, iterSum)
 	}
 }
