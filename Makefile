@@ -68,16 +68,19 @@ chaos:
 report:
 	$(GO) run ./cmd/benchall -scale 0.1 -seed 1871 -o experiments_scale010.txt
 
-# Short fuzzing session over the parsing/encoding surfaces.
+# Short fuzzing session over the parsing/encoding surfaces and the
+# resumable-score kernel.
 fuzz:
 	$(GO) test ./internal/strsim/ -fuzz FuzzEncoders -fuzztime 20s
 	$(GO) test ./internal/census/ -fuzz FuzzReadCSV -fuzztime 20s
+	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 20s
 
 # Seconds-long fuzz pass for CI: enough to exercise the seed corpus plus a
 # little mutation without stalling the pipeline.
 fuzz-smoke:
 	$(GO) test ./internal/strsim/ -run FuzzEncoders -fuzz FuzzEncoders -fuzztime 5s
 	$(GO) test ./internal/census/ -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 5s
+	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 5s
 
 clean:
 	$(GO) clean ./...

@@ -112,11 +112,12 @@ func run(args []string, stdout io.Writer) error {
 
 	fmt.Fprintf(stdout, "\n--- candidate vertex pairs (delta=%.2f) ---\n", *delta)
 	candidates := 0
+	sims := pre.Sims()
 	for _, o := range graphOld.Members() {
-		lo, okO := pre.Label(o.ID)
+		lo, okO := pre.OldLabel(o.ID)
 		for _, n := range graphNew.Members() {
-			_, direct := pre.Sims[linkage.Pair{Old: o.ID, New: n.ID}]
-			ln, okN := pre.Label(n.ID)
+			_, direct := sims[linkage.Pair{Old: o.ID, New: n.ID}]
+			ln, okN := pre.NewLabel(n.ID)
 			sameLabel := okO && okN && lo == ln
 			if !direct && !sameLabel {
 				continue
@@ -229,7 +230,7 @@ func renderStats(path string, w io.Writer) error {
 		Header: []string{"counter", "value"},
 	}
 	for _, name := range r.CounterNames() {
-		ct.AddRow(name, report.I(int(r.Counters[name])))
+		ct.AddRow(name, quantity(name, r.Counters[name]))
 	}
 	ct.AddRow("elapsed", r.ElapsedNS.Round(time.Millisecond).String())
 	fmt.Fprintln(w)
@@ -245,15 +246,18 @@ func renderStats(path string, w io.Writer) error {
 		Header: []string{"gauge", "value"},
 	}
 	for _, name := range r.GaugeNames() {
-		v := r.Gauges[name]
-		row := report.I(int(v))
-		if strings.HasSuffix(name, "_bytes") {
-			row = fmt.Sprintf("%d (%d MB)", v, v>>20)
-		}
-		gt.AddRow(name, row)
+		gt.AddRow(name, quantity(name, r.Gauges[name]))
 	}
 	fmt.Fprintln(w)
 	return gt.Render(w)
+}
+
+// quantity renders a counter or gauge value; byte counts also show MB.
+func quantity(name string, v int64) string {
+	if strings.HasSuffix(name, "_bytes") {
+		return fmt.Sprintf("%d (%d MB)", v, v>>20)
+	}
+	return report.I(int(v))
 }
 
 func name(r *census.Record) string {

@@ -101,7 +101,10 @@ func TestRunRendersStats(t *testing.T) {
 	}
 	// The example converges after δ=0.65 (StopOnEmpty), so exactly those
 	// two iteration rows render.
-	for _, want := range []string{"Iterations", "Stages", "Run totals", "0.70", "0.65"} {
+	// The compile stage's candidate-table counters render among the run
+	// totals, the byte count with its MB figure.
+	for _, want := range []string{"Iterations", "Stages", "Run totals", "0.70", "0.65",
+		"candidate_table_pairs", "candidate_table_bytes", " MB)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stats rendering missing %q:\n%s", want, out.String())
 		}

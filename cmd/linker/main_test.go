@@ -68,6 +68,37 @@ func TestRunLinkageFlushesStatsOnAbort(t *testing.T) {
 	}
 }
 
+// TestRunLinkageStatsReportCandidateTable: the -stats report carries the
+// candidate table's size, set once by the compile stage.
+func TestRunLinkageStatsReportCandidateTable(t *testing.T) {
+	stats := obs.NewStats(nil)
+	cfg := linkage.DefaultConfig()
+	cfg.Obs = stats
+	statsPath := filepath.Join(t.TempDir(), "stats.json")
+	if _, err := runLinkage(context.Background(), paperexample.Old(), paperexample.New(), cfg, stats, statsPath, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	writeStats(statsPath, stats)
+	f, err := os.Open(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := obs.ReadReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, bytes := rep.Counters[obs.CandidateTablePairs], rep.Counters[obs.CandidateTableBytes]
+	if pairs <= 0 || bytes < 4*pairs {
+		t.Errorf("candidate_table_pairs=%d candidate_table_bytes=%d; want pairs > 0 and at least 4 bytes each", pairs, bytes)
+	}
+	for _, it := range rep.Iterations {
+		if it.Count(obs.CandidateTablePairs) != 0 {
+			t.Errorf("delta=%v: table counter inside an iteration; compile runs once before the loop", it.Delta)
+		}
+	}
+}
+
 func TestHasTruth(t *testing.T) {
 	d := paperexample.Old()
 	if hasTruth(d) {

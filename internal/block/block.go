@@ -139,9 +139,6 @@ func NewIndex(recs []*census.Record, year int, strategies []Strategy) *Index {
 // Len returns the number of indexed records.
 func (ix *Index) Len() int { return len(ix.recs) }
 
-// Record returns the indexed record at position i.
-func (ix *Index) Record(i int32) *census.Record { return ix.recs[i] }
-
 // Scratch is reusable per-worker query state for CandidateIndices. The
 // epoch-stamp array replaces the per-call map clear of the old scratch map:
 // bumping the epoch invalidates every previous stamp in O(1), so dedup
@@ -175,6 +172,12 @@ func (sc *Scratch) reset(n int) {
 // API returns records in. The returned slice aliases the scratch buffer
 // and is only valid until the next call with the same Scratch.
 func (ix *Index) CandidateIndices(o *census.Record, oldYear int, sc *Scratch) []int32 {
+	out, _ := ix.query(o, oldYear, sc)
+	return out
+}
+
+// query is CandidateIndices that also returns the record's raw hit count.
+func (ix *Index) query(o *census.Record, oldYear int, sc *Scratch) ([]int32, int) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -196,7 +199,92 @@ func (ix *Index) CandidateIndices(o *census.Record, oldYear int, sc *Scratch) []
 		ix.generated.Add(int64(raw)) // one add per query, not per hit
 	}
 	sort.Slice(sc.out, func(i, j int) bool { return sc.out[i] < sc.out[j] })
-	return sc.out
+	return sc.out, raw
+}
+
+// CandidateTable is the blocked candidate set of a year pair in flat
+// (CSR) form, queried once and read by every pass that needs candidates.
+// Row i lists, in ascending order, the distinct positions in the indexed
+// new dataset that CandidateIndices returns for the i-th queried old
+// record; entries are numbered consecutively across rows, so a caller can
+// keep per-entry state in a parallel slice of length Pairs(). The table is
+// read-only once built and safe for concurrent readers.
+type CandidateTable struct {
+	// start[i] is the entry number of row i's first entry; row i spans
+	// nbr[start[i]:start[i+1]].
+	start []int
+	nbr   []int32
+	// raw[i] is row i's raw hit count across all strategies, before
+	// deduplication.
+	raw []int32
+}
+
+// AppendRow queries the index once for old record o (of a dataset with the
+// given year) and appends its candidates as the table's next row. The
+// query counts towards Generated like any CandidateIndices call.
+func (ix *Index) AppendRow(t *CandidateTable, o *census.Record, oldYear int, sc *Scratch) {
+	if len(t.start) == 0 {
+		t.start = append(t.start, 0)
+	}
+	row, raw := ix.query(o, oldYear, sc)
+	t.nbr = append(t.nbr, row...)
+	t.start = append(t.start, len(t.nbr))
+	t.raw = append(t.raw, int32(raw))
+}
+
+// AppendEmptyRow appends a row with no candidates and no raw hits.
+func (t *CandidateTable) AppendEmptyRow() {
+	if len(t.start) == 0 {
+		t.start = append(t.start, 0)
+	}
+	t.start = append(t.start, len(t.nbr))
+	t.raw = append(t.raw, 0)
+}
+
+// JoinTables concatenates tables built over consecutive runs of old
+// records into one table whose rows follow in argument order.
+func JoinTables(parts ...*CandidateTable) *CandidateTable {
+	rows, pairs := 0, 0
+	for _, p := range parts {
+		rows += p.Rows()
+		pairs += p.Pairs()
+	}
+	t := &CandidateTable{
+		start: make([]int, 1, rows+1),
+		nbr:   make([]int32, 0, pairs),
+		raw:   make([]int32, 0, rows),
+	}
+	for _, p := range parts {
+		base := len(t.nbr)
+		for _, st := range p.start[min(1, len(p.start)):] {
+			t.start = append(t.start, base+st)
+		}
+		t.nbr = append(t.nbr, p.nbr...)
+		t.raw = append(t.raw, p.raw...)
+	}
+	return t
+}
+
+// Rows returns the number of rows (queried old records).
+func (t *CandidateTable) Rows() int { return len(t.raw) }
+
+// Pairs returns the number of entries: distinct candidate pairs over all
+// rows.
+func (t *CandidateTable) Pairs() int { return len(t.nbr) }
+
+// Row returns the candidate new positions of row i in ascending order. The
+// slice aliases the table and must not be modified.
+func (t *CandidateTable) Row(i int) []int32 { return t.nbr[t.start[i]:t.start[i+1]] }
+
+// Offset returns the entry number of row i's first entry.
+func (t *CandidateTable) Offset(i int) int { return t.start[i] }
+
+// Raw returns row i's raw hit count before cross-strategy deduplication.
+func (t *CandidateTable) Raw(i int) int { return int(t.raw[i]) }
+
+// Bytes returns the memory held by the table's arrays.
+func (t *CandidateTable) Bytes() int {
+	return 8*cap(t.start) + 4*cap(t.nbr) + 4*cap(t.raw)
 }
 
 // Candidates returns the distinct indexed records sharing at least one

@@ -211,3 +211,72 @@ func BenchmarkCandidates(b *testing.B) {
 		CountPairs(old.Records(), old.Year, new.Records(), new.Year, DefaultStrategies())
 	}
 }
+
+// TestCandidateTableMatchesQueries: a table built from rows appended per
+// chunk and joined holds, for every old record, exactly the candidates and
+// raw hit count of a direct query, and an empty row keeps the rows after
+// it aligned.
+func TestCandidateTableMatchesQueries(t *testing.T) {
+	old := makeDataset(t, 1871, [][4]string{
+		{"john", "smith", "m", "30"},
+		{"mary", "smith", "f", "25"},
+		{"ann", "taylor", "f", "60"},
+		{"", "", "m", ""},
+		{"john", "smyth", "m", "31"},
+	})
+	new := makeDataset(t, 1881, [][4]string{
+		{"john", "smyth", "m", "40"},
+		{"mary", "walker", "f", "35"},
+		{"john", "smith", "m", "41"},
+		{"ann", "tailor", "f", "70"},
+	})
+	strategies := append(DefaultStrategies(), BirthYearBand(5))
+	ix := NewIndex(new.Records(), new.Year, strategies)
+	recs := old.Records()
+	var first, second CandidateTable
+	for _, o := range recs[:2] {
+		ix.AppendRow(&first, o, old.Year, nil)
+	}
+	for _, o := range recs[2:] {
+		ix.AppendRow(&second, o, old.Year, nil)
+	}
+	var empty CandidateTable
+	empty.AppendEmptyRow()
+	tab := JoinTables(&first, &CandidateTable{}, &second, &empty)
+	if tab.Rows() != len(recs)+1 {
+		t.Fatalf("rows = %d, want %d", tab.Rows(), len(recs)+1)
+	}
+
+	fresh := NewIndex(new.Records(), new.Year, strategies)
+	pairs := 0
+	for i, o := range recs {
+		want := append([]int32(nil), fresh.CandidateIndices(o, old.Year, nil)...)
+		if got := tab.Row(i); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("row %d = %v, want %v", i, got, want)
+		}
+		if tab.Offset(i) != pairs {
+			t.Errorf("row %d offset = %d, want %d", i, tab.Offset(i), pairs)
+		}
+		pairs += len(want)
+	}
+	last := len(recs)
+	if len(tab.Row(last)) != 0 || tab.Raw(last) != 0 {
+		t.Errorf("empty row holds %v, raw %d", tab.Row(last), tab.Raw(last))
+	}
+	if tab.Pairs() != pairs || pairs == 0 {
+		t.Errorf("pairs = %d, want %d (> 0)", tab.Pairs(), pairs)
+	}
+	raw := 0
+	for i := 0; i < tab.Rows(); i++ {
+		raw += tab.Raw(i)
+	}
+	if int64(raw) != fresh.Generated() || ix.Generated() != fresh.Generated() {
+		t.Errorf("raw hits: table %d, building index %d, fresh queries %d", raw, ix.Generated(), fresh.Generated())
+	}
+	if raw <= pairs {
+		t.Errorf("raw hits %d not above distinct pairs %d; the strategies should overlap", raw, pairs)
+	}
+	if tab.Bytes() < 4*tab.Pairs() {
+		t.Errorf("bytes = %d for %d pairs", tab.Bytes(), tab.Pairs())
+	}
+}

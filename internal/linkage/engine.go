@@ -1,9 +1,15 @@
 package linkage
 
 import (
+	"context"
+	"runtime"
+	"runtime/debug"
+	"sync"
+
 	"censuslink/internal/block"
 	"censuslink/internal/census"
 	"censuslink/internal/compare"
+	"censuslink/internal/faultinject"
 	"censuslink/internal/obs"
 )
 
@@ -26,13 +32,15 @@ func (f SimFunc) Compile(old, new []*census.Record) *compare.Engine {
 	return compare.NewEngine(compare.Compile(old, ms), compare.Compile(new, ms))
 }
 
-// compiledPair is the per-year-pair comparison state: one scoring
-// engine, the blocking index built once over the full new dataset, and the
-// active-record mask the δ-iteration loop narrows instead of rebuilding the
-// index per iteration.
+// compiledPair is the per-year-pair comparison state: one scoring engine,
+// the candidate table built once from the blocking index over the full new
+// dataset, and the active-record mask the δ-iteration loop narrows instead
+// of querying the index again per iteration.
 type compiledPair struct {
 	eng *compare.Engine
-	ix  *block.Index
+	// tab holds the blocked candidates of every old record of the engine's
+	// old dataset; row i is old record i's.
+	tab *block.CandidateTable
 	// active[i] reports whether new record i is still unlinked; shared by
 	// the pre-matching and remainder passes of one Link call.
 	active []bool
@@ -62,4 +70,123 @@ func (cp *compiledPair) flushCounters(st *obs.Stats) {
 	st.Add(obs.SimCacheMisses, int(m-cp.prevMisses))
 	st.Add(obs.PrunedComparisons, int(p-cp.prevPruned))
 	cp.prevHits, cp.prevMisses, cp.prevPruned = h, m, p
+}
+
+// allActive returns an active mask with every one of n records active.
+func allActive(n int) []bool {
+	active := make([]bool, n)
+	for i := range active {
+		active[i] = true
+	}
+	return active
+}
+
+// buildTable queries ix once for every old record and returns the
+// candidate table, row i holding old[i]'s candidates. Old records are
+// split into one contiguous chunk per worker; each chunk observes ctx
+// every cancelCheckEvery records, and cancellation and worker panics are
+// reported as stage "compile". Under PanicSkip a failed chunk's rows stay
+// empty, so its records are never compared.
+func buildTable(ctx context.Context, ix *block.Index, old []*census.Record, oldYear, workers int,
+	policy PanicPolicy, st *obs.Stats) (*block.CandidateTable, error) {
+	chunks := splitChunks(len(old), workers)
+	parts := make([]*block.CandidateTable, len(chunks))
+	skipped, err := runChunks(ctx, "compile", 0, chunks, policy, st, func(ci, lo, hi int) error {
+		t := &block.CandidateTable{}
+		var scratch block.Scratch
+		for i := lo; i < hi; i++ {
+			if (i-lo)%cancelCheckEvery == 0 {
+				if e := ctx.Err(); e != nil {
+					return cancelErr("compile", 0, e)
+				}
+			}
+			ix.AppendRow(t, old[i], oldYear, &scratch)
+		}
+		parts[ci] = t
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ci, c := range chunks {
+		if skipped[ci] {
+			parts[ci] = &block.CandidateTable{}
+			for i := c[0]; i < c[1]; i++ {
+				parts[ci].AppendEmptyRow()
+			}
+		}
+	}
+	return block.JoinTables(parts...), nil
+}
+
+// cancelCheckEvery is the number of records a pipeline loop processes
+// between cancellation checkpoints — frequent enough for prompt aborts,
+// rare enough to stay invisible in profiles.
+const cancelCheckEvery = 64
+
+// splitChunks splits n items into at most workers contiguous [lo, hi)
+// ranges of equal size; workers <= 0 selects GOMAXPROCS.
+func splitChunks(n, workers int) [][2]int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	size := max((n+workers-1)/workers, 1)
+	var chunks [][2]int
+	for lo := 0; lo < n; lo += size {
+		chunks = append(chunks, [2]int{lo, min(lo+size, n)})
+	}
+	return chunks
+}
+
+// runChunks runs fn on every chunk concurrently, one goroutine per chunk,
+// with panic isolation and the configured panic policy. Every chunk first
+// passes the fault-injection point "linkage.<stage>.chunk". A panic or
+// injected failure becomes a *PipelineError naming the stage, δ and chunk
+// index. Cancellation wins over chunk failures: if ctx is done when the
+// chunks finish, runChunks reports that. Under PanicFailFast the first
+// failing chunk's error is returned; under PanicSkip failed chunks are
+// counted on obs.PanicsRecovered and flagged in the returned slice, and
+// the caller drops their results, so the merge stays deterministic.
+func runChunks(ctx context.Context, stage string, delta float64, chunks [][2]int, policy PanicPolicy,
+	st *obs.Stats, fn func(ci, lo, hi int) error) ([]bool, error) {
+	point := "linkage." + stage + ".chunk"
+	errs := make([]error, len(chunks))
+	runOne := func(ci int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				pe := panicErr(stage, delta, r, debug.Stack())
+				pe.Chunk = ci
+				err = pe
+			}
+		}()
+		if e := faultinject.Hit(point); e != nil {
+			return &PipelineError{Stage: stage, Delta: delta, Chunk: ci, Err: e}
+		}
+		return fn(ci, chunks[ci][0], chunks[ci][1])
+	}
+	var wg sync.WaitGroup
+	for ci := range chunks {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			errs[ci] = runOne(ci)
+		}(ci)
+	}
+	wg.Wait()
+
+	if err := ctx.Err(); err != nil {
+		return nil, cancelErr(stage, delta, err)
+	}
+	skipped := make([]bool, len(chunks))
+	for ci, err := range errs {
+		if err == nil {
+			continue
+		}
+		if policy == PanicFailFast {
+			return nil, err
+		}
+		skipped[ci] = true
+		st.Add(obs.PanicsRecovered, 1)
+	}
+	return skipped, nil
 }

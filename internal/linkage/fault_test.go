@@ -117,6 +117,55 @@ func TestPreMatchChunkPanic(t *testing.T) {
 	})
 }
 
+// TestCompileChunkPanic: a panic while the compile stage builds the
+// candidate table is reported as a compile-stage chunk failure, or skipped
+// and counted.
+func TestCompileChunkPanic(t *testing.T) {
+	skipWithoutInjection(t)
+	old, new := paperexample.Old(), paperexample.New()
+
+	t.Run("fail-fast", func(t *testing.T) {
+		defer faultinject.Reset()
+		faultinject.Set("linkage.compile.chunk", faultinject.PanicOnCall(1, "chunk crash"))
+		_, err := linkage.LinkContext(context.Background(), old, new, faultConfig(2))
+		var pe *linkage.PipelineError
+		if !errors.As(err, &pe) {
+			t.Fatalf("error = %v, want *PipelineError", err)
+		}
+		if pe.Stage != "compile" || pe.Chunk < 0 || pe.Panic == nil {
+			t.Errorf("stage=%q chunk=%d panic=%v, want a compile chunk panic", pe.Stage, pe.Chunk, pe.Panic)
+		}
+	})
+	t.Run("skip", func(t *testing.T) {
+		defer faultinject.Reset()
+		faultinject.Set("linkage.compile.chunk", faultinject.PanicOnCall(1, "chunk crash"))
+		stats := obs.NewStats(nil)
+		cfg := faultConfig(2)
+		cfg.Panics = linkage.PanicSkip
+		cfg.Obs = stats
+		if _, err := linkage.LinkContext(context.Background(), old, new, cfg); err != nil {
+			t.Fatalf("skip policy did not absorb the chunk panic: %v", err)
+		}
+		if got := stats.Total(obs.PanicsRecovered); got != 1 {
+			t.Errorf("panics_recovered = %d, want 1", got)
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		defer faultinject.Reset()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		faultinject.Set("linkage.compile.chunk", func() error {
+			cancel()
+			return nil
+		})
+		_, err := linkage.LinkContext(ctx, old, new, faultConfig(2))
+		var pe *linkage.PipelineError
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Stage != "compile" {
+			t.Fatalf("error = %v, want a compile-stage cancellation", err)
+		}
+	})
+}
+
 // TestCancellationMidIteration cancels the context from inside a pre-matching
 // chunk worker (the hook fires after the run has started) and checks that the
 // pipeline aborts with the cancellation, not with a partial result.

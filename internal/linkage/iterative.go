@@ -275,9 +275,7 @@ func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook ru
 		cfg.Obs.Add(obs.PairsCompared, pre.Compared)
 		cfg.Obs.Add(obs.CandidateLinks, len(pre.Links))
 		cfg.Obs.Add(obs.ClusterLabels, len(pre.LabelSize))
-		stop := cfg.Obs.Stage("candidate_groups")
-		pairs := CandidateGroupPairs(pre, oldDS, newDS)
-		stop()
+		pairs := rs.candidateGroups(pre)
 		cfg.Obs.Add(obs.GroupPairs, len(pairs))
 		subs, err := rs.subgraphMatch(ctx, delta, pairs, pre)
 		if err != nil {
@@ -285,7 +283,7 @@ func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook ru
 			return nil, err
 		}
 		cfg.Obs.Add(obs.Subgraphs, len(subs))
-		stop = cfg.Obs.Stage("selection")
+		stop := cfg.Obs.Stage("selection")
 		accepted := SelectGroupLinksDetailed(subs)
 		stop()
 		var groups []GroupLink
@@ -409,34 +407,30 @@ type RemainderOptions struct {
 // via the Hungarian algorithm) with opts.Optimal. It is the single
 // standalone entry point of the remainder pass.
 func MatchRemaining(ctx context.Context, old, new []*census.Record, opts RemainderOptions) ([]RecordLink, error) {
-	active := make([]bool, len(new))
-	for i := range active {
-		active[i] = true
+	tab, err := buildTable(ctx, block.NewIndex(new, opts.NewYear, opts.Strategies), old, opts.OldYear,
+		0, PanicFailFast, nil)
+	if err != nil {
+		return nil, err
 	}
-	cp := &compiledPair{
-		eng:    opts.Sim.Compile(old, new),
-		ix:     block.NewIndex(new, opts.NewYear, opts.Strategies),
-		active: active,
-	}
+	cp := &compiledPair{eng: opts.Sim.Compile(old, new), tab: tab, active: allActive(len(new))}
 	defer cp.flushCounters(opts.Obs)
-	return matchRemainder(ctx, old, opts.OldYear, new, opts.Sim, opts.Match, cp, opts.Optimal)
+	return matchRemainder(ctx, old, new, opts.Sim, opts.Match, cp, opts.Optimal)
 }
 
 // matchRemainder is the remainder pass: after the remainder fault-injection
 // checkpoint it collects the blocked, age-consistent candidate links with
-// similarity at or above Sim_func_rem's δ — candidates from cp's prebuilt
-// index filtered by its active mask, scored through the memoizing engine —
-// and selects them into a 1:1 mapping, greedily or optimally. The candidate
-// scan observes ctx every few records and aborts with a typed error; the
-// assignment solve runs to completion (it is in-memory and brief relative
-// to the scan). With a background context it never fails.
-func matchRemainder(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record,
+// similarity at or above Sim_func_rem's δ — the candidate-table rows of the
+// old records filtered by cp's active mask, scored through the memoizing
+// engine — and selects them into a 1:1 mapping, greedily or optimally. The
+// candidate scan observes ctx every few records and aborts with a typed
+// error; the assignment solve runs to completion (it is in-memory and brief
+// relative to the scan). With a background context it never fails.
+func matchRemainder(ctx context.Context, old, new []*census.Record,
 	f SimFunc, cfg MatchConfig, cp *compiledPair, optimal bool) ([]RecordLink, error) {
 	if err := faultinject.Hit("linkage.remainder"); err != nil {
 		return nil, &PipelineError{Stage: "remainder", Delta: f.Delta, Chunk: -1, Err: err}
 	}
 	var cands []RecordLink
-	var scratch block.Scratch
 	for i, o := range old {
 		if i%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -447,11 +441,11 @@ func matchRemainder(ctx context.Context, old []*census.Record, oldYear int, new 
 		if !ok {
 			continue
 		}
-		for _, ni := range cp.ix.CandidateIndices(o, oldYear, &scratch) {
+		for _, ni := range cp.tab.Row(oi) {
 			if !cp.active[ni] {
 				continue
 			}
-			n := cp.ix.Record(ni)
+			n := cp.eng.New.Recs[ni]
 			if !cfg.ageConsistent(o, n) {
 				continue
 			}

@@ -19,19 +19,80 @@ import (
 	"censuslink/internal/synth"
 )
 
+// preMatchView is the record-ID view of a pre-matching pass: what the
+// interpreted oracle produces, and what viewOf derives from the
+// position-keyed PreMatchResult for comparison. Labels are keyed by
+// (side, record ID), because an ID alone may name a record of each year.
+type preMatchView struct {
+	Sims      map[Pair]float64
+	Links     []Pair
+	Labels    map[recordKey]int
+	LabelSize map[int]int
+	Compared  int
+	Blocked   int
+}
+
+// recordKey identifies a record of either dataset.
+type recordKey struct {
+	New bool
+	ID  string
+}
+
+// ufKey encodes a record key for the string-keyed union-find so that keys
+// sort by record ID first and an old record before a new one with the same
+// ID — the order the production labels are numbered in.
+func ufKey(k recordKey) string {
+	if k.New {
+		return k.ID + "\x001"
+	}
+	return k.ID + "\x000"
+}
+
+// viewOf returns the record-ID view of a production pre-matching result.
+func viewOf(pre *PreMatchResult) *preMatchView {
+	v := &preMatchView{
+		Sims:      pre.Sims(),
+		Links:     pre.Pairs(),
+		Labels:    make(map[recordKey]int),
+		LabelSize: make(map[int]int),
+		Compared:  pre.Compared,
+		Blocked:   pre.Blocked,
+	}
+	for i, l := range pre.OldLabels {
+		if l >= 0 {
+			v.Labels[recordKey{ID: pre.old.Recs[i].ID}] = int(l)
+		}
+	}
+	for j, l := range pre.NewLabels {
+		if l >= 0 {
+			v.Labels[recordKey{New: true, ID: pre.new.Recs[j].ID}] = int(l)
+		}
+	}
+	for l, n := range pre.LabelSize {
+		v.LabelSize[l] = int(n)
+	}
+	return v
+}
+
 // preMatchOracle is the interpreted pre-matching pass: blocked candidates
 // from a fresh index over new, kept when f.AggSim reaches f's δ, clustered
-// by the transitive closure of the kept links.
+// by the transitive closure of the kept links with a union-find keyed by
+// (side, record ID).
 func preMatchOracle(old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	f SimFunc, strategies []block.Strategy) *PreMatchResult {
+	f SimFunc, strategies []block.Strategy) *preMatchView {
 	ix := block.NewIndex(new, newYear, strategies)
-	out := &PreMatchResult{Sims: make(map[Pair]float64), LabelSize: make(map[int]int)}
+	out := &preMatchView{Sims: make(map[Pair]float64), LabelSize: make(map[int]int)}
 	uf := cluster.NewUnionFind()
+	keyOf := make(map[string]recordKey)
 	for _, r := range old {
-		uf.Add(r.ID)
+		k := recordKey{ID: r.ID}
+		uf.Add(ufKey(k))
+		keyOf[ufKey(k)] = k
 	}
 	for _, r := range new {
-		uf.Add(r.ID)
+		k := recordKey{New: true, ID: r.ID}
+		uf.Add(ufKey(k))
+		keyOf[ufKey(k)] = k
 	}
 	var scratch block.Scratch
 	for _, o := range old {
@@ -41,12 +102,13 @@ func preMatchOracle(old []*census.Record, oldYear int, new []*census.Record, new
 				p := Pair{Old: o.ID, New: n.ID}
 				out.Links = append(out.Links, p)
 				out.Sims[p] = s
-				uf.Union(p.Old, p.New)
+				uf.Union(ufKey(recordKey{ID: o.ID}), ufKey(recordKey{New: true, ID: n.ID}))
 			}
 		}
 	}
-	out.Labels = uf.Labels()
-	for _, l := range out.Labels {
+	out.Labels = make(map[recordKey]int)
+	for key, l := range uf.Labels() {
+		out.Labels[keyOf[key]] = l
 		out.LabelSize[l]++
 	}
 	out.Blocked = int(ix.Generated())
@@ -100,23 +162,24 @@ func (c *oracleChecker) hook(rs *runState, delta float64, remOld, remNew []*cens
 		return
 	}
 	want := preMatchOracle(remOld, rs.old.Year, remNew, rs.new.Year, cfg.Sim.WithDelta(delta), cfg.Strategies)
+	got := viewOf(pre)
 	for _, cmp := range []struct {
 		name      string
 		got, want any
 	}{
-		{"Sims", pre.Sims, want.Sims},
-		{"Links", pre.Links, want.Links},
-		{"Labels", pre.Labels, want.Labels},
-		{"LabelSize", pre.LabelSize, want.LabelSize},
-		{"Compared", pre.Compared, want.Compared},
+		{"Sims", got.Sims, want.Sims},
+		{"Links", got.Links, want.Links},
+		{"Labels", got.Labels, want.Labels},
+		{"LabelSize", got.LabelSize, want.LabelSize},
+		{"Compared", got.Compared, want.Compared},
 	} {
 		if !reflect.DeepEqual(cmp.got, cmp.want) {
 			t.Fatalf("delta=%v: pre-match %s differs from the oracle's", delta, cmp.name)
 		}
 	}
-	// Later iterations query the full-dataset index, whose raw hit count
-	// includes records already linked; only the first pass sees the same
-	// record set as a fresh index.
+	// Later iterations read the candidate table of the full datasets, whose
+	// raw hit counts include records already linked; only the first pass
+	// sees the same record set as a fresh index.
 	if c.iterations == 0 && pre.Blocked != want.Blocked {
 		t.Fatalf("delta=%v: Blocked %d, oracle %d", delta, pre.Blocked, want.Blocked)
 	}
@@ -236,7 +299,7 @@ func TestPreMatchOracleDifferential(t *testing.T) {
 		if len(want.Links) == 0 {
 			t.Fatalf("delta=%v: oracle found no links; the check would be vacuous", delta)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(viewOf(got), want) {
 			t.Fatalf("delta=%v: PreMatchOpts differs from the oracle", delta)
 		}
 	}
@@ -329,5 +392,39 @@ func TestObsCompiledCacheCounters(t *testing.T) {
 	lookups := func(c map[string]int64) int64 { return c[obs.SimCacheHits] + c[obs.SimCacheMisses] }
 	if got, want := lookups(checkedRep.Counters), lookups(rep.Counters); got != want {
 		t.Errorf("oracle-checked run made %d memo lookups, a plain run %d", got, want)
+	}
+}
+
+// TestLinkQueriesIndexOnce: the compile stage queries the blocking index
+// once per old record into the candidate table, and no later pass queries
+// it again, so after a full Link the index's raw hit count equals the first
+// iteration's Blocked, for both blocking schemes.
+func TestLinkQueriesIndexOnce(t *testing.T) {
+	old, new, err := synth.GeneratePair(synth.TestConfig(0.03, 23), 1871, 1881)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{"default", "lsh"} {
+		cfg := DefaultConfig()
+		if cfg.Strategies, err = ParseBlocking(scheme); err != nil {
+			t.Fatal(err)
+		}
+		var rs *runState
+		var blocked []int
+		if _, err := link(context.Background(), old, new, cfg, func(r *runState, _ float64,
+			_, _ []*census.Record, pre *PreMatchResult, _ []RecordLink) {
+			rs = r
+			if pre != nil {
+				blocked = append(blocked, pre.Blocked)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(blocked) < 2 || blocked[0] == 0 {
+			t.Fatalf("%s: %d iterations, first Blocked %v; the check would be vacuous", scheme, len(blocked), blocked)
+		}
+		if got := rs.ix.Generated(); got != int64(blocked[0]) {
+			t.Errorf("%s: index generated %d raw hits over the link, first iteration Blocked %d", scheme, got, blocked[0])
+		}
 	}
 }

@@ -1,15 +1,14 @@
 package linkage
 
 import (
+	"cmp"
 	"context"
-	"runtime"
-	"runtime/debug"
-	"sync"
+	"slices"
+	"strings"
 
 	"censuslink/internal/block"
 	"censuslink/internal/census"
-	"censuslink/internal/cluster"
-	"censuslink/internal/faultinject"
+	"censuslink/internal/compare"
 	"censuslink/internal/obs"
 )
 
@@ -18,36 +17,84 @@ type Pair struct {
 	Old, New string
 }
 
-// PreMatchResult is the outcome of the pre-matching step (Section 3.2):
-// the candidate record links above δ with their aggregated similarities, the
-// cluster labels of the transitive closure, and the per-label record counts
-// used by the uniqueness score.
+// CandidateLink is one pre-matching link: an old and a new record, by
+// position in the record lists the pass was compiled over, and their
+// aggregated similarity.
+type CandidateLink struct {
+	Old, New int32
+	Sim      float64
+}
+
+// PreMatchResult is the outcome of the pre-matching step (Section 3.2),
+// keyed by dataset position: the candidate record links above δ with their
+// aggregated similarities, the cluster label of every record of the
+// transitive closure, and the per-label record counts used by the
+// uniqueness score. Positions index the old and new record lists the pass
+// was compiled over (inside Link, the full datasets). Record IDs are unique
+// only within one census year, so the string views look records up per
+// side.
 type PreMatchResult struct {
-	// Sims holds agg_sim for every candidate pair with agg_sim >= δ.
-	Sims map[Pair]float64
-	// Links lists the candidate pairs in deterministic order.
-	Links []Pair
-	// Labels assigns a cluster label to every record (of either dataset)
-	// that appeared in the pre-matching input. Records without any link get
-	// a singleton label.
-	Labels map[string]int
-	// LabelSize counts the records carrying each label across both
+	// Links lists the candidate pairs with agg_sim >= δ in deterministic
+	// order: old records in input order, each with its candidates in
+	// ascending new position.
+	Links []CandidateLink
+	// OldLabels[i] and NewLabels[j] are the cluster labels of old record i
+	// and new record j, or -1 for a record outside the pass's input.
+	// Records without any link get a singleton label. Labels are numbered
+	// by component in the order of each component's smallest record ID
+	// (an old record first where an old and a new ID are equal).
+	OldLabels, NewLabels []int32
+	// LabelSize[l] counts the records carrying label l across both
 	// datasets (|label(r)| in Eq. 7).
-	LabelSize map[int]int
+	LabelSize []int32
 	// Compared is the number of candidate pairs compared (for reporting).
 	Compared int
 	// Blocked is the raw number of candidate pairs the blocking index
-	// generated across all strategies before deduplication; Blocked -
-	// Compared measures the overlap of the multi-pass strategies. Inside
-	// Link the index covers the full new dataset, so hits on records
-	// already linked in earlier iterations are included too.
+	// generated for this pass's old records across all strategies before
+	// deduplication; Blocked - Compared measures the overlap of the
+	// multi-pass strategies. Candidates come from the candidate table,
+	// which keeps each old record's raw count, so inside Link a relaxed
+	// pass also counts hits on new records linked in earlier iterations.
 	Blocked int
+	// old and new are the compiled record lists the positions index.
+	old, new *compare.CompiledDataset
 }
 
-// Label returns the cluster label of a record ID and whether it has one.
-func (p *PreMatchResult) Label(id string) (int, bool) {
-	l, ok := p.Labels[id]
-	return l, ok
+// Pairs returns the candidate links as record-ID pairs, in Links order.
+func (p *PreMatchResult) Pairs() []Pair {
+	out := make([]Pair, len(p.Links))
+	for i, l := range p.Links {
+		out[i] = Pair{Old: p.old.Recs[l.Old].ID, New: p.new.Recs[l.New].ID}
+	}
+	return out
+}
+
+// Sims returns the aggregated similarity of every candidate link, keyed by
+// record-ID pair.
+func (p *PreMatchResult) Sims() map[Pair]float64 {
+	out := make(map[Pair]float64, len(p.Links))
+	for _, l := range p.Links {
+		out[Pair{Old: p.old.Recs[l.Old].ID, New: p.new.Recs[l.New].ID}] = l.Sim
+	}
+	return out
+}
+
+// OldLabel returns the cluster label of the old record with the given ID
+// and whether it has one.
+func (p *PreMatchResult) OldLabel(id string) (int, bool) { return labelOf(p.old, p.OldLabels, id) }
+
+// NewLabel returns the cluster label of the new record with the given ID
+// and whether it has one.
+func (p *PreMatchResult) NewLabel(id string) (int, bool) { return labelOf(p.new, p.NewLabels, id) }
+
+// labelOf looks up the label of the record with the given ID in one
+// side's label array.
+func labelOf(cd *compare.CompiledDataset, labels []int32, id string) (int, bool) {
+	i, ok := cd.Pos(id)
+	if !ok || labels[i] < 0 {
+		return 0, false
+	}
+	return int(labels[i]), true
 }
 
 // PreMatchOptions configures one standalone pre-matching pass (see
@@ -74,160 +121,192 @@ type PreMatchOptions struct {
 // PreMatchOpts is the single pre-matching entry point: it applies the
 // similarity function to every blocked candidate pair between the old and
 // new records, keeps pairs reaching f's δ, and clusters records via the
-// transitive closure of those links (Section 3.2). Cancellation is
-// cooperative — chunk workers observe ctx between records and the call
-// returns a *PipelineError wrapping ctx.Err(). Worker panics surface as
-// typed errors naming the offending chunk (or are skipped and counted,
-// per opts.Panics).
+// transitive closure of those links (Section 3.2). It compiles the two
+// lists and builds their candidate table for this one pass, so the
+// result's positions index old and new. Cancellation is cooperative —
+// chunk workers observe ctx between records and the call returns a
+// *PipelineError wrapping ctx.Err(). Worker panics surface as typed errors
+// naming the offending chunk (stage "compile" while the table is built,
+// "prematch" while pairs are scored), or are skipped and counted, per
+// opts.Panics.
 func PreMatchOpts(ctx context.Context, old, new []*census.Record, opts PreMatchOptions) (*PreMatchResult, error) {
-	cp := &compiledPair{
-		eng:    opts.Sim.Compile(old, new),
-		ix:     block.NewIndex(new, opts.NewYear, opts.Strategies),
-		active: make([]bool, len(new)),
+	tab, err := buildTable(ctx, block.NewIndex(new, opts.NewYear, opts.Strategies), old, opts.OldYear,
+		opts.Workers, opts.Panics, opts.Obs)
+	if err != nil {
+		return nil, err
 	}
-	cp.setActive(new)
-	return preMatch(ctx, old, opts.OldYear, new, opts.Sim, opts.Workers, opts.Panics, opts.Obs, cp)
+	pm := newPreMatcher(&compiledPair{eng: opts.Sim.Compile(old, new), tab: tab, active: allActive(len(new))})
+	oldPos := make([]int32, len(old))
+	for i := range oldPos {
+		oldPos[i] = int32(i)
+	}
+	return pm.preMatch(ctx, oldPos, opts.Sim.Delta, opts.Workers, opts.Panics, opts.Obs)
 }
 
-// cancelCheckEvery is the number of records a pipeline loop processes
-// between cancellation checkpoints — frequent enough for prompt aborts,
-// rare enough to stay invisible in profiles.
-const cancelCheckEvery = 64
+// preMatcher is the resident pre-matching state of one year pair: the Sim
+// engine's compiledPair plus the resumable score of every candidate-table
+// entry and the record order that numbers cluster labels. Inside Link it
+// lives for the whole call, so each δ pass resumes every pair where the
+// previous pass stopped scoring it.
+type preMatcher struct {
+	*compiledPair
+	// sum[e] and next[e] are table entry e's partial similarity and the
+	// number of weighted matchers already added to it
+	// (compare.Engine.ResumeAtLeast); both zero before its first pass.
+	sum  []float64
+	next []uint8
+	// byID lists every old position i and new position nOld+j, ordered by
+	// record ID and old before new on equal IDs. Labels are numbered by
+	// walking it once per pass.
+	byID []int32
+}
 
-// preMatch is the full pre-matching implementation: bounded chunk workers
-// with panic isolation, cooperative cancellation and the configured panic
-// policy. Under PanicSkip a failed chunk contributes no comparisons and is
-// counted on obs.PanicsRecovered; the surviving chunks still merge
-// deterministically because results are slotted by chunk index.
+// newPreMatcher allocates the per-entry score state of cp's table and
+// sorts the record IDs of both datasets once.
+func newPreMatcher(cp *compiledPair) *preMatcher {
+	old, new := cp.eng.Old.Recs, cp.eng.New.Recs
+	byID := make([]int32, len(old)+len(new))
+	for i := range byID {
+		byID[i] = int32(i)
+	}
+	id := func(v int32) string {
+		if int(v) < len(old) {
+			return old[v].ID
+		}
+		return new[int(v)-len(old)].ID
+	}
+	slices.SortFunc(byID, func(a, b int32) int {
+		if c := strings.Compare(id(a), id(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return &preMatcher{
+		compiledPair: cp,
+		sum:          make([]float64, cp.tab.Pairs()),
+		next:         make([]uint8, cp.tab.Pairs()),
+		byID:         byID,
+	}
+}
+
+// bytes returns the memory of the candidate table and its score state.
+func (pm *preMatcher) bytes() int {
+	return pm.tab.Bytes() + 8*len(pm.sum) + len(pm.next)
+}
+
+// preMatch is one pre-matching pass at threshold delta over the old
+// records at positions oldPos and the active new records. It scores the
+// candidate-table rows of oldPos on bounded chunk workers with panic
+// isolation and cooperative cancellation (runChunks, stage "prematch"),
+// resuming every active entry's score through
+// compare.Engine.ResumeAtLeast, so accepted pairs carry similarities
+// bit-for-bit equal to SimFunc.AggSim. Under PanicSkip a failed chunk
+// contributes no comparisons and is counted on obs.PanicsRecovered; the
+// surviving chunks still merge deterministically because results are
+// slotted by chunk index. The links are then clustered with a
+// position-keyed union-find.
 //
-// Candidates come from cp's prebuilt index filtered by the active mask
-// (cp.setActive must have been called for this new slice), and pairs are
-// scored through the memoizing engine with early exit; accepted pairs carry
-// similarities bit-for-bit equal to SimFunc.AggSim.
-func preMatch(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record,
-	f SimFunc, workers int, policy PanicPolicy, st *obs.Stats, cp *compiledPair) (*PreMatchResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	gen0 := cp.ix.Generated()
-
+// Chunks own disjoint rows, so they update disjoint score entries; oldPos
+// must not repeat a position.
+func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float64,
+	workers int, policy PanicPolicy, st *obs.Stats) (*PreMatchResult, error) {
 	type chunkResult struct {
-		pairs []Pair
-		sims  []float64
-		n     int
+		links             []CandidateLink
+		compared, blocked int
 	}
-	// Split the old records into contiguous chunks, one result slot per
-	// chunk, so the merged output is deterministic regardless of scheduling.
-	chunkSize := (len(old) + workers - 1) / workers
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
-	var chunks [][]*census.Record
-	for i := 0; i < len(old); i += chunkSize {
-		end := i + chunkSize
-		if end > len(old) {
-			end = len(old)
-		}
-		chunks = append(chunks, old[i:end])
-	}
+	chunks := splitChunks(len(oldPos), workers)
 	results := make([]chunkResult, len(chunks))
-	errs := make([]error, len(chunks))
-	runChunk := func(ci int, chunk []*census.Record) (res chunkResult, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				pe := panicErr("prematch", f.Delta, r, debug.Stack())
-				pe.Chunk = ci
-				err = pe
-			}
-		}()
-		if e := faultinject.Hit("linkage.prematch.chunk"); e != nil {
-			return res, &PipelineError{Stage: "prematch", Delta: f.Delta, Chunk: ci, Err: e}
-		}
-		// The scratch's epoch-stamp dedup state is allocated once per chunk
-		// and reused across every candidate query of the chunk.
-		var scratch block.Scratch
-		for j, o := range chunk {
-			if j%cancelCheckEvery == 0 {
+	skipped, err := runChunks(ctx, "prematch", delta, chunks, policy, st, func(ci, lo, hi int) error {
+		res := &results[ci]
+		for j := lo; j < hi; j++ {
+			if (j-lo)%cancelCheckEvery == 0 {
 				if e := ctx.Err(); e != nil {
-					return res, cancelErr("prematch", f.Delta, e)
+					return cancelErr("prematch", delta, e)
 				}
 			}
-			oi, ok := cp.eng.Old.Pos(o.ID)
-			if !ok {
-				continue
-			}
-			for _, ni := range cp.ix.CandidateIndices(o, oldYear, &scratch) {
-				if !cp.active[ni] {
-					continue
+			oi := int(oldPos[j])
+			res.blocked += pm.tab.Raw(oi)
+			e := pm.tab.Offset(oi)
+			for _, ni := range pm.tab.Row(oi) {
+				if pm.active[ni] {
+					res.compared++
+					if pm.eng.ResumeAtLeast(oi, int(ni), delta, &pm.sum[e], &pm.next[e]) {
+						res.links = append(res.links, CandidateLink{Old: int32(oi), New: ni, Sim: pm.sum[e]})
+					}
 				}
-				res.n++
-				if s, hit := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); hit {
-					res.pairs = append(res.pairs, Pair{Old: o.ID, New: cp.ix.Record(ni).ID})
-					res.sims = append(res.sims, s)
-				}
+				e++
 			}
 		}
-		return res, nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	for ci, chunk := range chunks {
-		wg.Add(1)
-		go func(ci int, chunk []*census.Record) {
-			defer wg.Done()
-			results[ci], errs[ci] = runChunk(ci, chunk)
-		}(ci, chunk)
-	}
-	wg.Wait()
-
-	// Cancellation wins over worker failures: the caller asked the whole
-	// run to stop, so report that rather than a coincidental chunk error.
-	if err := ctx.Err(); err != nil {
-		return nil, cancelErr("prematch", f.Delta, err)
-	}
-	skipped := make([]bool, len(chunks))
-	for ci, err := range errs {
-		if err == nil {
-			continue
-		}
-		if policy == PanicFailFast {
-			return nil, err
-		}
-		skipped[ci] = true
-		st.Add(obs.PanicsRecovered, 1)
-	}
-
-	// Labels is filled by uf.Labels() below; allocating it here too would
-	// just produce garbage.
-	out := &PreMatchResult{
-		Sims:      make(map[Pair]float64),
-		LabelSize: make(map[int]int),
-	}
-	uf := cluster.NewUnionFind()
-	for _, r := range old {
-		uf.Add(r.ID)
-	}
-	for _, r := range new {
-		uf.Add(r.ID)
-	}
+	out := &PreMatchResult{old: pm.eng.Old, new: pm.eng.New}
 	for ci, res := range results {
 		if skipped[ci] {
 			continue
 		}
-		out.Compared += res.n
-		for i, p := range res.pairs {
-			out.Links = append(out.Links, p)
-			out.Sims[p] = res.sims[i]
-			uf.Union(p.Old, p.New)
+		out.Compared += res.compared
+		out.Blocked += res.blocked
+		out.Links = append(out.Links, res.links...)
+	}
+	pm.cluster(out, oldPos)
+	return out, nil
+}
+
+// cluster labels the transitive closure of out.Links over the pass's input
+// records — the old records at oldPos and the active new records — with a
+// union-find over old positions i and new positions nOld+j, then numbers
+// the components by walking byID, so a component's label is its rank by
+// smallest record ID.
+func (pm *preMatcher) cluster(out *PreMatchResult, oldPos []int32) {
+	nOld := int32(len(pm.eng.Old.Recs))
+	n := len(pm.byID)
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, l := range out.Links {
+		if a, b := find(l.Old), find(nOld+l.New); a != b {
+			parent[a] = b
 		}
 	}
-	out.Labels = uf.Labels()
-	for _, l := range out.Labels {
-		out.LabelSize[l]++
+
+	// label[v] is -1 outside the input; input records are marked -2 until
+	// the walk below labels them. rootLabel[r] is the label of the
+	// component rooted at r, once its smallest record has been reached.
+	label := make([]int32, n)
+	rootLabel := make([]int32, n)
+	for i := range label {
+		label[i], rootLabel[i] = -1, -1
 	}
-	// The shared full-dataset index counts raw hits cumulatively across
-	// iterations (and including currently inactive records), so report this
-	// call's delta. On the first iteration, when every record is active,
-	// this equals the raw count of an index over the remaining records.
-	out.Blocked = int(cp.ix.Generated() - gen0)
-	return out, nil
+	for _, oi := range oldPos {
+		label[oi] = -2
+	}
+	for j, a := range pm.active {
+		if a {
+			label[nOld+int32(j)] = -2
+		}
+	}
+	for _, v := range pm.byID {
+		if label[v] == -1 {
+			continue
+		}
+		r := find(v)
+		if rootLabel[r] < 0 {
+			rootLabel[r] = int32(len(out.LabelSize))
+			out.LabelSize = append(out.LabelSize, 0)
+		}
+		label[v] = rootLabel[r]
+		out.LabelSize[label[v]]++
+	}
+	out.OldLabels, out.NewLabels = label[:nOld:nOld], label[nOld:]
 }

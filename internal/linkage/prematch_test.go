@@ -36,7 +36,7 @@ func figure3PreMatch(workers int) *PreMatchResult {
 // Fig. 3: ten clusters, with the two John Ashworths of 1881 sharing the
 // label of the 1871 John Ashworth, and Alice Ashworth/Alice Smith apart.
 func TestPreMatchFigure3(t *testing.T) {
-	pre := figure3PreMatch(1)
+	pre := viewOf(figure3PreMatch(1))
 
 	// Every record must carry a label.
 	if len(pre.Labels) != 8+11 {
@@ -50,24 +50,26 @@ func TestPreMatchFigure3(t *testing.T) {
 		t.Errorf("clusters = %d, want 10 (Fig. 3)", len(distinct))
 	}
 
-	same := func(a, b string) bool { return pre.Labels[a] == pre.Labels[b] }
+	old := func(id string) recordKey { return recordKey{ID: id} }
+	new := func(id string) recordKey { return recordKey{New: true, ID: id} }
+	same := func(a, b recordKey) bool { return pre.Labels[a] == pre.Labels[b] }
 	// Cluster A: all three John Ashworths.
-	if !same("1871_1", "1881_1") || !same("1871_1", "1881_9") {
+	if !same(old("1871_1"), new("1881_1")) || !same(old("1871_1"), new("1881_9")) {
 		t.Error("John Ashworth cluster broken")
 	}
 	// Clusters I and K: the two Alices stay apart at threshold 1.
-	if same("1871_3", "1881_7") {
+	if same(old("1871_3"), new("1881_7")) {
 		t.Error("Alice Ashworth and Alice Smith should not share a label at delta 1")
 	}
 	// Singletons.
-	for _, id := range []string{"1871_5", "1881_8"} {
-		l := pre.Labels[id]
+	for _, k := range []recordKey{old("1871_5"), new("1881_8")} {
+		l := pre.Labels[k]
 		if pre.LabelSize[l] != 1 {
-			t.Errorf("%s should be a singleton, label size %d", id, pre.LabelSize[l])
+			t.Errorf("%s should be a singleton, label size %d", k.ID, pre.LabelSize[l])
 		}
 	}
 	// Label sizes used by the uniqueness score: |A| = 3 (Eq. 8).
-	if got := pre.LabelSize[pre.Labels["1871_1"]]; got != 3 {
+	if got := pre.LabelSize[pre.Labels[old("1871_1")]]; got != 3 {
 		t.Errorf("label size of John Ashworth cluster = %d, want 3", got)
 	}
 	// Direct links store their aggregated similarity.
@@ -85,7 +87,7 @@ func TestPreMatchParallelDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(got.Links, base.Links) {
 			t.Errorf("workers=%d: links differ", workers)
 		}
-		if !reflect.DeepEqual(got.Labels, base.Labels) {
+		if !reflect.DeepEqual(got.OldLabels, base.OldLabels) || !reflect.DeepEqual(got.NewLabels, base.NewLabels) {
 			t.Errorf("workers=%d: labels differ", workers)
 		}
 		if got.Compared != base.Compared {
@@ -104,8 +106,9 @@ func TestPreMatchThresholdMonotonic(t *testing.T) {
 	if len(loose.Links) < len(strict.Links) {
 		t.Fatalf("relaxing delta removed links: %d -> %d", len(strict.Links), len(loose.Links))
 	}
-	for p := range strict.Sims {
-		if _, ok := loose.Sims[p]; !ok {
+	looseSims := loose.Sims()
+	for p := range strict.Sims() {
+		if _, ok := looseSims[p]; !ok {
 			t.Errorf("pair %v lost when relaxing delta", p)
 		}
 	}
@@ -118,7 +121,7 @@ func TestPreMatchRelaxationFindsAlice(t *testing.T) {
 	f := SimFunc{Name: "fn-sex", Delta: 0.6, Matchers: OmegaTwo(0.6).Matchers}
 	pre := preMatchT(old.Records(), old.Year, new.Records(), new.Year, f,
 		block.DefaultStrategies(), 1)
-	if _, ok := pre.Sims[Pair{Old: "1871_3", New: "1881_7"}]; !ok {
+	if _, ok := pre.Sims()[Pair{Old: "1871_3", New: "1881_7"}]; !ok {
 		t.Error("relaxed pre-matching should propose Alice Ashworth -> Alice Smith")
 	}
 }
@@ -131,7 +134,7 @@ func TestPreMatchEmptyInput(t *testing.T) {
 		t.Errorf("empty old side produced links: %+v", pre)
 	}
 	// New records still get singleton labels.
-	if len(pre.Labels) != new.NumRecords() {
-		t.Errorf("labels = %d, want %d", len(pre.Labels), new.NumRecords())
+	if got := len(viewOf(pre).Labels); got != new.NumRecords() {
+		t.Errorf("labels = %d, want %d", got, new.NumRecords())
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"censuslink/internal/block"
 	"censuslink/internal/census"
 	"censuslink/internal/hgraph"
+	"censuslink/internal/obs"
 )
 
 // runState is the per-run state of one LinkContext call: the two datasets,
@@ -26,13 +27,23 @@ type runState struct {
 	// oldGraphs and newGraphs hold one household graph per household ID
 	// (completeGroups of Algorithm 1).
 	oldGraphs, newGraphs map[string]*hgraph.Graph
+	// oldHH and newHH number each dataset's households by record position,
+	// for the candidate_groups stage.
+	oldHH, newHH householdIndex
+	// ix is the blocking index over the full new dataset. The compile
+	// stage queries it once per old record into the candidate table; no
+	// later stage queries it.
+	ix *block.Index
 	// sim scores pre-matching and the transitively linked vertex pairs of
 	// the subgraph stage; rem scores the remainder pass with Sim_func_rem.
-	// Both share the blocking index over the full new dataset and the
-	// active-record mask the δ loop narrows, and their memo tables live for
-	// the whole call, so a similarity computed at a higher δ is reused
-	// verbatim at relaxed thresholds and by the subgraph stage.
-	sim, rem *compiledPair
+	// Both read the one candidate table and share the active-record mask
+	// the δ loop narrows, and their memo tables live for the whole call, so
+	// a similarity computed at a higher δ is reused verbatim at relaxed
+	// thresholds and by the subgraph stage. sim also keeps every table
+	// entry's resumable score, so each pass continues a pair's scoring
+	// where the previous pass stopped.
+	sim *preMatcher
+	rem *compiledPair
 }
 
 // runHook is the executor's one test seam; it is nil in production. It is
@@ -68,11 +79,15 @@ func buildGraphs(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) 
 		},
 		oldGraphs: buildAll(oldDS),
 		newGraphs: buildAll(newDS),
+		oldHH:     newHouseholdIndex(oldDS),
+		newHH:     newHouseholdIndex(newDS),
 	}, nil
 }
 
 // compile is the compile stage: it interns both datasets against each
-// similarity function and builds the blocking index once per year pair.
+// similarity function, builds the blocking index once per year pair and
+// queries it once per old record into the candidate table every later pass
+// reads, and sorts the record IDs that number cluster labels.
 func (rs *runState) compile(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return cancelErr("compile", 0, err)
@@ -80,22 +95,41 @@ func (rs *runState) compile(ctx context.Context) error {
 	stop := rs.cfg.Obs.Stage("compile")
 	defer stop()
 	oldRecs, newRecs := rs.old.Records(), rs.new.Records()
-	ix := block.NewIndex(newRecs, rs.new.Year, rs.cfg.Strategies)
+	rs.ix = block.NewIndex(newRecs, rs.new.Year, rs.cfg.Strategies)
+	tab, err := buildTable(ctx, rs.ix, oldRecs, rs.old.Year, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs)
+	if err != nil {
+		return err
+	}
 	active := make([]bool, len(newRecs))
-	rs.sim = &compiledPair{eng: rs.cfg.Sim.Compile(oldRecs, newRecs), ix: ix, active: active}
-	rs.rem = &compiledPair{eng: rs.cfg.Remainder.Compile(oldRecs, newRecs), ix: ix, active: active}
+	rs.sim = newPreMatcher(&compiledPair{eng: rs.cfg.Sim.Compile(oldRecs, newRecs), tab: tab, active: active})
+	rs.rem = &compiledPair{eng: rs.cfg.Remainder.Compile(oldRecs, newRecs), tab: tab, active: active}
+	rs.cfg.Obs.Add(obs.CandidateTablePairs, tab.Pairs())
+	rs.cfg.Obs.Add(obs.CandidateTableBytes, rs.sim.bytes())
 	return nil
 }
 
-// prematch is the prematch stage: one δ pass over the remaining records.
+// prematch is the prematch stage: one δ pass over the remaining records,
+// which scores their candidate-table entries and clusters the links.
 func (rs *runState) prematch(ctx context.Context, delta float64, remOld, remNew []*census.Record) (*PreMatchResult, error) {
 	stop := rs.cfg.Obs.Stage("prematch")
 	rs.sim.setActive(remNew)
-	pre, err := preMatch(ctx, remOld, rs.old.Year, remNew, rs.cfg.Sim.WithDelta(delta),
-		rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs, rs.sim)
+	oldPos := make([]int32, 0, len(remOld))
+	for _, o := range remOld {
+		if i, ok := rs.sim.eng.Old.Pos(o.ID); ok {
+			oldPos = append(oldPos, int32(i))
+		}
+	}
+	pre, err := rs.sim.preMatch(ctx, oldPos, delta, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs)
 	stop()
 	rs.sim.flushCounters(rs.cfg.Obs)
 	return pre, err
+}
+
+// candidateGroups is the candidate_groups stage.
+func (rs *runState) candidateGroups(pre *PreMatchResult) []GroupPair {
+	stop := rs.cfg.Obs.Stage("candidate_groups")
+	defer stop()
+	return candidateGroupPairs(pre, rs.oldHH, rs.newHH)
 }
 
 // subgraphMatch is the subgraph_match stage: the position view of the pass,
@@ -117,7 +151,7 @@ func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []Gr
 func (rs *runState) remainder(ctx context.Context, remOld, remNew []*census.Record) ([]RecordLink, error) {
 	stop := rs.cfg.Obs.Stage("remainder")
 	rs.rem.setActive(remNew)
-	links, err := matchRemainder(ctx, remOld, rs.old.Year, remNew, rs.cfg.Remainder, rs.match,
+	links, err := matchRemainder(ctx, remOld, remNew, rs.cfg.Remainder, rs.match,
 		rs.rem, rs.cfg.OptimalRemainder)
 	stop()
 	rs.rem.flushCounters(rs.cfg.Obs)
