@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"censuslink/internal/census"
+	"censuslink/internal/compare"
 	"censuslink/internal/strsim"
 )
 
@@ -41,12 +42,14 @@ type SimFunc struct {
 }
 
 // Validate checks that the weights are positive and sum to 1 (within a
-// small tolerance) so that aggregated similarities stay in [0, 1].
+// small tolerance) so that aggregated similarities stay in [0, 1], and
+// that the comparison engine can score the weighted matchers.
 func (f SimFunc) Validate() error {
 	if len(f.Matchers) == 0 {
 		return fmt.Errorf("linkage: SimFunc %q has no matchers", f.Name)
 	}
 	sum := 0.0
+	weighted := 0
 	for _, m := range f.Matchers {
 		if m.Weight < 0 {
 			return fmt.Errorf("linkage: SimFunc %q: negative weight for %v", f.Name, m.Attr)
@@ -55,6 +58,12 @@ func (f SimFunc) Validate() error {
 			return fmt.Errorf("linkage: SimFunc %q: nil similarity for %v", f.Name, m.Attr)
 		}
 		sum += m.Weight
+		if m.Weight != 0 {
+			weighted++
+		}
+	}
+	if weighted > compare.MaxWeightedMatchers {
+		return fmt.Errorf("linkage: SimFunc %q: %d weighted matchers, at most %d", f.Name, weighted, compare.MaxWeightedMatchers)
 	}
 	if sum < 0.999 || sum > 1.001 {
 		return fmt.Errorf("linkage: SimFunc %q: weights sum to %.4f, want 1", f.Name, sum)

@@ -74,6 +74,16 @@ func TestConfigSpecErrors(t *testing.T) {
 	if _, err := bad.Build(); err == nil {
 		t.Error("invalid weights accepted")
 	}
+	bad = DefaultConfigSpec()
+	m := bad.Sim.Matchers[0]
+	bad.Sim.Matchers = nil
+	for i := 0; i < 256; i++ { // one more than the engine can score
+		m.Weight = 1.0 / 256
+		bad.Sim.Matchers = append(bad.Sim.Matchers, m)
+	}
+	if _, err := bad.Build(); err == nil || !strings.Contains(err.Error(), "weighted matchers") {
+		t.Errorf("256 weighted matchers accepted: %v", err)
+	}
 	if _, err := ReadConfigSpec(strings.NewReader(`{"bogus": 1}`)); err == nil {
 		t.Error("unknown JSON field accepted")
 	}
