@@ -157,7 +157,7 @@ func BenchmarkLinkPair(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := linkage.Link(old, new, cfg); err != nil {
+		if _, err := linkage.LinkContext(context.Background(), old, new, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func BenchmarkLinkSeries(b *testing.B) {
 	cfg := linkage.DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := linkage.LinkSeries(series, cfg); err != nil {
+		if _, err := linkage.LinkSeriesOpts(context.Background(), series, cfg, linkage.SeriesOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -329,7 +329,7 @@ func TestBenchTrajectory(t *testing.T) {
 
 	statsCfg := linkage.DefaultConfig()
 	statsCfg.Obs = obs.NewStats(nil)
-	if _, err := linkage.Link(old, new, statsCfg); err != nil {
+	if _, err := linkage.LinkContext(context.Background(), old, new, statsCfg); err != nil {
 		t.Fatal(err)
 	}
 	rep := statsCfg.Obs.Report()
@@ -432,7 +432,7 @@ func TestBenchTrajectory(t *testing.T) {
 	}
 	rebuild := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := linkage.LinkSeries(series, seriesCfg)
+			res, err := linkage.LinkSeriesOpts(context.Background(), series, seriesCfg, linkage.SeriesOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -545,7 +545,7 @@ func BenchmarkEvolutionAnalysis(b *testing.B) {
 	env := benchEnv(b)
 	old := env.Series.Dataset(1871)
 	new := env.Series.Dataset(1881)
-	res, err := linkage.Link(old, new, linkage.DefaultConfig())
+	res, err := linkage.LinkContext(context.Background(), old, new, linkage.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func BenchmarkLinkScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := linkage.Link(old, new, cfg); err != nil {
+				if _, err := linkage.LinkContext(context.Background(), old, new, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

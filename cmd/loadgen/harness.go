@@ -340,11 +340,25 @@ func (h *Harness) discover(ctx context.Context) error {
 		vals := map[string]string{
 			"old": strconv.Itoa(p.Old), "new": strconv.Itoa(p.New),
 		}
-		records := h.opts.BaseURL + fillPath(tmpl["records"].path, vals)
+		recordsPath := fillPath(tmpl["records"].path, vals)
+		records := h.opts.BaseURL + recordsPath
 		h.targets["records"] = append(h.targets["records"],
 			target{"records", records},
-			target{"records", records + "?limit=50"},
-			target{"records", records + "?limit=50&offset=50"})
+			target{"records", records + "?limit=50"})
+		// The second page follows the first page's cursor. Loadgen never
+		// ingests, so the token stays valid for the whole run.
+		var firstPage struct {
+			Page struct {
+				NextCursor string `json:"next_cursor"`
+			} `json:"page"`
+		}
+		if err := h.getJSON(ctx, recordsPath+"?limit=50", &firstPage); err != nil {
+			return fmt.Errorf("loadgen: discovery: %w", err)
+		}
+		if c := firstPage.Page.NextCursor; c != "" {
+			h.targets["records"] = append(h.targets["records"],
+				target{"records", records + "?limit=50&cursor=" + c})
+		}
 		h.targets["groups"] = append(h.targets["groups"],
 			target{"groups", h.opts.BaseURL + fillPath(tmpl["groups"].path, vals)})
 		h.targets["patterns"] = append(h.targets["patterns"],

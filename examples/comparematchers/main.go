@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -56,7 +57,7 @@ func main() {
 	for _, f := range candidates {
 		cfg := linkage.DefaultConfig()
 		cfg.Sim = f
-		res, err := linkage.Link(old, new, cfg)
+		res, err := linkage.LinkContext(context.Background(), old, new, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -24,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	results, err := linkage.LinkSeries(series, linkage.DefaultConfig())
+	results, err := linkage.LinkSeriesOpts(context.Background(), series, linkage.DefaultConfig(), linkage.SeriesOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

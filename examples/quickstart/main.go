@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 		Strategies:   block.DefaultStrategies(),
 		StopOnEmpty:  true,
 	}
-	res, err := linkage.Link(old, new, cfg)
+	res, err := linkage.LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -114,7 +115,7 @@ func main() {
 		},
 		StopOnEmpty: true,
 	}
-	res, err := linkage.Link(old, new, cfg)
+	res, err := linkage.LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

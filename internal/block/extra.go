@@ -4,23 +4,7 @@ import (
 	"strings"
 
 	"censuslink/internal/census"
-	"censuslink/internal/strsim"
 )
-
-// SurnameNYSIIS blocks on the NYSIIS phonetic code of the surname, a finer
-// partition than Soundex (fewer false candidates, slightly lower recall).
-func SurnameNYSIIS() Strategy {
-	return Strategy{
-		Name: "surname-nysiis",
-		Keys: func(r *census.Record, _ int) []string {
-			code := strsim.NYSIIS(r.Surname)
-			if code == "" {
-				return nil
-			}
-			return []string{"sny:" + code}
-		},
-	}
-}
 
 // SurnameQGrams blocks on the padded q-grams of the surname: two records
 // become candidates if they share any q-gram. This is robust to arbitrary
@@ -78,20 +62,6 @@ func Composite(name string, parts ...Strategy) Strategy {
 				combined = next
 			}
 			return combined
-		},
-	}
-}
-
-// SexKey is a building block for Composite: the record's sex as a key
-// (records with unknown sex are excluded from the pass).
-func SexKey() Strategy {
-	return Strategy{
-		Name: "sex",
-		Keys: func(r *census.Record, _ int) []string {
-			if r.Sex == census.SexUnknown {
-				return nil
-			}
-			return []string{"sex:" + r.Sex.String()}
 		},
 	}
 }

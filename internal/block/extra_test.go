@@ -6,23 +6,6 @@ import (
 	"censuslink/internal/census"
 )
 
-func TestSurnameNYSIIS(t *testing.T) {
-	old := makeDataset(t, 1871, [][4]string{
-		{"a", "brown", "m", "30"},
-	})
-	new := makeDataset(t, 1881, [][4]string{
-		{"b", "browne", "m", "40"},
-		{"c", "taylor", "m", "40"},
-	})
-	pairs := collectPairs(old, new, []Strategy{SurnameNYSIIS()})
-	if !pairs["1871_0|1881_0"] {
-		t.Error("brown/browne should share a NYSIIS block")
-	}
-	if pairs["1871_0|1881_1"] {
-		t.Error("brown/taylor should not share a NYSIIS block")
-	}
-}
-
 func TestSurnameQGramsCatchesAnyTypo(t *testing.T) {
 	// A middle-of-word substitution breaks Soundex ("ashworth" vs
 	// "ashwgrth": A263 vs A262) but q-gram blocking still collides.
@@ -55,8 +38,22 @@ func TestSurnameQGramsNoDuplicateVisits(t *testing.T) {
 	}
 }
 
+// sexKey is a Composite part keyed on the record's sex; records with
+// unknown sex emit no key and so drop out of the pass.
+func sexKey() Strategy {
+	return Strategy{
+		Name: "sex",
+		Keys: func(r *census.Record, _ int) []string {
+			if r.Sex == census.SexUnknown {
+				return nil
+			}
+			return []string{"sex:" + r.Sex.String()}
+		},
+	}
+}
+
 func TestComposite(t *testing.T) {
-	comp := Composite("surname+sex", SurnameSoundex(), SexKey())
+	comp := Composite("surname+sex", SurnameSoundex(), sexKey())
 	old := makeDataset(t, 1871, [][4]string{
 		{"a", "smith", "m", "30"},
 		{"b", "smith", "", "30"}, // unknown sex: excluded
@@ -82,7 +79,7 @@ func TestComposite(t *testing.T) {
 func TestCompositeMultiKeyParts(t *testing.T) {
 	// BirthYearBand emits three keys; composite with sex must multiply out
 	// and still match neighbouring bands.
-	comp := Composite("birthyear+sex", BirthYearBand(5), SexKey())
+	comp := Composite("birthyear+sex", BirthYearBand(5), sexKey())
 	old := makeDataset(t, 1871, [][4]string{{"a", "x", "m", "30"}})
 	new := makeDataset(t, 1881, [][4]string{{"b", "y", "m", "41"}})
 	pairs := collectPairs(old, new, []Strategy{comp})

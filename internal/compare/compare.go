@@ -148,7 +148,7 @@ func (pm *pairMemo) shard(key uint64) *memoShard {
 
 // Engine scores (old record index, new record index) pairs between two
 // compiled datasets. It is safe for concurrent use and is designed to live
-// across all δ-iterations of a Link call so that similarities computed at a
+// across all δ-iterations of a LinkContext call so that similarities computed at a
 // higher threshold are reused verbatim at relaxed ones.
 type Engine struct {
 	Old *CompiledDataset

@@ -50,16 +50,12 @@ func BuildGraph(series *census.Series, results []*linkage.Result) (*Graph, error
 	return BuildGraphContext(context.Background(), series, results, nil)
 }
 
-// BuildGraphObs is BuildGraph with observability: the assembly is timed as
-// the "evolution_build" stage and the graph size lands on the collector's
-// run totals. A nil collector reports nothing.
-func BuildGraphObs(series *census.Series, results []*linkage.Result, st *obs.Stats) (*Graph, error) {
-	return BuildGraphContext(context.Background(), series, results, st)
-}
-
-// BuildGraphContext is BuildGraphObs with cooperative cancellation: the
-// context is observed between census pairs, so a deadline or SIGINT aborts
-// the assembly of a long series promptly with an error wrapping ctx.Err().
+// BuildGraphContext is BuildGraph with observability and cooperative
+// cancellation. The assembly is timed as the "evolution_build" stage and the
+// graph size lands on the collector's run totals (a nil collector reports
+// nothing). The context is observed between census pairs, so a deadline or
+// SIGINT aborts the assembly of a long series promptly with an error
+// wrapping ctx.Err().
 func BuildGraphContext(ctx context.Context, series *census.Series, results []*linkage.Result, st *obs.Stats) (*Graph, error) {
 	defer st.Stage("evolution_build")()
 	g, err := buildGraph(ctx, series, results)

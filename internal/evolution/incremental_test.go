@@ -1,6 +1,7 @@
 package evolution
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -20,7 +21,7 @@ func linkedSeries(t *testing.T, scale float64, seed int64) (*census.Series, []*l
 	if len(series.Datasets) < 4 {
 		t.Fatalf("need >= 4 census years for a multi-append differential, got %d", len(series.Datasets))
 	}
-	results, err := linkage.LinkSeries(series, linkage.DefaultConfig())
+	results, err := linkage.LinkSeriesOpts(context.Background(), series, linkage.DefaultConfig(), linkage.SeriesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

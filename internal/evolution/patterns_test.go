@@ -1,6 +1,7 @@
 package evolution
 
 import (
+	"context"
 	"testing"
 
 	"censuslink/internal/census"
@@ -97,7 +98,7 @@ func TestAnalyzeUnclassifiedLinks(t *testing.T) {
 		t.Errorf("preserve_G=%v move=%v, want 2 and 2", a.PreservedGroups, a.Moves)
 	}
 	// The iterative pipeline itself never produces memberless links.
-	realRes, err := linkage.Link(old, new, linkage.DefaultConfig())
+	realRes, err := linkage.LinkContext(context.Background(), old, new, linkage.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

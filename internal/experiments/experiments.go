@@ -49,12 +49,6 @@ type Options struct {
 	Ctx context.Context
 }
 
-// DefaultOptions runs at 10% of the paper's scale — large enough for stable
-// statistics, small enough for interactive runs.
-func DefaultOptions() Options {
-	return Options{Scale: 0.10, Seed: 1871}
-}
-
 // Quality pairs the record- and group-mapping metrics of one linkage run.
 type Quality struct {
 	Record, Group evaluate.Metrics

@@ -42,7 +42,7 @@ type compiledPair struct {
 	// old dataset; row i is old record i's.
 	tab *block.CandidateTable
 	// active[i] reports whether new record i is still unlinked; shared by
-	// the pre-matching and remainder passes of one Link call.
+	// the pre-matching and remainder passes of one LinkContext call.
 	active []bool
 	// Last engine counter values flushed to obs, so each stage reports
 	// deltas rather than cumulative totals.

@@ -1,6 +1,7 @@
 package linkage_test
 
 import (
+	"context"
 	"fmt"
 
 	"censuslink/internal/block"
@@ -23,7 +24,7 @@ func ExampleLink() {
 		Strategies:   block.DefaultStrategies(),
 		StopOnEmpty:  true,
 	}
-	res, err := linkage.Link(old, new, cfg)
+	res, err := linkage.LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -103,7 +104,7 @@ func TestFrequencyScaledLinkStillWorks(t *testing.T) {
 	// frequent names no longer reach 1.0.
 	cfg.Sim.Delta = 0.85
 	cfg.DeltaHigh, cfg.DeltaLow = 0.85, 0.85
-	res, err := Link(old, new, cfg)
+	res, err := LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

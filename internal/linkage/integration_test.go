@@ -30,7 +30,7 @@ func linkedPair(t *testing.T) (*census.Dataset, *census.Dataset, *linkage.Result
 		if pairErr != nil {
 			return
 		}
-		pairResult, pairErr = linkage.Link(pairOld, pairNew, linkage.DefaultConfig())
+		pairResult, pairErr = linkage.LinkContext(context.Background(), pairOld, pairNew, linkage.DefaultConfig())
 	})
 	if pairErr != nil {
 		t.Fatal(pairErr)
@@ -139,7 +139,7 @@ func TestPipelineSeedStability(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := linkage.Link(old, new, linkage.DefaultConfig())
+		res, err := linkage.LinkContext(context.Background(), old, new, linkage.DefaultConfig())
 		if err != nil {
 			return false
 		}
@@ -159,7 +159,7 @@ func TestVertexGuardsImprovePrecision(t *testing.T) {
 	old, new, res := linkedPair(t)
 	cfg := linkage.DefaultConfig()
 	cfg.VertexGuards = true
-	guarded, err := linkage.Link(old, new, cfg)
+	guarded, err := linkage.LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

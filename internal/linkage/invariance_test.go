@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -120,7 +121,7 @@ func TestLinkInvariantUnderIDRenaming(t *testing.T) {
 		if cfg.Strategies, err = ParseBlocking(scheme); err != nil {
 			t.Fatal(err)
 		}
-		base, err := Link(old, new, cfg)
+		base, err := LinkContext(context.Background(), old, new, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestLinkInvariantUnderIDRenaming(t *testing.T) {
 		}
 		for name, rn := range renamings {
 			t.Run(scheme+"/"+name, func(t *testing.T) {
-				got, err := Link(renameDataset(t, old, rn[0]), renameDataset(t, new, rn[1]), cfg)
+				got, err := LinkContext(context.Background(), renameDataset(t, old, rn[0]), renameDataset(t, new, rn[1]), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -67,7 +67,7 @@ type Config struct {
 	Obs *obs.Stats
 	// GraphCache, when non-nil, memoizes household-graph enrichment per
 	// dataset content hash, so a process linking many year pairs over a
-	// shared series (LinkSeries, the linkserver, an append-only evolution
+	// shared series (LinkSeriesOpts, the linkserver, an append-only evolution
 	// build) enriches each census year once instead of once per pair. Like
 	// Workers this is an execution knob: results are identical with or
 	// without it and Fingerprint ignores it.
@@ -201,31 +201,8 @@ type Result struct {
 	RemainderGroupLinks int
 }
 
-// RecordPairs returns the record mapping as a set of ID pairs.
-func (r *Result) RecordPairs() map[Pair]bool {
-	out := make(map[Pair]bool, len(r.RecordLinks))
-	for _, l := range r.RecordLinks {
-		out[Pair{Old: l.Old, New: l.New}] = true
-	}
-	return out
-}
-
-// GroupPairsSet returns the group mapping as a set of household ID pairs.
-func (r *Result) GroupPairsSet() map[GroupPair]bool {
-	out := make(map[GroupPair]bool, len(r.GroupLinks))
-	for _, l := range r.GroupLinks {
-		out[GroupPair{Old: l.Old, New: l.New}] = true
-	}
-	return out
-}
-
-// Link runs the full iterative record and group linkage (Algorithm 1)
-// between two successive census datasets.
-func Link(oldDS, newDS *census.Dataset, cfg Config) (*Result, error) {
-	return LinkContext(context.Background(), oldDS, newDS, cfg)
-}
-
-// LinkContext is Link with cooperative cancellation: the iteration loop,
+// LinkContext runs the full iterative record and group linkage
+// (Algorithm 1) between two successive census datasets. The iteration loop,
 // the pre-matching chunk workers, the subgraph-match worker pool and the
 // remainder pass all observe ctx at checkpoints, so a deadline or SIGINT
 // aborts the run promptly with a *PipelineError wrapping ctx.Err()
@@ -284,7 +261,7 @@ func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook ru
 		}
 		cfg.Obs.Add(obs.Subgraphs, len(subs))
 		stop := cfg.Obs.Stage("selection")
-		accepted := SelectGroupLinksDetailed(subs)
+		accepted := SelectGroupLinks(subs)
 		stop()
 		var groups []GroupLink
 		var records []RecordLink

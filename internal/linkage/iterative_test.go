@@ -47,7 +47,7 @@ func runningExampleConfig() Config {
 // group mapping (four household links) described in Section 2.
 func TestLinkRunningExample(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	res, err := Link(old, new, runningExampleConfig())
+	res, err := LinkContext(context.Background(), old, new, runningExampleConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestLinkRunningExample(t *testing.T) {
 	for _, g := range paperexample.TrueGroupMapping() {
 		wantGroups[GroupPair{Old: g[0], New: g[1]}] = true
 	}
-	gotGroups := res.GroupPairsSet()
+	gotGroups := groupPairsSet(res)
 	if len(gotGroups) != len(wantGroups) {
 		t.Fatalf("group mapping = %v, want %v", res.GroupLinks, wantGroups)
 	}
@@ -91,7 +91,7 @@ func TestLinkRecordMappingIsOneToOne(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	old, new := paperexample.Old(), paperexample.New()
-	res, err := Link(old, new, cfg)
+	res, err := LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLinkIterationSchedule(t *testing.T) {
 	cfg.StopOnEmpty = false
 	cfg.Workers = 1
 	old, new := paperexample.Old(), paperexample.New()
-	res, err := Link(old, new, cfg)
+	res, err := LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDeltaScheduleClampsToDeltaLow(t *testing.T) {
 
 	cfg.StopOnEmpty = false
 	cfg.Workers = 1
-	res, err := Link(paperexample.Old(), paperexample.New(), cfg)
+	res, err := LinkContext(context.Background(), paperexample.Old(), paperexample.New(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestLinkNonIterative(t *testing.T) {
 	cfg.DeltaHigh, cfg.DeltaLow, cfg.DeltaStep = 0.5, 0.5, 0
 	cfg.Workers = 1
 	old, new := paperexample.Old(), paperexample.New()
-	res, err := Link(old, new, cfg)
+	res, err := LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +244,13 @@ func TestLinkDeterminism(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	base, err := Link(old, new, cfg)
+	base, err := LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 0} {
 		cfg.Workers = workers
-		got, err := Link(old, new, cfg)
+		got, err := LinkContext(context.Background(), old, new, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestMatchRemainingAgeWindow(t *testing.T) {
 // group pair recorded.
 func TestLinkProvenance(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	res, err := Link(old, new, runningExampleConfig())
+	res, err := LinkContext(context.Background(), old, new, runningExampleConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestLinkOptimalRemainderConfig(t *testing.T) {
 	cfg := runningExampleConfig()
 	cfg.OptimalRemainder = true
 	old, new := paperexample.Old(), paperexample.New()
-	res, err := Link(old, new, cfg)
+	res, err := LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,4 +425,14 @@ func TestLinkOptimalRemainderConfig(t *testing.T) {
 			t.Errorf("link %s -> %s missing under optimal remainder", o, n)
 		}
 	}
+}
+
+// groupPairsSet returns the group mapping of a result as a set of household
+// ID pairs.
+func groupPairsSet(r *Result) map[GroupPair]bool {
+	out := make(map[GroupPair]bool, len(r.GroupLinks))
+	for _, l := range r.GroupLinks {
+		out[GroupPair{Old: l.Old, New: l.New}] = true
+	}
+	return out
 }

@@ -24,7 +24,7 @@ func TestObsReportMatchesResult(t *testing.T) {
 	}
 	cfg := linkage.DefaultConfig()
 	cfg.Obs = obs.NewStats(nil)
-	res, err := linkage.Link(old, new, cfg)
+	res, err := linkage.LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestObsPreMatchAgreement(t *testing.T) {
 	}
 	cfg := linkage.DefaultConfig()
 	cfg.Obs = obs.NewStats(nil)
-	if _, err := linkage.Link(old, new, cfg); err != nil {
+	if _, err := linkage.LinkContext(context.Background(), old, new, cfg); err != nil {
 		t.Fatal(err)
 	}
 	rep := cfg.Obs.Report()
@@ -129,13 +129,13 @@ func TestObsNilConfigUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := linkage.Link(old, new, linkage.DefaultConfig())
+	plain, err := linkage.LinkContext(context.Background(), old, new, linkage.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := linkage.DefaultConfig()
 	cfg.Obs = obs.NewStats(nil)
-	observed, err := linkage.Link(old, new, cfg)
+	observed, err := linkage.LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

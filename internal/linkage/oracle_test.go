@@ -201,7 +201,7 @@ func linkWithOracle(t *testing.T, old, new *census.Dataset, cfg Config) *Result 
 		t.Fatalf("vacuous check: %d iterations with %d links, %d remainder passes with %d links",
 			c.iterations, c.links, c.remainders, c.remainderLinks)
 	}
-	plain, err := Link(old, new, cfg)
+	plain, err := LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestLinkSeriesEngineDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	results, err := LinkSeries(series, cfg)
+	results, err := LinkSeriesOpts(context.Background(), series, cfg, SeriesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestObsCompiledCacheCounters(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Obs = obs.NewStats(nil)
-	if _, err := Link(old, new, cfg); err != nil {
+	if _, err := LinkContext(context.Background(), old, new, cfg); err != nil {
 		t.Fatal(err)
 	}
 	rep := cfg.Obs.Report()

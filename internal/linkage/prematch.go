@@ -30,7 +30,7 @@ type CandidateLink struct {
 // aggregated similarities, the cluster label of every record of the
 // transitive closure, and the per-label record counts used by the
 // uniqueness score. Positions index the old and new record lists the pass
-// was compiled over (inside Link, the full datasets). Record IDs are unique
+// was compiled over (inside LinkContext, the full datasets). Record IDs are unique
 // only within one census year, so the string views look records up per
 // side.
 type PreMatchResult struct {
@@ -53,7 +53,7 @@ type PreMatchResult struct {
 	// generated for this pass's old records across all strategies before
 	// deduplication; Blocked - Compared measures the overlap of the
 	// multi-pass strategies. Candidates come from the candidate table,
-	// which keeps each old record's raw count, so inside Link a relaxed
+	// which keeps each old record's raw count, so inside LinkContext a relaxed
 	// pass also counts hits on new records linked in earlier iterations.
 	Blocked int
 	// old and new are the compiled record lists the positions index.
@@ -145,7 +145,7 @@ func PreMatchOpts(ctx context.Context, old, new []*census.Record, opts PreMatchO
 
 // preMatcher is the resident pre-matching state of one year pair: the Sim
 // engine's compiledPair plus the resumable score of every candidate-table
-// entry and the record order that numbers cluster labels. Inside Link it
+// entry and the record order that numbers cluster labels. Inside LinkContext it
 // lives for the whole call, so each δ pass resumes every pair where the
 // previous pass stopped scoring it.
 type preMatcher struct {

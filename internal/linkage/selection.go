@@ -49,12 +49,12 @@ type Accepted struct {
 	GSim    float64
 }
 
-// SelectGroupLinksDetailed implements Algorithm 2: subgraphs are consumed
+// SelectGroupLinks implements Algorithm 2: subgraphs are consumed
 // in order of their aggregated similarity; a group pair is accepted only if
 // none of its subgraph's records were already linked through another pair
 // involving the same household, which both keeps the derived record mapping
 // 1:1 and still permits N:M group mappings over disjoint subgroups.
-func SelectGroupLinksDetailed(subs []*Subgraph) []Accepted {
+func SelectGroupLinks(subs []*Subgraph) []Accepted {
 	pq := make(subgraphHeap, 0, len(subs))
 	for _, s := range subs {
 		if s != nil && len(s.Vertices) > 0 {
@@ -100,17 +100,4 @@ func SelectGroupLinksDetailed(subs []*Subgraph) []Accepted {
 		out = append(out, acc)
 	}
 	return out
-}
-
-// SelectGroupLinks returns the accepted group links and the record links
-// extracted from the accepted subgraphs (extractRecordMapping of
-// Algorithm 1).
-func SelectGroupLinks(subs []*Subgraph) ([]GroupLink, []RecordLink) {
-	var groups []GroupLink
-	var records []RecordLink
-	for _, acc := range SelectGroupLinksDetailed(subs) {
-		groups = append(groups, acc.Group)
-		records = append(records, acc.Records...)
-	}
-	return groups, records
 }

@@ -22,12 +22,24 @@ func mkSub(oldHH, newHH string, gsim float64, pairs ...[2]string) *Subgraph {
 	return s
 }
 
+// selectPairs runs Algorithm 2 and flattens the accepted subgraphs into the
+// group links and the record links extracted from them.
+func selectPairs(subs []*Subgraph) ([]GroupLink, []RecordLink) {
+	var groups []GroupLink
+	var records []RecordLink
+	for _, acc := range SelectGroupLinks(subs) {
+		groups = append(groups, acc.Group)
+		records = append(records, acc.Records...)
+	}
+	return groups, records
+}
+
 // TestSelectionPrefersHigherGSim: with two candidates for the same records,
 // only the higher-scoring group pair survives (the paper's a vs. d case).
 func TestSelectionPrefersHigherGSim(t *testing.T) {
 	subA := mkSub("ga", "na", 0.59, [2]string{"o1", "n1"}, [2]string{"o2", "n2"})
 	subD := mkSub("ga", "nd", 0.37, [2]string{"o1", "m1"}, [2]string{"o2", "m2"})
-	groups, records := SelectGroupLinks([]*Subgraph{subD, subA})
+	groups, records := selectPairs([]*Subgraph{subD, subA})
 	if len(groups) != 1 || groups[0] != (GroupLink{Old: "ga", New: "na"}) {
 		t.Fatalf("groups = %v", groups)
 	}
@@ -41,7 +53,7 @@ func TestSelectionPrefersHigherGSim(t *testing.T) {
 func TestSelectionAllowsDisjointNToM(t *testing.T) {
 	s1 := mkSub("ga", "n1", 0.8, [2]string{"o1", "a1"}, [2]string{"o2", "a2"})
 	s2 := mkSub("ga", "n2", 0.6, [2]string{"o3", "b1"}, [2]string{"o4", "b2"})
-	groups, records := SelectGroupLinks([]*Subgraph{s1, s2})
+	groups, records := selectPairs([]*Subgraph{s1, s2})
 	if len(groups) != 2 {
 		t.Fatalf("disjoint split should produce 2 group links, got %v", groups)
 	}
@@ -55,7 +67,7 @@ func TestSelectionAllowsDisjointNToM(t *testing.T) {
 func TestSelectionRejectsOverlapOnNewSide(t *testing.T) {
 	s1 := mkSub("g1", "nh", 0.9, [2]string{"o1", "n1"}, [2]string{"o2", "n2"})
 	s2 := mkSub("g2", "nh", 0.7, [2]string{"p1", "n1"}) // n1 already taken
-	groups, _ := SelectGroupLinks([]*Subgraph{s1, s2})
+	groups, _ := selectPairs([]*Subgraph{s1, s2})
 	if len(groups) != 1 || groups[0].Old != "g1" {
 		t.Fatalf("groups = %v", groups)
 	}
@@ -66,7 +78,7 @@ func TestSelectionRejectsOverlapOnNewSide(t *testing.T) {
 func TestSelectionPartialOverlapMerge(t *testing.T) {
 	s1 := mkSub("g1", "nh", 0.9, [2]string{"o1", "n1"}, [2]string{"o2", "n2"})
 	s2 := mkSub("g2", "nh", 0.7, [2]string{"p1", "n3"}, [2]string{"p2", "n4"})
-	groups, records := SelectGroupLinks([]*Subgraph{s1, s2})
+	groups, records := selectPairs([]*Subgraph{s1, s2})
 	if len(groups) != 2 {
 		t.Fatalf("merge should produce 2 group links, got %v", groups)
 	}
@@ -84,7 +96,7 @@ func TestSelectionRecordMapping1To1(t *testing.T) {
 		mkSub("g1", "n3", 0.7, [2]string{"o3", "c1"}),                        // disjoint: fine
 		mkSub("g2", "n1", 0.6, [2]string{"q1", "a1"}, [2]string{"q2", "a9"}), // conflicts on a1
 	}
-	groups, records := SelectGroupLinks(subs)
+	groups, records := selectPairs(subs)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %v", groups)
 	}
@@ -103,7 +115,7 @@ func TestSelectionDeterministicTieBreak(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		s1 := mkSub("g1", "nb", 0.5, [2]string{"o1", "n1"})
 		s2 := mkSub("g1", "na", 0.5, [2]string{"o1", "n2"})
-		groups, _ := SelectGroupLinks([]*Subgraph{s1, s2})
+		groups, _ := selectPairs([]*Subgraph{s1, s2})
 		if len(groups) != 1 || groups[0].New != "na" {
 			t.Fatalf("tie break wrong: %v", groups)
 		}
@@ -111,11 +123,11 @@ func TestSelectionDeterministicTieBreak(t *testing.T) {
 }
 
 func TestSelectionEmptyAndNil(t *testing.T) {
-	groups, records := SelectGroupLinks(nil)
+	groups, records := selectPairs(nil)
 	if groups != nil || records != nil {
 		t.Error("empty input should give empty output")
 	}
-	groups, records = SelectGroupLinks([]*Subgraph{nil, {OldGroup: "g", NewGroup: "n"}})
+	groups, records = selectPairs([]*Subgraph{nil, {OldGroup: "g", NewGroup: "n"}})
 	if len(groups) != 0 || len(records) != 0 {
 		t.Error("nil and vertex-less subgraphs should be skipped")
 	}
@@ -151,7 +163,7 @@ func TestSelectionInvariantsProperty(t *testing.T) {
 			}
 			subs = append(subs, s)
 		}
-		groups, records := SelectGroupLinks(subs)
+		groups, records := selectPairs(subs)
 		seenOld := map[string]bool{}
 		seenNew := map[string]bool{}
 		for _, l := range records {

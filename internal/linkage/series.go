@@ -41,23 +41,13 @@ type SeriesOptions struct {
 	PairWorkers int
 }
 
-// LinkSeries links every successive pair of a census series with the same
-// configuration, returning one result per pair (results[i] links
-// Datasets[i] to Datasets[i+1]).
-func LinkSeries(series *census.Series, cfg Config) ([]*Result, error) {
-	return LinkSeriesContext(context.Background(), series, cfg)
-}
-
-// LinkSeriesContext is LinkSeries with cooperative cancellation: the
-// context is observed between pairs and inside every pair's pipeline (see
-// LinkContext), so a deadline or SIGINT aborts a multi-decade run promptly.
-func LinkSeriesContext(ctx context.Context, series *census.Series, cfg Config) ([]*Result, error) {
-	return LinkSeriesOpts(ctx, series, cfg, SeriesOptions{})
-}
-
-// LinkSeriesOpts is the full series entry point: LinkSeriesContext plus
-// snapshot persistence and bounded pair-level parallelism (see
-// SeriesOptions).
+// LinkSeriesOpts links every successive pair of a census series with the
+// same configuration, returning one result per pair (results[i] links
+// Datasets[i] to Datasets[i+1]). The context is observed between pairs and
+// inside every pair's pipeline (see LinkContext), so a deadline or SIGINT
+// aborts a multi-decade run promptly. opts adds snapshot persistence and
+// bounded pair-level parallelism (see SeriesOptions); the zero value links
+// every pair sequentially without a store.
 //
 // On failure the completed pair results are NOT discarded: the returned
 // slice has one slot per pair with nil marking the failed and unstarted
@@ -80,22 +70,9 @@ func LinkSeriesOpts(ctx context.Context, series *census.Series, cfg Config, opts
 	out := make([]*Result, len(pairs))
 	var todo []int
 	for i, pair := range pairs {
-		if opts.Incremental && opts.Store != nil {
-			res, err := opts.Store.LoadResult(cfgHash, pair[0], pair[1])
-			switch {
-			case res != nil:
-				out[i] = res
-				cfg.Obs.Add(obs.StoreHits, 1)
-				continue
-			case err != nil:
-				// A snapshot existed but was rejected (corrupt, truncated,
-				// version mismatch): recompute and overwrite it below.
-				cfg.Obs.Add(obs.StoreCorrupt, 1)
-			default:
-				cfg.Obs.Add(obs.StoreMisses, 1)
-			}
+		if out[i] = loadPair(opts, cfgHash, pair, cfg.Obs); out[i] == nil {
+			todo = append(todo, i)
 		}
-		todo = append(todo, i)
 	}
 
 	var err error
@@ -134,37 +111,47 @@ func LinkAppend(ctx context.Context, series *census.Series, next *census.Dataset
 	if opts.Store != nil {
 		cfgHash = cfg.Fingerprint()
 	}
-	if opts.Incremental && opts.Store != nil {
-		res, err := opts.Store.LoadResult(cfgHash, last, next)
-		switch {
-		case res != nil:
-			cfg.Obs.Add(obs.StoreHits, 1)
-			return res, nil
-		case err != nil:
-			cfg.Obs.Add(obs.StoreCorrupt, 1)
-		default:
-			cfg.Obs.Add(obs.StoreMisses, 1)
-		}
+	pair := [2]*census.Dataset{last, next}
+	if res := loadPair(opts, cfgHash, pair, cfg.Obs); res != nil {
+		return res, nil
 	}
-	res, err := LinkContext(ctx, last, next, cfg)
+	return linkAndSave(ctx, opts, cfgHash, pair, cfg)
+}
+
+// loadPair probes the store for one pair's snapshot when opts asks for an
+// incremental run, counting the outcome on obs.StoreHits, StoreMisses or
+// StoreCorrupt. It returns nil when the pair must be computed: no snapshot,
+// or one that was rejected (corrupt, truncated, version mismatch) and is
+// overwritten by the fresh result.
+func loadPair(opts SeriesOptions, cfgHash string, pair [2]*census.Dataset, st *obs.Stats) *Result {
+	if !opts.Incremental || opts.Store == nil {
+		return nil
+	}
+	res, err := opts.Store.LoadResult(cfgHash, pair[0], pair[1])
+	switch {
+	case res != nil:
+		st.Add(obs.StoreHits, 1)
+	case err != nil:
+		st.Add(obs.StoreCorrupt, 1)
+	default:
+		st.Add(obs.StoreMisses, 1)
+	}
+	return res
+}
+
+// linkAndSave links one pair and writes the fresh result through to the
+// store, if there is one.
+func linkAndSave(ctx context.Context, opts SeriesOptions, cfgHash string, pair [2]*census.Dataset, cfg Config) (*Result, error) {
+	res, err := LinkContext(ctx, pair[0], pair[1], cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := savePair(opts, cfgHash, [2]*census.Dataset{last, next}, res); err != nil {
-		return nil, err
+	if opts.Store != nil {
+		if err := opts.Store.SaveResult(cfgHash, pair[0], pair[1], res); err != nil {
+			return nil, fmt.Errorf("linkage: store pair %d-%d: %w", pair[0].Year, pair[1].Year, err)
+		}
 	}
 	return res, nil
-}
-
-// savePair writes one freshly computed result through to the store.
-func savePair(opts SeriesOptions, cfgHash string, pair [2]*census.Dataset, res *Result) error {
-	if opts.Store == nil {
-		return nil
-	}
-	if err := opts.Store.SaveResult(cfgHash, pair[0], pair[1], res); err != nil {
-		return fmt.Errorf("linkage: store pair %d-%d: %w", pair[0].Year, pair[1].Year, err)
-	}
-	return nil
 }
 
 // completedCount counts the non-nil slots, i.e. the pairs whose results the
@@ -185,10 +172,7 @@ func linkPairsSequential(ctx context.Context, pairs [][2]*census.Dataset, cfg Co
 	opts SeriesOptions, todo []int, out []*Result) error {
 	for _, i := range todo {
 		pair := pairs[i]
-		res, err := LinkContext(ctx, pair[0], pair[1], cfg)
-		if err == nil {
-			err = savePair(opts, cfgHash, pair, res)
-		}
+		res, err := linkAndSave(ctx, opts, cfgHash, pair, cfg)
 		if err != nil {
 			return &SeriesError{
 				OldYear:   pair[0].Year,
@@ -239,10 +223,7 @@ func linkPairsParallel(ctx context.Context, pairs [][2]*census.Dataset, cfg Conf
 					children[ti] = obs.NewStats(nil)
 					pcfg.Obs = children[ti]
 				}
-				res, err := LinkContext(pctx, pair[0], pair[1], pcfg)
-				if err == nil {
-					err = savePair(opts, cfgHash, pair, res)
-				}
+				res, err := linkAndSave(pctx, opts, cfgHash, pair, pcfg)
 				if err != nil {
 					errs[ti] = err
 					stopOnce.Do(func() { close(stopFeed) }) // fail fast: no new pairs

@@ -288,7 +288,7 @@ func TestLinkAppend(t *testing.T) {
 	next := series.Datasets[n-1]
 	cfg := linkage.DefaultConfig()
 
-	full, err := linkage.LinkSeries(series, cfg)
+	full, err := linkage.LinkSeriesOpts(context.Background(), series, cfg, linkage.SeriesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,5 +349,48 @@ func TestLinkSeriesOrderingInvariants(t *testing.T) {
 		}) {
 			t.Errorf("pair %d: record links not sorted", i)
 		}
+	}
+}
+
+// TestLinkAppendCorruptRecompute: LinkAppend over a rejected snapshot counts
+// it once, recomputes the pair and writes the fresh result through.
+func TestLinkAppendCorruptRecompute(t *testing.T) {
+	series := synthSeries(t)
+	n := len(series.Datasets)
+	head := census.NewSeries(series.Datasets[:n-1]...)
+	next := series.Datasets[n-1]
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := linkage.DefaultConfig()
+	cold, err := linkage.LinkAppend(context.Background(), head, next, cfg,
+		linkage.SeriesOptions{Store: st, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	co := &corruptOnce{inner: st, failYear: head.Datasets[n-2].Year}
+	stats := obs.NewStats(nil)
+	cfg.Obs = stats
+	got, err := linkage.LinkAppend(context.Background(), head, next, cfg,
+		linkage.SeriesOptions{Store: co, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stats.Total(obs.StoreCorrupt); n != 1 {
+		t.Errorf("store corrupt counter = %d, want 1", n)
+	}
+	if n := stats.Total(obs.StoreHits) + stats.Total(obs.StoreMisses); n != 0 {
+		t.Errorf("store hits+misses = %d, want 0", n)
+	}
+	if stats.Total(obs.PairsCompared) == 0 {
+		t.Error("corrupt snapshot was not recomputed")
+	}
+	if !co.resaved {
+		t.Error("corrupt pair was not overwritten with a fresh snapshot")
+	}
+	if !reflect.DeepEqual(got, cold) {
+		t.Error("recomputed append differs from the cold run")
 	}
 }

@@ -2,6 +2,7 @@ package linkage
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,11 +22,11 @@ func TestDefaultConfigSpecBuilds(t *testing.T) {
 	}
 	// The built config must behave like the default on real data.
 	old, new := paperexample.Old(), paperexample.New()
-	a, err := Link(old, new, cfg)
+	a, err := LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Link(old, new, ref)
+	b, err := LinkContext(context.Background(), old, new, ref)
 	if err != nil {
 		t.Fatal(err)
 	}

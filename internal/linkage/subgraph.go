@@ -40,24 +40,6 @@ type Subgraph struct {
 	GSim   float64 // aggregated similarity (Eq. 4)
 }
 
-// OldRecordIDs returns the old-side record IDs of the subgraph vertices.
-func (s *Subgraph) OldRecordIDs() []string {
-	out := make([]string, len(s.Vertices))
-	for i, v := range s.Vertices {
-		out[i] = v.Old.ID
-	}
-	return out
-}
-
-// NewRecordIDs returns the new-side record IDs of the subgraph vertices.
-func (s *Subgraph) NewRecordIDs() []string {
-	out := make([]string, len(s.Vertices))
-	for i, v := range s.Vertices {
-		out[i] = v.New.ID
-	}
-	return out
-}
-
 // MatchConfig bundles the parameters of subgraph matching and group scoring.
 type MatchConfig struct {
 	// AgeTolerance τ is the maximum acceptable deviation, in years, both
@@ -416,10 +398,4 @@ func newHouseholdIndex(ds *census.Dataset) householdIndex {
 // (paper footnote 2), for diagnostic tooling.
 func (c MatchConfig) AgeConsistent(o, n *census.Record) bool {
 	return c.ageConsistent(o, n)
-}
-
-// RelPropSim is the exported form of the edge age-difference similarity:
-// it returns rp_sim and whether the two differences are compatible.
-func (c MatchConfig) RelPropSim(dOld, dNew int) (float64, bool) {
-	return c.rpSim(dOld, dNew)
 }

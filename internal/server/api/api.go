@@ -1,9 +1,8 @@
 // Package api holds the response conventions of the versioned /v1 HTTP
 // surface: the typed error envelope, small-object and streaming list
-// encoders, the uniform pagination layer (limit/offset plus opaque-cursor),
-// and the deprecation headers. Handlers in internal/server are built on
-// these helpers so every endpoint — existing or new — speaks the same
-// dialect by construction.
+// encoders and the uniform pagination layer (a page size plus an opaque
+// cursor). Handlers in internal/server are built on these helpers so every
+// endpoint — existing or new — speaks the same dialect by construction.
 package api
 
 import (
@@ -141,17 +140,9 @@ func WriteList(w http.ResponseWriter, status int, fields []Field, listName strin
 	_ = bw.Flush() // a flush error means the client is gone; nothing to do
 }
 
-// Deprecated stamps a response as served by a deprecated path: a
-// Deprecation header (RFC 9745) and a Link header naming the successor, so
-// clients learn where to migrate without breaking today.
-func Deprecated(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-}
-
 // Page describes the window a list-shaped response covers: the requested
-// limit/offset, the total number of items after filtering, how many of them
-// this response carries, and — when the request paginated by cursor — the
+// limit, the position of the window's first item (offset), the total number
+// of items after filtering, how many of them this response carries, and the
 // opaque token of the next page (absent on the last page).
 type Page struct {
 	Limit      int    `json:"limit"`
@@ -166,24 +157,22 @@ const (
 	maxPageLimit     = 1000
 )
 
-// PageParams is a parsed pagination request. ByCursor records whether the
-// client paginated with ?cursor= — those responses carry a NextCursor token
-// and their position survives basis checks, while plain offsets are
-// deprecated for feed-like reads (the series can grow under them).
+// PageParams is a parsed pagination request: the page size and the
+// position of the page's first item, decoded from the cursor.
 type PageParams struct {
-	Limit    int
-	Offset   int
-	ByCursor bool
+	Limit  int
+	Offset int
 }
 
-// ParsePage parses the uniform pagination parameters: ?limit= plus either
-// ?offset= (the historical form) or ?cursor= (an opaque token minted by a
-// previous response; a bare ?cursor= with no value opts in to cursor
-// pagination from the first page). The two are mutually exclusive. basis is
-// the resource's content basis (the same string later passed to PageOf): a
-// cursor minted against a different basis — the series changed under the
-// listing — fails with 410 gone, so clients restart from the top instead of
-// silently skipping or repeating items.
+// ParsePage parses the uniform pagination parameters: ?limit= and ?cursor=,
+// an opaque token minted by a previous response's page.next_cursor. An
+// absent or empty cursor means the first page. basis is the resource's
+// content basis (the same string later passed to PageOf): a cursor minted
+// against a different basis — the series changed under the listing — fails
+// with 410 gone, so clients restart from the top instead of silently
+// skipping or repeating items. ?offset= is refused with 400 rather than
+// ignored: a client paging by offset would otherwise get the first page
+// forever.
 func ParsePage(r *http.Request, basis string) (PageParams, *Err) {
 	p := PageParams{Limit: defaultPageLimit}
 	q := r.URL.Query()
@@ -195,33 +184,21 @@ func ParsePage(r *http.Request, basis string) (PageParams, *Err) {
 		}
 		p.Limit = n
 	}
-	hasCursor := q.Has("cursor")
-	if v := q.Get("offset"); v != "" {
-		if hasCursor {
-			return p, &Err{http.StatusBadRequest, CodeBadRequest,
-				"offset and cursor are mutually exclusive"}
-		}
-		n, e := strconv.Atoi(v)
-		if e != nil || n < 0 {
-			return p, &Err{http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("bad offset %q: want an integer >= 0", v)}
-		}
-		p.Offset = n
+	if q.Has("offset") {
+		return p, &Err{http.StatusBadRequest, CodeBadRequest,
+			"offset pagination is not supported: follow page.next_cursor with ?cursor="}
 	}
-	if hasCursor {
-		p.ByCursor = true
-		if cursor := q.Get("cursor"); cursor != "" {
-			cb, off, err := DecodeCursor(cursor)
-			if err != nil {
-				return p, &Err{http.StatusBadRequest, CodeBadRequest,
-					fmt.Sprintf("bad cursor: %v", err)}
-			}
-			if cb != basis {
-				return p, &Err{http.StatusGone, CodeGone,
-					"cursor was minted against an earlier version of this resource; restart from the first page"}
-			}
-			p.Offset = off
+	if cursor := q.Get("cursor"); cursor != "" {
+		cb, off, err := DecodeCursor(cursor)
+		if err != nil {
+			return p, &Err{http.StatusBadRequest, CodeBadRequest,
+				fmt.Sprintf("bad cursor: %v", err)}
 		}
+		if cb != basis {
+			return p, &Err{http.StatusGone, CodeGone,
+				"cursor was minted against an earlier version of this resource; restart from the first page"}
+		}
+		p.Offset = off
 	}
 	return p, nil
 }
@@ -275,8 +252,8 @@ func (w *Window[T]) Add(v T) {
 }
 
 // PageOf returns the filled page descriptor. basis must be the same string
-// the handler passed to ParsePage; when the request paginated by cursor and
-// more items remain, the descriptor carries the next page's token.
+// the handler passed to ParsePage; when more items remain, the descriptor
+// carries the next page's token.
 func (w *Window[T]) PageOf(basis string) Page {
 	p := Page{
 		Limit:    w.params.Limit,
@@ -284,16 +261,14 @@ func (w *Window[T]) PageOf(basis string) Page {
 		Total:    w.total,
 		Returned: len(w.Items),
 	}
-	if w.params.ByCursor {
-		if next := w.params.Offset + len(w.Items); next < w.total {
-			p.NextCursor = EncodeCursor(basis, next)
-		}
+	if next := w.params.Offset + len(w.Items); next < w.total {
+		p.NextCursor = EncodeCursor(basis, next)
 	}
 	return p
 }
 
 // CanonicalURL renders the request path with the query parameters in sorted
-// order, so ?limit=2&offset=1 and ?offset=1&limit=2 share one validator.
+// order, so ?limit=2&min_span=3 and ?min_span=3&limit=2 share one validator.
 func CanonicalURL(r *http.Request) string {
 	return r.URL.Path + "?" + r.URL.Query().Encode()
 }

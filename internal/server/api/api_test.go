@@ -31,23 +31,23 @@ func TestParsePage(t *testing.T) {
 	}
 	// Defaults.
 	p, apiErr := ParsePage(get(""), "b")
-	if apiErr != nil || p.Limit != defaultPageLimit || p.Offset != 0 || p.ByCursor {
+	if apiErr != nil || p.Limit != defaultPageLimit || p.Offset != 0 {
 		t.Fatalf("defaults: %+v, %v", p, apiErr)
 	}
-	// Offset form.
-	p, apiErr = ParsePage(get("?limit=5&offset=10"), "b")
-	if apiErr != nil || p.Limit != 5 || p.Offset != 10 || p.ByCursor {
-		t.Fatalf("offset form: %+v, %v", p, apiErr)
-	}
-	// Cursor form resumes at the encoded offset.
-	p, apiErr = ParsePage(get("?cursor="+EncodeCursor("b", 7)), "b")
-	if apiErr != nil || p.Offset != 7 || !p.ByCursor {
+	// The cursor resumes at the encoded position.
+	p, apiErr = ParsePage(get("?limit=5&cursor="+EncodeCursor("b", 7)), "b")
+	if apiErr != nil || p.Limit != 5 || p.Offset != 7 {
 		t.Fatalf("cursor form: %+v, %v", p, apiErr)
 	}
-	// A bare ?cursor= opts in from the first page.
+	// A bare ?cursor= is the first page.
 	p, apiErr = ParsePage(get("?cursor="), "b")
-	if apiErr != nil || p.Offset != 0 || !p.ByCursor {
-		t.Fatalf("bare cursor opt-in: %+v, %v", p, apiErr)
+	if apiErr != nil || p.Offset != 0 {
+		t.Fatalf("bare cursor: %+v, %v", p, apiErr)
+	}
+	// Offset pagination is refused, naming the cursor to follow instead.
+	if _, apiErr = ParsePage(get("?limit=5&offset=10"), "b"); apiErr == nil ||
+		apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "next_cursor") {
+		t.Fatalf("offset form: %v, want 400 naming page.next_cursor", apiErr)
 	}
 	// Stale basis: 410 gone.
 	if _, apiErr = ParsePage(get("?cursor="+EncodeCursor("old-basis", 7)), "b"); apiErr == nil ||
@@ -55,30 +55,30 @@ func TestParsePage(t *testing.T) {
 		t.Fatalf("stale cursor: %v, want 410 gone", apiErr)
 	}
 	// Malformed inputs: 400.
-	for _, q := range []string{"?limit=0", "?limit=9999", "?offset=-1", "?cursor=zzz", "?offset=1&cursor=" + EncodeCursor("b", 1)} {
+	for _, q := range []string{"?limit=0", "?limit=9999", "?offset=", "?offset=0", "?cursor=zzz", "?offset=1&cursor=" + EncodeCursor("b", 1)} {
 		if _, apiErr = ParsePage(get(q), "b"); apiErr == nil || apiErr.Status != http.StatusBadRequest {
 			t.Errorf("%s: %v, want 400", q, apiErr)
 		}
 	}
 }
 
-// TestWindowCursorCoverage pages through a sequence by cursor and checks the
-// pages tile it exactly: no item skipped, none repeated, no token on the
-// last page.
+// TestWindowCursorCoverage starts from a plain first page, follows the
+// cursor chain and checks the pages tile the sequence exactly: no item
+// skipped, none repeated, no token on the last page.
 func TestWindowCursorCoverage(t *testing.T) {
 	const total, limit = 23, 5
 	var got []int
-	params := PageParams{Limit: limit, ByCursor: true}
+	params := PageParams{Limit: limit}
 	for page := 0; ; page++ {
 		w := NewWindow[int](params)
 		for i := 0; i < total; i++ {
 			w.Add(i)
 		}
-		got = append(got, w.Items...)
 		desc := w.PageOf("b")
-		if desc.Total != total {
-			t.Fatalf("page %d: total %d, want %d", page, desc.Total, total)
+		if desc.Total != total || desc.Offset != len(got) || desc.Returned != len(w.Items) {
+			t.Fatalf("page %d: %+v after %d items, want total %d", page, desc, len(got), total)
 		}
+		got = append(got, w.Items...)
 		if desc.NextCursor == "" {
 			break
 		}
@@ -86,7 +86,7 @@ func TestWindowCursorCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		params = PageParams{Limit: limit, Offset: off, ByCursor: true}
+		params = PageParams{Limit: limit, Offset: off}
 		if page > total {
 			t.Fatal("cursor chain does not terminate")
 		}
@@ -98,16 +98,6 @@ func TestWindowCursorCoverage(t *testing.T) {
 		if v != i {
 			t.Fatalf("item %d = %d: pages skipped or repeated", i, v)
 		}
-	}
-}
-
-func TestWindowOffsetNoCursor(t *testing.T) {
-	w := NewWindow[int](PageParams{Limit: 2, Offset: 0})
-	for i := 0; i < 5; i++ {
-		w.Add(i)
-	}
-	if desc := w.PageOf("b"); desc.NextCursor != "" {
-		t.Errorf("offset pagination minted a cursor: %q", desc.NextCursor)
 	}
 }
 
@@ -142,18 +132,6 @@ func TestWriteListEncodeErrorAborts(t *testing.T) {
 	}()
 	if !counted {
 		t.Error("encode-error callback not invoked")
-	}
-}
-
-func TestDeprecatedHeaders(t *testing.T) {
-	rec := httptest.NewRecorder()
-	Deprecated(rec, "/v1/years")
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("no Deprecation header")
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/v1/years") ||
-		!strings.Contains(link, "successor-version") {
-		t.Errorf("Link = %q", link)
 	}
 }
 

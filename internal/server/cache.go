@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"censuslink/internal/census"
 	"censuslink/internal/evolution"
 	"censuslink/internal/linkage"
 	"censuslink/internal/obs"
@@ -110,25 +111,8 @@ func completedFlight(res *linkage.Result, persisted bool) *flight {
 // is probed exactly once, here — compute never re-reads the store — so the
 // store_hits/store_misses/store_corrupt counters partition the pairs.
 func (c *pairCache) warmStart() {
-	if c.s.store == nil {
-		return
-	}
 	for i, pair := range c.s.cur().series.Pairs() {
-		res, err := c.s.store.LoadResult(c.s.cfgHash, pair[0], pair[1])
-		switch {
-		case err != nil && isCorruptSnapshot(err):
-			// A bad snapshot the store has quarantined (so the next replica
-			// start sees a clean miss, not this counter again): recompute.
-			c.s.stats.Add(obs.StoreCorrupt, 1)
-		case err != nil:
-			// The medium, not the file: feeds degraded-mode accounting.
-			c.s.health.fail()
-		case res == nil:
-			c.s.stats.Add(obs.StoreMisses, 1)
-			c.s.health.ok()
-		default:
-			c.s.stats.Add(obs.StoreHits, 1)
-			c.s.health.ok()
+		if res := c.s.loadStored(pair[0], pair[1]); res != nil {
 			c.pairs[i] = completedFlight(res, true)
 		}
 	}
@@ -220,49 +204,13 @@ func (c *pairCache) result(ctx context.Context, i int) (*linkage.Result, error) 
 	}
 }
 
-// compute runs one pair's linkage under the flight's context, bounded by
-// the server-wide semaphore, and publishes the outcome. Pair indices are
-// stable across ingests (years only append), so reading the current state's
-// pair list is always consistent with slot i.
+// compute runs one pair's linkage under the flight's context and publishes
+// the outcome. Pair indices are stable across ingests (years only append),
+// so reading the current state's pair list is always consistent with slot i.
 func (c *pairCache) compute(ctx context.Context, i int, f *flight) {
 	defer f.cancel()
 	pair := c.s.cur().series.Pairs()[i]
-	var res *linkage.Result
-	err := func() error {
-		select {
-		case c.s.sem <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		defer func() { <-c.s.sem }()
-		if c.s.computeTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.s.computeTimeout)
-			defer cancel()
-		}
-		cfg := c.s.linkCfg
-		cfg.Obs = c.s.stats
-		var err error
-		res, err = c.s.linkFn(ctx, pair[0], pair[1], cfg)
-		return err
-	}()
-	persisted := false
-	if err == nil && c.s.store != nil {
-		// Write-through: persistence failures don't fail the request — the
-		// result is good — but they are counted and feed the degraded-mode
-		// state machine. While degraded the save is skipped outright (it
-		// would burn its retry budget in the request path); the recovery
-		// flush picks the flight up via persisted == false.
-		if c.s.health.isDegraded() {
-			// skip; flushUnpersisted will save it after recovery
-		} else if serr := c.s.store.SaveResult(c.s.cfgHash, pair[0], pair[1], res); serr != nil {
-			c.s.stats.Add(obs.StoreSaveErrors, 1)
-			c.s.health.fail()
-		} else {
-			persisted = true
-			c.s.health.ok()
-		}
-	}
+	res, persisted, err := c.s.computePair(ctx, pair[0], pair[1])
 	c.mu.Lock()
 	f.res, f.err = res, err
 	f.persisted = persisted
@@ -271,6 +219,69 @@ func (c *pairCache) compute(ctx context.Context, i int, f *flight) {
 	}
 	c.mu.Unlock()
 	close(f.done)
+}
+
+// loadStored probes the store for one pair's snapshot and returns it, or
+// nil when the pair must be computed: no store, no snapshot, a corrupt
+// snapshot (the store has quarantined it, so the next replica start sees a
+// clean miss; the fresh result overwrites it) or a failing medium. Hits,
+// misses and corrupt snapshots are counted; the medium's answers feed the
+// degraded-mode state machine.
+func (s *Server) loadStored(old, new *census.Dataset) *linkage.Result {
+	if s.store == nil {
+		return nil
+	}
+	res, err := s.store.LoadResult(s.cfgHash, old, new)
+	switch {
+	case err != nil && isCorruptSnapshot(err):
+		s.stats.Add(obs.StoreCorrupt, 1)
+		return nil
+	case err != nil:
+		s.health.fail()
+		return nil
+	case res == nil:
+		s.stats.Add(obs.StoreMisses, 1)
+	default:
+		s.stats.Add(obs.StoreHits, 1)
+	}
+	s.health.ok()
+	return res
+}
+
+// computePair links one pair under the server-wide semaphore and compute
+// timeout, then writes the result through to the store. persisted reports
+// whether the snapshot was written. Persistence failures do not fail the
+// computation — the result is good — but they are counted and feed the
+// degraded-mode state machine. While degraded the save is skipped outright
+// (it would burn its retry budget in the request path); the recovery flush
+// picks the result up through its flight's persisted == false.
+func (s *Server) computePair(ctx context.Context, old, new *census.Dataset) (res *linkage.Result, persisted bool, err error) {
+	res, err = func() (*linkage.Result, error) {
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		defer func() { <-s.sem }()
+		if s.computeTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.computeTimeout)
+			defer cancel()
+		}
+		cfg := s.linkCfg
+		cfg.Obs = s.stats
+		return s.linkFn(ctx, old, new, cfg)
+	}()
+	if err != nil || s.store == nil || s.health.isDegraded() {
+		return res, false, err
+	}
+	if err := s.store.SaveResult(s.cfgHash, old, new, res); err != nil {
+		s.stats.Add(obs.StoreSaveErrors, 1)
+		s.health.fail()
+		return res, false, nil
+	}
+	s.health.ok()
+	return res, true, nil
 }
 
 // allResults returns every pair result of the given series state, starting

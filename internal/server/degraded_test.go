@@ -215,3 +215,47 @@ func TestReplicaRefreshSharesStore(t *testing.T) {
 		t.Error("replica B served an empty adopted pair")
 	}
 }
+
+// TestIngestWhileDegradedFlushedOnRecovery: an ingest during a store outage
+// still links and serves the new pair, skips its write-through, and the
+// recovery flush persists it once the store answers again.
+func TestIngestWhileDegradedFlushedOnRecovery(t *testing.T) {
+	fs := newFlakyStore()
+	fs.fail(true)
+	cfg := testConfig(t)
+	cfg.Store = fs
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Abort()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	srv.cache.refreshOnce(context.Background())
+	if !srv.health.isDegraded() {
+		t.Fatalf("not degraded after %d consecutive failures", storeDegradedAfter)
+	}
+
+	fourth := agedDataset(t, cfg.Series.Dataset(1891), "1891", "1901", 1901)
+	if status, body := postCSV(t, ts, 1901, csvBody(t, fourth)); status != http.StatusCreated {
+		t.Fatalf("degraded ingest = %d: %s", status, body)
+	}
+	if n := fs.saveCount(); n != 0 {
+		t.Errorf("%d write-throughs while degraded, want 0", n)
+	}
+
+	fs.fail(false)
+	srv.cache.refreshOnce(context.Background())
+	if srv.health.isDegraded() {
+		t.Fatal("still degraded after a successful probe")
+	}
+	if n := fs.saveCount(); n != 1 {
+		t.Errorf("recovery flushed %d results, want 1 (the ingested pair)", n)
+	}
+	fs.mu.Lock()
+	_, ok := fs.saved[fmt.Sprintf("%s|1891|1901", cfg.Linkage.Fingerprint())]
+	fs.mu.Unlock()
+	if !ok {
+		t.Error("the ingested 1891-1901 pair is not in the store after recovery")
+	}
+}

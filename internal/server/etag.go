@@ -26,7 +26,7 @@ import (
 // etagSurface salts every ETag with the version of the JSON representation.
 // Bump it whenever a response shape changes, so clients holding ETags from
 // an older build revalidate to fresh bodies instead of keeping stale shapes.
-const etagSurface = "v1.2"
+const etagSurface = "v1.3"
 
 // pairETag is the strong validator of a pair-scoped resource: the content
 // address of pair i (config fingerprint + both dataset hashes), the series

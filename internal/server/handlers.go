@@ -456,9 +456,9 @@ func (s *Server) handleRecordLifecycle(w http.ResponseWriter, r *http.Request) {
 // handleTimelines serves the per-person timelines of the whole series,
 // longest first, under the uniform page window. ?min_span=k keeps persons
 // traced through at least k censuses (default 2). This is the API's
-// feed-like read: the list grows when a census year is ingested, so offset
-// pagination across an ingest can skip or repeat entries — cursors detect
-// the change (410 gone) and are the documented way to page it.
+// feed-like read: the list grows when a census year is ingested, so a
+// cursor minted before an ingest fails with 410 gone instead of skipping
+// or repeating entries.
 func (s *Server) handleTimelines(w http.ResponseWriter, r *http.Request) {
 	st := s.cur()
 	minSpan := 2

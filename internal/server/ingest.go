@@ -14,7 +14,6 @@ import (
 	"censuslink/internal/census"
 	"censuslink/internal/evolution"
 	"censuslink/internal/linkage"
-	"censuslink/internal/obs"
 	"censuslink/internal/server/api"
 )
 
@@ -182,59 +181,18 @@ func (s *Server) readIngestDataset(r *http.Request) (*census.Dataset, *api.Err) 
 }
 
 // linkNewPair produces the (last, next) linkage result the same way the
-// query-path cache would: store-first, then the pipeline under the shared
-// semaphore and compute timeout, then write-through (skipped while the
-// store is degraded; the flight's persisted flag routes it to the recovery
-// flush).
+// query-path cache does: store first, else computePair (shared semaphore,
+// compute timeout, write-through unless degraded). The computation runs
+// under the server's base context and stops when the requester goes away.
 func (s *Server) linkNewPair(ctx context.Context, last, next *census.Dataset) (*linkage.Result, bool, error) {
-	if s.store != nil {
-		res, err := s.store.LoadResult(s.cfgHash, last, next)
-		switch {
-		case err != nil && isCorruptSnapshot(err):
-			s.stats.Add(obs.StoreCorrupt, 1)
-		case err != nil:
-			s.health.fail()
-		case res == nil:
-			s.stats.Add(obs.StoreMisses, 1)
-			s.health.ok()
-		default:
-			s.stats.Add(obs.StoreHits, 1)
-			s.health.ok()
-			return res, true, nil
-		}
+	if res := s.loadStored(last, next); res != nil {
+		return res, true, nil
 	}
 	cctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	stop := context.AfterFunc(ctx, cancel) // requester gone: stop computing
 	defer stop()
-	select {
-	case s.sem <- struct{}{}:
-	case <-cctx.Done():
-		return nil, false, cctx.Err()
-	}
-	defer func() { <-s.sem }()
-	if s.computeTimeout > 0 {
-		var tcancel context.CancelFunc
-		cctx, tcancel = context.WithTimeout(cctx, s.computeTimeout)
-		defer tcancel()
-	}
-	cfg := s.linkCfg
-	cfg.Obs = s.stats
-	res, err := s.linkFn(cctx, last, next, cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	persisted := false
-	if s.store != nil && !s.health.isDegraded() {
-		if serr := s.store.SaveResult(s.cfgHash, last, next, res); serr != nil {
-			s.stats.Add(obs.StoreSaveErrors, 1)
-			s.health.fail()
-		} else {
-			persisted = true
-			s.health.ok()
-		}
-	}
-	return res, persisted, nil
+	return s.computePair(cctx, last, next)
 }
 
 // publishIngest emits the change-feed events of one ingest: the

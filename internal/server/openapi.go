@@ -15,7 +15,7 @@ import (
 
 // openAPIVersion is the info.version of the generated document; bump it
 // with etagSurface when the response shapes change.
-const openAPIVersion = "1.2.0"
+const openAPIVersion = "1.3.0"
 
 func (s *Server) handleOpenAPI(w http.ResponseWriter, r *http.Request) {
 	st := s.cur()
@@ -40,9 +40,6 @@ func (s *Server) handleOpenAPI(w http.ResponseWriter, r *http.Request) {
 			}
 			if p.required || p.in == "path" {
 				pd["required"] = true
-			}
-			if p.name == "offset" {
-				pd["deprecated"] = true
 			}
 			params = append(params, pd)
 		}

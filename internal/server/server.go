@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +29,6 @@ import (
 	"censuslink/internal/hgraph"
 	"censuslink/internal/linkage"
 	"censuslink/internal/obs"
-	"censuslink/internal/server/api"
 )
 
 // linkFunc is the pipeline entry point; tests substitute it to observe or
@@ -271,16 +269,13 @@ type route struct {
 	name    string // operation id; also the metrics endpoint label
 	summary string
 	params  []paramDoc
-	// paginated endpoints carry the uniform page window
-	// (limit/offset/cursor) and its parameters in the route table.
+	// paginated endpoints carry the uniform page window (limit/cursor)
+	// and its parameters in the route table.
 	paginated bool
 	// streaming marks the change feed: loadgen's discovery skips it and
 	// OpenAPI flags it x-streaming.
 	streaming bool
-	// legacyAlias mounts the endpoint under the deprecated unprefixed /api
-	// prefix too (the pre-v1 surface; new endpoints never get one).
-	legacyAlias bool
-	h           http.HandlerFunc
+	h         http.HandlerFunc
 }
 
 type paramDoc struct {
@@ -292,18 +287,15 @@ type paramDoc struct {
 }
 
 // pageParamDocs are the shared pagination parameters of every paginated
-// list endpoint. Offset pagination is documented as deprecated for
-// feed-like reads: the series can grow between pages, while a cursor
-// detects the change (410) instead of silently skipping items.
+// list endpoint. A cursor is the only way to a later page: the series can
+// grow between pages, and a cursor detects the change (410) instead of
+// silently skipping items.
 var pageParamDocs = []paramDoc{
 	{name: "limit", in: "query", typ: "integer", desc: "page size (1..1000, default 100)"},
-	{name: "offset", in: "query", typ: "integer", desc: "items to skip; deprecated for feed-like reads, prefer cursor"},
-	{name: "cursor", in: "query", typ: "string", desc: "opaque resume token from the previous page's page.next_cursor; pass empty (?cursor=) to opt in on the first page"},
+	{name: "cursor", in: "query", typ: "string", desc: "opaque resume token from the previous page's page.next_cursor; absent or empty means the first page"},
 }
 
-// routes registers every endpoint. Query endpoints live under /v1/; the
-// historical unprefixed /api/ paths stay as aliases answering identically
-// but emitting a Deprecation header pointing at the successor. Query
+// routes registers every endpoint. Query endpoints live under /v1/. Query
 // handlers are wrapped by api — load shedding and per-client rate limits
 // ahead of the request counters, latency histograms and the in-flight
 // gauge on /metrics; /healthz and /metrics are infrastructure, not API:
@@ -318,39 +310,39 @@ func (s *Server) routes() {
 		{name: "new", in: "path", typ: "integer", desc: "newer census year of a successive pair", required: true},
 	}
 	s.apiRoutes = []route{
-		{method: "GET", path: "/years", name: "years", legacyAlias: true,
+		{method: "GET", path: "/years", name: "years",
 			summary: "census years and successive pairs of the served series",
 			h:       s.handleYears},
-		{method: "GET", path: "/links/{old}/{new}/records", name: "record_links", legacyAlias: true, paginated: true,
+		{method: "GET", path: "/links/{old}/{new}/records", name: "record_links", paginated: true,
 			summary: "1:1 record links of one census pair with per-link provenance",
 			params: append([]paramDoc{
 				{name: "record", in: "query", typ: "string", desc: "restrict to links touching this record id"},
 				{name: "source", in: "query", typ: "string", desc: "restrict to one stage: subgraph or remainder"},
 			}, pairParams...),
 			h: s.handleRecordLinks},
-		{method: "GET", path: "/links/{old}/{new}/groups", name: "group_links", legacyAlias: true, paginated: true,
+		{method: "GET", path: "/links/{old}/{new}/groups", name: "group_links", paginated: true,
 			summary: "household links of one census pair",
 			params:  pairParams,
 			h:       s.handleGroupLinks},
-		{method: "GET", path: "/evolution/{old}/{new}/patterns", name: "patterns", legacyAlias: true, paginated: true,
+		{method: "GET", path: "/evolution/{old}/{new}/patterns", name: "patterns", paginated: true,
 			summary: "evolution-pattern counts and typed events of one census pair",
 			params:  pairParams,
 			h:       s.handlePatterns},
-		{method: "GET", path: "/households/{year}/{id}/timeline", name: "household_timeline", legacyAlias: true,
+		{method: "GET", path: "/households/{year}/{id}/timeline", name: "household_timeline",
 			summary: "forward evolution of one household through the series",
 			params: []paramDoc{
 				{name: "year", in: "path", typ: "integer", desc: "census year", required: true},
 				{name: "id", in: "path", typ: "string", desc: "household id", required: true},
 			},
 			h: s.handleHouseholdTimeline},
-		{method: "GET", path: "/records/{year}/{id}/lifecycle", name: "record_lifecycle", legacyAlias: true,
+		{method: "GET", path: "/records/{year}/{id}/lifecycle", name: "record_lifecycle",
 			summary: "reconstructed person history through one census record",
 			params: []paramDoc{
 				{name: "year", in: "path", typ: "integer", desc: "census year", required: true},
 				{name: "id", in: "path", typ: "string", desc: "record id", required: true},
 			},
 			h: s.handleRecordLifecycle},
-		{method: "GET", path: "/timelines", name: "timelines", legacyAlias: true, paginated: true,
+		{method: "GET", path: "/timelines", name: "timelines", paginated: true,
 			summary: "per-person timelines of the whole series, longest first",
 			params: []paramDoc{
 				{name: "min_span", in: "query", typ: "integer", desc: "minimum censuses traced through (default 2)"},
@@ -376,11 +368,7 @@ func (s *Server) routes() {
 			h:       s.handleOpenAPI},
 	}
 	for _, rt := range s.apiRoutes {
-		pattern := rt.method + " /v1" + rt.path
-		s.mux.HandleFunc(pattern, s.api(rt.name, rt.h))
-		if rt.legacyAlias {
-			s.mux.HandleFunc(rt.method+" /api"+rt.path, s.api(rt.name, deprecatedAlias(rt.h)))
-		}
+		s.mux.HandleFunc(rt.method+" /v1"+rt.path, s.api(rt.name, rt.h))
 	}
 
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -388,16 +376,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// deprecatedAlias wraps a legacy unprefixed /api handler: it answers
-// exactly like its /v1 twin but carries the RFC 9745 deprecation headers,
-// so clients learn where to migrate without breaking today.
-func deprecatedAlias(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		api.Deprecated(w, "/v1"+strings.TrimPrefix(r.URL.Path, "/api"))
-		h(w, r)
-	}
 }
 
 // Handler returns the service's HTTP handler, for mounting on an

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,14 +92,14 @@ func TestServerEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	paths := []string{
-		"/api/years",
-		"/api/links/1871/1881/records",
-		"/api/links/1881/1891/records",
-		"/api/links/1871/1881/groups",
-		"/api/evolution/1871/1881/patterns",
-		"/api/households/1871/1871_a/timeline",
-		"/api/records/1871/1871_1/lifecycle",
-		"/api/timelines?min_span=2",
+		"/v1/years",
+		"/v1/links/1871/1881/records",
+		"/v1/links/1881/1891/records",
+		"/v1/links/1871/1881/groups",
+		"/v1/evolution/1871/1881/patterns",
+		"/v1/households/1871/1871_a/timeline",
+		"/v1/records/1871/1871_1/lifecycle",
+		"/v1/timelines?min_span=2",
 		"/healthz",
 	}
 	var wg sync.WaitGroup
@@ -122,7 +123,6 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// Record links carry provenance; the running example has remainder links.
-	// The same handler serves /v1 and the deprecated /api alias identically.
 	var rl struct {
 		OldYear int              `json:"old_year"`
 		Page    api.Page         `json:"page"`
@@ -156,41 +156,72 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("filtered total = %d, want 1", one.Page.Total)
 	}
 
-	// Pagination: limit/offset windows tile the full list.
-	var win struct {
-		Page  api.Page         `json:"page"`
-		Links []recordLinkJSON `json:"record_links"`
-	}
-	getJSON(t, ts, "/v1/links/1871/1881/records?limit=2&offset=1", &win)
-	if win.Page.Limit != 2 || win.Page.Offset != 1 || win.Page.Total != rl.Page.Total {
-		t.Errorf("page window = %+v", win.Page)
-	}
-	if len(win.Links) != 2 || win.Links[0].Old != rl.Links[1].Old || win.Links[1].Old != rl.Links[2].Old {
-		t.Errorf("page slice = %+v, want links[1:3] of %+v", win.Links, rl.Links)
+	// Pagination: following page.next_cursor from a plain ?limit=k first
+	// page tiles the full list, whatever the filters.
+	for _, list := range []struct{ path, field string }{
+		{"/v1/links/1871/1881/records", "record_links"},
+		{"/v1/links/1871/1881/records?source=subgraph", "record_links"},
+		{"/v1/links/1871/1881/records?record=1871_1", "record_links"},
+		{"/v1/links/1871/1881/groups", "group_links"},
+		{"/v1/evolution/1871/1881/patterns", "events"},
+		{"/v1/timelines?min_span=1", "timelines"},
+	} {
+		var full map[string]json.RawMessage
+		getJSON(t, ts, list.path, &full)
+		var want []json.RawMessage
+		if err := json.Unmarshal(full[list.field], &want); err != nil {
+			t.Fatal(err)
+		}
+		sep := "?"
+		if strings.Contains(list.path, "?") {
+			sep = "&"
+		}
+		var got []json.RawMessage
+		returned, pages := 0, 0
+		for next := list.path + sep + "limit=2"; next != ""; pages++ {
+			var pg map[string]json.RawMessage
+			getJSON(t, ts, next, &pg)
+			var page api.Page
+			var items []json.RawMessage
+			if err := json.Unmarshal(pg["page"], &page); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(pg[list.field], &items); err != nil {
+				t.Fatal(err)
+			}
+			if page.Limit != 2 || page.Offset != len(got) || page.Returned != len(items) || page.Total != len(want) {
+				t.Errorf("%s: page %d = %+v with %d items after %d, want total %d", list.path, pages, page, len(items), len(got), len(want))
+			}
+			got = append(got, items...)
+			returned += page.Returned
+			next = ""
+			if page.NextCursor != "" {
+				next = list.path + sep + "limit=2&cursor=" + page.NextCursor
+			}
+			if pages > len(want) {
+				t.Fatalf("%s: cursor chain does not terminate", list.path)
+			}
+		}
+		if returned != len(want) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d pages returned %d of %d items, want the full list in order", list.path, pages, returned, len(want))
+		}
+		if len(want) > 2 && pages < 2 {
+			t.Errorf("%s: %d items fit one page of 2", list.path, len(want))
+		}
 	}
 	if status, body := get(t, ts, "/v1/links/1871/1881/records?limit=0"); status != http.StatusBadRequest {
 		t.Errorf("limit=0: status %d: %s, want 400", status, body)
 	}
-
-	// The deprecated alias answers identically, plus migration headers.
-	resp, err := ts.Client().Get(ts.URL + "/api/links/1871/1881/records")
-	if err != nil {
-		t.Fatal(err)
+	// Offset pagination is gone: refused, not ignored.
+	status, body := get(t, ts, "/v1/links/1871/1881/records?offset=1")
+	var offsetErr api.ErrorEnvelope
+	if err := json.Unmarshal(body, &offsetErr); err != nil || status != http.StatusBadRequest ||
+		offsetErr.Error.Code != api.CodeBadRequest || !strings.Contains(offsetErr.Error.Message, "next_cursor") {
+		t.Errorf("offset=1: status %d: %s, want 400 naming page.next_cursor", status, body)
 	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("alias Deprecation header = %q, want true", resp.Header.Get("Deprecation"))
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/links/1871/1881/records") {
-		t.Errorf("alias Link header = %q, want successor /v1 path", link)
-	}
-	respV1, err := ts.Client().Get(ts.URL + "/v1/links/1871/1881/records")
-	if err != nil {
-		t.Fatal(err)
-	}
-	respV1.Body.Close()
-	if respV1.Header.Get("Deprecation") != "" {
-		t.Errorf("/v1 path carries a Deprecation header")
+	// The unprefixed /api aliases are gone.
+	if status, _ := get(t, ts, "/api/years"); status != http.StatusNotFound {
+		t.Errorf("/api/years: status %d, want 404", status)
 	}
 
 	// Patterns carry counts plus the flattened, paginated event list.
@@ -224,7 +255,7 @@ func TestServerEndpoints(t *testing.T) {
 	var tl struct {
 		Events []hhEventJSON `json:"events"`
 	}
-	getJSON(t, ts, "/api/households/1871/1871_a/timeline", &tl)
+	getJSON(t, ts, "/v1/households/1871/1871_a/timeline", &tl)
 	if len(tl.Events) == 0 {
 		t.Error("household 1871_a has no timeline events")
 	}
@@ -239,7 +270,7 @@ func TestServerEndpoints(t *testing.T) {
 		Name      string         `json:"name"`
 		Timelines []timelineJSON `json:"timelines"`
 	}
-	getJSON(t, ts, "/api/records/1871/1871_1/lifecycle", &lc)
+	getJSON(t, ts, "/v1/records/1871/1871_1/lifecycle", &lc)
 	if lc.Name != "john ashworth" {
 		t.Errorf("lifecycle name = %q", lc.Name)
 	}
@@ -247,13 +278,11 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("lifecycle timelines = %+v, want a span-3 chain", lc.Timelines)
 	}
 
-	// Unknown years and entities are 404s carrying the typed error envelope,
-	// on /v1 and on the legacy aliases alike.
+	// Unknown years and entities are 404s carrying the typed error envelope.
 	for _, p := range []string{
 		"/v1/links/1871/1901/records",
 		"/v1/households/1871/nope/timeline",
 		"/v1/records/1900/1871_1/lifecycle",
-		"/api/links/1871/1901/records",
 	} {
 		status, body := get(t, ts, p)
 		if status != http.StatusNotFound {
@@ -266,7 +295,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// /metrics exposes pipeline counters and server request counters.
-	status, body := get(t, ts, "/metrics")
+	status, body = get(t, ts, "/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("/metrics status %d", status)
 	}
@@ -304,9 +333,9 @@ func TestServerSingleFlight(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
-		path := "/api/links/1871/1881/records"
+		path := "/v1/links/1871/1881/records"
 		if i%2 == 1 {
-			path = "/api/links/1881/1891/groups"
+			path = "/v1/links/1881/1891/groups"
 		}
 		wg.Add(1)
 		go func(p string) {
@@ -321,8 +350,8 @@ func TestServerSingleFlight(t *testing.T) {
 		t.Fatalf("pipeline runs = %d, want 2 (one per pair)", got)
 	}
 	// Cache hits: no further runs.
-	get(t, ts, "/api/links/1871/1881/records")
-	get(t, ts, "/api/timelines")
+	get(t, ts, "/v1/links/1871/1881/records")
+	get(t, ts, "/v1/timelines")
 	if got := runs.Load(); got != 2 {
 		t.Errorf("pipeline runs after cache hits = %d, want 2", got)
 	}
@@ -355,7 +384,7 @@ func TestServerRequestDeadlineAbandonsComputation(t *testing.T) {
 	defer srv.Abort()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest("GET", "/api/links/1871/1881/records", nil).WithContext(ctx)
+	req := httptest.NewRequest("GET", "/v1/links/1871/1881/records", nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
 	go func() {
@@ -375,7 +404,7 @@ func TestServerRequestDeadlineAbandonsComputation(t *testing.T) {
 	<-done
 
 	// The failed flight is not cached: a fresh request recomputes and wins.
-	req2 := httptest.NewRequest("GET", "/api/links/1871/1881/records", nil)
+	req2 := httptest.NewRequest("GET", "/v1/links/1871/1881/records", nil)
 	rec2 := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec2, req2)
 	if rec2.Code != http.StatusOK {
@@ -397,7 +426,7 @@ func TestServerComputeTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Abort()
-	req := httptest.NewRequest("GET", "/api/links/1871/1881/records", nil)
+	req := httptest.NewRequest("GET", "/v1/links/1871/1881/records", nil)
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusGatewayTimeout {
@@ -423,7 +452,7 @@ func TestServerAbort(t *testing.T) {
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
 	go func() {
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/links/1871/1881/records", nil))
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/links/1871/1881/records", nil))
 		close(done)
 	}()
 	<-started
@@ -472,7 +501,7 @@ func TestServerPrecompute(t *testing.T) {
 	if h.PairsCached != 2 {
 		t.Errorf("pairs_cached = %d, want 2", h.PairsCached)
 	}
-	get(t, ts, "/api/timelines")
+	get(t, ts, "/v1/timelines")
 	if got := runs.Load(); got != 2 {
 		t.Errorf("runs after warm queries = %d, want 2", got)
 	}

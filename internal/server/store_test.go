@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"censuslink/internal/census"
@@ -228,5 +230,129 @@ func TestServerCorruptSnapshotRecomputed(t *testing.T) {
 	res, err := st.LoadResult(cfg.Linkage.Fingerprint(), cfg.Series.Pairs()[0][0], cfg.Series.Pairs()[0][1])
 	if err != nil || res == nil {
 		t.Errorf("snapshot not repaired after recompute: (%v, %v)", res, err)
+	}
+}
+
+// ingestFixture is the 1901 census the store tests ingest: its CSV body and
+// the dataset the server will parse from it (the snapshot address hashes
+// the parsed dataset, so it is read back from the same bytes).
+func ingestFixture(t *testing.T, series *census.Series) (body []byte, parsed *census.Dataset) {
+	t.Helper()
+	body = csvBody(t, agedDataset(t, series.Dataset(1891), "1891", "1901", 1901))
+	parsed, err := census.ReadCSV(bytes.NewReader(body), 1901)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, parsed
+}
+
+// TestIngestStoreHitSkipsPipeline: an ingested year whose pair already has
+// a trusted snapshot is served from the store — the pipeline never runs for
+// it, and the load counts as a store hit.
+func TestIngestStoreHitSkipsPipeline(t *testing.T) {
+	cfg := testConfig(t)
+	body, fourth := ingestFixture(t, cfg.Series)
+	third := cfg.Series.Dataset(1891)
+	want, err := linkage.LinkContext(context.Background(), third, fourth, cfg.Linkage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := newFlakyStore()
+	if err := fs.SaveResult(cfg.Linkage.Fingerprint(), third, fourth, want); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = fs
+	stats := obs.NewStats(nil)
+	cfg.Stats = stats
+	cfg.linkFn = func(ctx context.Context, old, new *census.Dataset, lc linkage.Config) (*linkage.Result, error) {
+		if new.Year == 1901 {
+			t.Errorf("pipeline invoked for %d-%d despite its snapshot", old.Year, new.Year)
+		}
+		return linkage.LinkContext(ctx, old, new, lc)
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Abort()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if status, body := postCSV(t, ts, 1901, body); status != http.StatusCreated {
+		t.Fatalf("POST /v1/census = %d: %s", status, body)
+	}
+	if got := stats.Total(obs.StoreHits); got != 1 {
+		t.Errorf("store hits = %d, want 1 (the ingested pair)", got)
+	}
+	var rl struct {
+		Page api.Page `json:"page"`
+	}
+	getJSON(t, ts, "/v1/links/1891/1901/records", &rl)
+	if rl.Page.Total != len(want.RecordLinks) {
+		t.Errorf("ingested pair serves %d record links, snapshot holds %d", rl.Page.Total, len(want.RecordLinks))
+	}
+}
+
+// TestIngestCorruptSnapshotRecomputed: a damaged snapshot of the ingested
+// pair is counted corrupt, the pair is recomputed, and the fresh result
+// overwrites the snapshot.
+func TestIngestCorruptSnapshotRecomputed(t *testing.T) {
+	cfg := testConfig(t)
+	body, fourth := ingestFixture(t, cfg.Series)
+	third := cfg.Series.Dataset(1891)
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := linkage.LinkContext(context.Background(), third, fourth, cfg.Linkage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgHash := cfg.Linkage.Fingerprint()
+	if err := st.SaveResult(cfgHash, third, fourth, res); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap_*.jsonl"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots = %v, %v", snaps, err)
+	}
+	if err := os.WriteFile(snaps[0], []byte("garbage, no newline"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Store = st
+	stats := obs.NewStats(nil)
+	cfg.Stats = stats
+	var runs atomic.Int64
+	cfg.linkFn = func(ctx context.Context, old, new *census.Dataset, lc linkage.Config) (*linkage.Result, error) {
+		if new.Year == 1901 {
+			runs.Add(1)
+		}
+		return linkage.LinkContext(ctx, old, new, lc)
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Abort()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if status, body := postCSV(t, ts, 1901, body); status != http.StatusCreated {
+		t.Fatalf("POST /v1/census = %d: %s", status, body)
+	}
+	if got := stats.Total(obs.StoreCorrupt); got != 1 {
+		t.Errorf("store corrupt = %d, want 1", got)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("pipeline runs for the ingested pair = %d, want 1", got)
+	}
+	got, err := st.LoadResult(cfgHash, third, fourth)
+	if err != nil || got == nil {
+		t.Fatalf("snapshot not overwritten after recompute: (%v, %v)", got, err)
+	}
+	if len(got.RecordLinks) != len(res.RecordLinks) {
+		t.Errorf("rewritten snapshot holds %d record links, want %d", len(got.RecordLinks), len(res.RecordLinks))
 	}
 }

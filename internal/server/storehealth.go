@@ -173,8 +173,7 @@ func (c *pairCache) refreshOnce(ctx context.Context) {
 // own result then wins — it is byte-equivalent anyway, both being the
 // deterministic pipeline's output for the same inputs).
 func (c *pairCache) install(i int, res *linkage.Result) {
-	f := &flight{done: make(chan struct{}), cancel: func() {}, res: res, persisted: true}
-	close(f.done)
+	f := completedFlight(res, true)
 	c.mu.Lock()
 	if c.pairs[i] == nil {
 		c.pairs[i] = f

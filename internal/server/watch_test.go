@@ -344,8 +344,9 @@ func TestWatchLongPoll(t *testing.T) {
 }
 
 // TestOpenAPIDocument: the generated document describes every registered
-// route, marks the stream and the deprecated offset parameter, and serves
-// under a validator like everything else.
+// route, marks the stream, documents cursor pagination only (no offset
+// parameter, nothing deprecated), and serves under a validator like
+// everything else.
 func TestOpenAPIDocument(t *testing.T) {
 	srv, err := New(testConfig(t))
 	if err != nil {
@@ -382,7 +383,13 @@ func TestOpenAPIDocument(t *testing.T) {
 	if !bytes.Contains(body, []byte(`"x-streaming":true`)) {
 		t.Error("watch route not marked x-streaming")
 	}
-	if !bytes.Contains(body, []byte(`"deprecated":true`)) {
-		t.Error("offset parameter not marked deprecated")
+	if bytes.Contains(body, []byte(`"name":"offset"`)) {
+		t.Error("document still lists an offset parameter")
+	}
+	if bytes.Contains(body, []byte(`"deprecated"`)) {
+		t.Error("document still marks something deprecated")
+	}
+	if !bytes.Contains(body, []byte(`"name":"cursor"`)) {
+		t.Error("document lists no cursor parameter")
 	}
 }

@@ -1,9 +1,6 @@
 package strsim
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
 // DamerauLevenshtein returns the edit distance counting transpositions of
 // adjacent characters as a single operation (restricted Damerau variant),
@@ -116,111 +113,6 @@ func SymmetricMongeElkan(inner Func) Func {
 	return func(a, b string) float64 {
 		return (me(a, b) + me(b, a)) / 2
 	}
-}
-
-// NYSIIS returns the NYSIIS phonetic code of s (New York State
-// Identification and Intelligence System), a census-domain standard that
-// retains more distinctions than Soundex. Returns "" for input without
-// letters. The code is truncated to 6 characters as in the original system.
-func NYSIIS(s string) string {
-	// Keep ASCII letters only, upper-cased.
-	var b []byte
-	for _, r := range strings.ToUpper(strings.TrimSpace(s)) {
-		if r >= 'A' && r <= 'Z' {
-			b = append(b, byte(r))
-		} else if r > unicode.MaxASCII && unicode.IsLetter(r) {
-			continue // non-ASCII letters are dropped
-		}
-	}
-	if len(b) == 0 {
-		return ""
-	}
-	w := string(b)
-
-	// First-character transcoding.
-	switch {
-	case strings.HasPrefix(w, "MAC"):
-		w = "MCC" + w[3:]
-	case strings.HasPrefix(w, "KN"):
-		w = "NN" + w[2:]
-	case strings.HasPrefix(w, "K"):
-		w = "C" + w[1:]
-	case strings.HasPrefix(w, "PH"), strings.HasPrefix(w, "PF"):
-		w = "FF" + w[2:]
-	case strings.HasPrefix(w, "SCH"):
-		w = "SSS" + w[3:]
-	}
-	// Last-character transcoding.
-	switch {
-	case strings.HasSuffix(w, "EE"), strings.HasSuffix(w, "IE"):
-		w = w[:len(w)-2] + "Y"
-	case strings.HasSuffix(w, "DT"), strings.HasSuffix(w, "RT"),
-		strings.HasSuffix(w, "RD"), strings.HasSuffix(w, "NT"),
-		strings.HasSuffix(w, "ND"):
-		w = w[:len(w)-2] + "D"
-	}
-
-	isVowel := func(c byte) bool {
-		return c == 'A' || c == 'E' || c == 'I' || c == 'O' || c == 'U'
-	}
-	key := []byte{w[0]}
-	prev := w[0]
-	for i := 1; i < len(w); i++ {
-		c := w[i]
-		var repl string
-		switch {
-		case isVowel(c):
-			if c == 'E' && i+1 < len(w) && w[i+1] == 'V' {
-				repl = "AF"
-			} else {
-				repl = "A"
-			}
-		case c == 'Q':
-			repl = "G"
-		case c == 'Z':
-			repl = "S"
-		case c == 'M':
-			repl = "N"
-		case c == 'K':
-			if i+1 < len(w) && w[i+1] == 'N' {
-				repl = "N"
-			} else {
-				repl = "C"
-			}
-		case c == 'S' && strings.HasPrefix(w[i:], "SCH"):
-			repl = "SSS"
-		case c == 'P' && i+1 < len(w) && w[i+1] == 'H':
-			repl = "FF"
-		case c == 'H' && (!isVowel(prev) || (i+1 < len(w) && !isVowel(w[i+1])) || i+1 == len(w)):
-			repl = string(prev)
-		case c == 'W' && isVowel(prev):
-			repl = string(prev)
-		default:
-			repl = string(c)
-		}
-		for k := 0; k < len(repl); k++ {
-			rc := repl[k]
-			if key[len(key)-1] != rc {
-				key = append(key, rc)
-			}
-		}
-		prev = c
-	}
-	// Suffix cleanup: trailing S, trailing AY -> Y, trailing A dropped.
-	out := string(key)
-	if len(out) > 1 && strings.HasSuffix(out, "S") {
-		out = out[:len(out)-1]
-	}
-	if strings.HasSuffix(out, "AY") {
-		out = out[:len(out)-2] + "Y"
-	}
-	if len(out) > 1 && strings.HasSuffix(out, "A") {
-		out = out[:len(out)-1]
-	}
-	if len(out) > 6 {
-		out = out[:6]
-	}
-	return out
 }
 
 // LCSSim is the repeated longest-common-substring similarity used in record

@@ -101,82 +101,9 @@ func TestSymmetricMongeElkan(t *testing.T) {
 	}
 }
 
-func TestNYSIIS(t *testing.T) {
-	// Groups of names that must share a code, and pairs that must differ.
-	same := [][2]string{
-		{"smith", "smithe"},
-		{"brown", "browne"},
-		{"knight", "night"},
-		{"phillips", "filips"},
-		{"schofield", "shofield"},
-	}
-	for _, pair := range same {
-		a, b := NYSIIS(pair[0]), NYSIIS(pair[1])
-		if a == "" || a != b {
-			t.Errorf("NYSIIS(%q)=%q != NYSIIS(%q)=%q", pair[0], a, pair[1], b)
-		}
-	}
-	diff := [][2]string{
-		{"smith", "taylor"},
-		{"ashworth", "walker"},
-	}
-	for _, pair := range diff {
-		if NYSIIS(pair[0]) == NYSIIS(pair[1]) {
-			t.Errorf("NYSIIS(%q) == NYSIIS(%q) = %q", pair[0], pair[1], NYSIIS(pair[0]))
-		}
-	}
-	if NYSIIS("") != "" || NYSIIS("123") != "" {
-		t.Error("letterless input should give empty code")
-	}
-	// Prefix rules.
-	if NYSIIS("macdonald") == "" || NYSIIS("macdonald")[:2] != "MC" {
-		t.Errorf("MAC prefix rule: %q", NYSIIS("macdonald"))
-	}
-	if NYSIIS("knowles")[0] != 'N' {
-		t.Errorf("KN prefix rule: %q", NYSIIS("knowles"))
-	}
-	// Unlike Soundex, NYSIIS keeps the y distinction of smyth.
-	if NYSIIS("smith") == NYSIIS("smyth") {
-		t.Errorf("NYSIIS should distinguish smith/smyth, both %q", NYSIIS("smith"))
-	}
-}
-
-func TestNYSIISShape(t *testing.T) {
-	prop := func(s string) bool {
-		code := NYSIIS(s)
-		if code == "" {
-			return true
-		}
-		if len(code) > 6 {
-			return false
-		}
-		for i := 0; i < len(code); i++ {
-			if code[i] < 'A' || code[i] > 'Z' {
-				return false
-			}
-		}
-		// No immediate repeats after the first position.
-		for i := 2; i < len(code); i++ {
-			if code[i] == code[i-1] && i > 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkDamerauLevenshtein(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		DamerauLevenshtein("elizabeth", "elisabeht")
-	}
-}
-
-func BenchmarkNYSIIS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		NYSIIS("ashworth")
 	}
 }
 

@@ -14,9 +14,6 @@ func FuzzEncoders(f *testing.F) {
 		if code := Soundex(a); code != "" && len(code) != 4 {
 			t.Fatalf("Soundex(%q) = %q", a, code)
 		}
-		if code := NYSIIS(a); len(code) > 6 {
-			t.Fatalf("NYSIIS(%q) = %q", a, code)
-		}
 		for _, fn := range []Func{Bigram, QGram(3), Jaro, JaroWinkler, EditSim, DamerauSim, TokenDice} {
 			s := fn(a, b)
 			if s < 0 || s > 1 {

@@ -3,6 +3,7 @@
 package censuslink_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -92,7 +93,7 @@ func TestLink1M(t *testing.T) {
 		cfg.Strategies[i] = districtScoped(s)
 	}
 	start := time.Now()
-	res, err := linkage.Link(old, new, cfg)
+	res, err := linkage.LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
