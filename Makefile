@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check bench bench-regress pgo pgo-profile store-golden chaos report fuzz fuzz-smoke clean
+.PHONY: all build test vet check bench bench-regress store-golden chaos report fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -36,18 +36,6 @@ bench-regress:
 	CENSUSLINK_BENCH_BASELINE=BENCH_prematch.json $(GO) test -run TestBenchTrajectory -v .
 	CENSUSLINK_SERVER_BENCH_BASELINE=$(CURDIR)/BENCH_server.json $(GO) test -count=1 -run TestServerBenchTrajectory -v ./cmd/loadgen
 
-# Regenerate the CPU profile that feeds the PGO build: profile the Table 3
-# pre-matching sweep (the comparator/blocking hot path) through benchall's
-# -cpuprofile flag. The resulting default.pgo is committed so `make pgo`
-# and CI reproduce the same optimized build without re-profiling.
-pgo-profile:
-	$(GO) run ./cmd/benchall -scale 0.05 -seed 1871 -only table3 -cpuprofile default.pgo
-
-# Profile-guided build of every package and binary using the committed
-# default profile (see pgo-profile to refresh it after hot-path changes).
-pgo:
-	$(GO) build -pgo=$(CURDIR)/default.pgo ./...
-
 # Snapshot-store golden gate: format round trip, deterministic payloads,
 # corruption rejection, and the end-to-end incremental differential (a warm
 # re-run performs zero comparisons and returns byte-identical results).
@@ -68,12 +56,13 @@ chaos:
 report:
 	$(GO) run ./cmd/benchall -scale 0.1 -seed 1871 -o experiments_scale010.txt
 
-# Short fuzzing session over the parsing/encoding surfaces and the
-# resumable-score kernel.
+# Short fuzzing session over the parsing/encoding surfaces, the
+# resumable-score kernel and the integer blocking keys.
 fuzz:
 	$(GO) test ./internal/strsim/ -fuzz FuzzEncoders -fuzztime 20s
 	$(GO) test ./internal/census/ -fuzz FuzzReadCSV -fuzztime 20s
 	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 20s
+	$(GO) test ./internal/linkage/ -run FuzzBlockingKeys -fuzz FuzzBlockingKeys -fuzztime 20s
 
 # Seconds-long fuzz pass for CI: enough to exercise the seed corpus plus a
 # little mutation without stalling the pipeline.
@@ -81,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/strsim/ -run FuzzEncoders -fuzz FuzzEncoders -fuzztime 5s
 	$(GO) test ./internal/census/ -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 5s
 	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 5s
+	$(GO) test ./internal/linkage/ -run FuzzBlockingKeys -fuzz FuzzBlockingKeys -fuzztime 5s
 
 clean:
 	$(GO) clean ./...

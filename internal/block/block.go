@@ -9,76 +9,126 @@
 package block
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"censuslink/internal/census"
 	"censuslink/internal/strsim"
 )
 
-// KeyFunc derives the blocking keys of a record. The census year is passed
-// so keys can be computed on time-shifted values such as the birth year.
-// Returning no keys excludes the record from the pass.
-type KeyFunc func(r *census.Record, year int) []string
+// Key is a blocking key. Within one strategy, two records share a block
+// exactly when they emit an equal Key, so each strategy packs the parts
+// that define its blocks into the three words injectively (see the
+// strategy constructors for each layout). Keys of different strategies
+// never meet: the index keeps one key space per strategy.
+//
+// Every built-in strategy leaves the top 16 bits of Tag zero, so a
+// wrapping strategy can scope keys (by district, say) by setting them.
+type Key struct {
+	// Tag holds small discriminators: an LSH band index and a sex byte.
+	Tag    uint64
+	Hi, Lo uint64
+}
+
+// KeyFunc appends the blocking keys of a record to dst and returns the
+// extended slice. The census year is passed so keys can be computed on
+// time-shifted values such as the birth year. Appending no keys excludes
+// the record from the pass. A KeyFunc may keep caches between calls, so it
+// must not be shared between goroutines.
+type KeyFunc func(r *census.Record, year int, dst []Key) []Key
 
 // Strategy is a named blocking pass.
 type Strategy struct {
 	Name string
-	Keys KeyFunc
+	// Keys returns a key function for one goroutine. Every key function of
+	// a strategy returns the same keys for the same record and year.
+	Keys func() KeyFunc
+}
+
+// stateless wraps a cache-free key function as a Strategy.Keys factory.
+func stateless(f KeyFunc) func() KeyFunc { return func() KeyFunc { return f } }
+
+// sexByte is the sex as its string form encoded it: 'm', 'f' or 0 for
+// every other value.
+func sexByte(s census.Sex) uint64 {
+	if s == census.SexMale || s == census.SexFemale {
+		return uint64(s)
+	}
+	return 0
+}
+
+// soundexKey packs a Soundex code (a letter and three digits, never more
+// than eight bytes) and its length into a key.
+func soundexKey(code string) Key {
+	var lo uint64
+	for i := 0; i < len(code); i++ {
+		lo = lo<<8 | uint64(code[i])
+	}
+	return Key{Hi: uint64(len(code)), Lo: lo}
 }
 
 // SurnameSoundex blocks on the Soundex code of the surname. It is the
 // primary pass: surnames are the most stable high-selectivity attribute.
+// Key: the code in Hi/Lo.
 func SurnameSoundex() Strategy {
 	return Strategy{
 		Name: "surname-soundex",
-		Keys: func(r *census.Record, _ int) []string {
+		Keys: stateless(func(r *census.Record, _ int, dst []Key) []Key {
 			code := strsim.Soundex(r.Surname)
 			if code == "" {
-				return nil
+				return dst
 			}
-			return []string{"sn:" + code}
-		},
+			return append(dst, soundexKey(code))
+		}),
 	}
 }
 
 // FirstNameSoundexSex blocks on the Soundex code of the first name combined
 // with sex. This pass recovers records whose surname changed between
-// censuses (typically women at marriage).
+// censuses (typically women at marriage). Key: the code in Hi/Lo, the sex
+// in Tag.
 func FirstNameSoundexSex() Strategy {
 	return Strategy{
 		Name: "firstname-soundex-sex",
-		Keys: func(r *census.Record, _ int) []string {
+		Keys: stateless(func(r *census.Record, _ int, dst []Key) []Key {
 			code := strsim.Soundex(r.FirstName)
 			if code == "" {
-				return nil
+				return dst
 			}
-			return []string{"fn:" + code + ":" + r.Sex.String()}
-		},
+			k := soundexKey(code)
+			k.Tag = sexByte(r.Sex)
+			return append(dst, k)
+		}),
 	}
+}
+
+// birthBand returns the record's estimated birth year (census year minus
+// age) divided into bands of the given width, and false for a missing age.
+func birthBand(r *census.Record, year, width int) (int, bool) {
+	if r.Age == census.AgeMissing {
+		return 0, false
+	}
+	return (year - r.Age) / width, true
 }
 
 // BirthYearBand blocks on the estimated birth year (census year minus age)
 // rounded into bands of the given width, emitting the band and its two
-// neighbours so that small age-recording errors still collide.
+// neighbours so that small age-recording errors still collide. Key: the
+// band in Lo.
 func BirthYearBand(width int) Strategy {
 	if width < 1 {
 		width = 5
 	}
 	return Strategy{
 		Name: "birthyear-band",
-		Keys: func(r *census.Record, year int) []string {
-			if r.Age == census.AgeMissing {
-				return nil
+		Keys: stateless(func(r *census.Record, year int, dst []Key) []Key {
+			band, ok := birthBand(r, year, width)
+			if !ok {
+				return dst
 			}
-			birth := year - r.Age
-			band := birth / width
-			return []string{
-				"by:" + itoa(band-1),
-				"by:" + itoa(band),
-				"by:" + itoa(band+1),
-			}
-		},
+			return append(dst,
+				Key{Lo: uint64(band - 1)}, Key{Lo: uint64(band)}, Key{Lo: uint64(band + 1)})
+		}),
 	}
 }
 
@@ -93,7 +143,198 @@ func DefaultStrategies() []Strategy {
 func CrossProduct() Strategy {
 	return Strategy{
 		Name: "cross-product",
-		Keys: func(*census.Record, int) []string { return []string{"all"} },
+		Keys: stateless(func(_ *census.Record, _ int, dst []Key) []Key { return append(dst, Key{}) }),
+	}
+}
+
+// RecordKeys holds the blocking keys of a run of consecutive records under
+// every strategy of a pass set, in record order. Building it is the costly
+// half of indexing, so callers can key disjoint runs on separate
+// goroutines and join the runs with NewIndexFromKeys. One RecordKeys must
+// not be shared between goroutines: it owns one key function (and so one
+// cache) per strategy.
+type RecordKeys struct {
+	strategies []Strategy
+	fns        []KeyFunc
+	// keys[si] holds strategy si's keys, record after record; end[si][i]
+	// is the end of record i's keys in keys[si].
+	keys [][]Key
+	end  [][]int32
+	n    int
+	// size is the expected number of records, for sizing the key arrays.
+	size int
+}
+
+// NewRecordKeys returns an empty run keyed under the given strategies,
+// with room for about size records.
+func NewRecordKeys(strategies []Strategy, size int) *RecordKeys {
+	rk := &RecordKeys{
+		strategies: strategies,
+		keys:       make([][]Key, len(strategies)),
+		end:        make([][]int32, len(strategies)),
+		size:       size,
+	}
+	for si := range rk.end {
+		rk.end[si] = make([]int32, 0, size)
+	}
+	return rk
+}
+
+// Append keys record r (of a dataset with the given year) as the run's
+// next record.
+func (rk *RecordKeys) Append(r *census.Record, year int) {
+	if rk.fns == nil {
+		rk.fns = keyFuncs(rk.strategies)
+	}
+	for si, f := range rk.fns {
+		rk.keys[si] = f(r, year, rk.keys[si])
+		if rk.n == 0 {
+			// Most records emit as many keys as the first one does.
+			rk.keys[si] = slices.Grow(rk.keys[si], len(rk.keys[si])*max(rk.size-1, 0))
+		}
+		rk.end[si] = append(rk.end[si], int32(len(rk.keys[si])))
+	}
+	rk.n++
+}
+
+// AppendEmpty appends a record with no keys: it is in no block.
+func (rk *RecordKeys) AppendEmpty() {
+	for si := range rk.strategies {
+		rk.end[si] = append(rk.end[si], int32(len(rk.keys[si])))
+	}
+	rk.n++
+}
+
+// keyFuncs returns one fresh key function per strategy.
+func keyFuncs(strategies []Strategy) []KeyFunc {
+	fns := make([]KeyFunc, len(strategies))
+	for si, s := range strategies {
+		fns[si] = s.Keys()
+	}
+	return fns
+}
+
+// postings is one strategy's key space in CSR form: list l spans
+// pos[start[l]:start[l+1]], the positions of the records emitting the
+// key with id l, ascending (a record emitting a key twice is listed
+// twice).
+type postings struct {
+	ids   keyIDs
+	start []int32
+	pos   []int32
+}
+
+// newPostings fills strategy si's postings from the runs, visiting
+// records in order so every list comes out ascending.
+func newPostings(si int, parts []*RecordKeys) postings {
+	total := 0
+	for _, p := range parts {
+		total += len(p.keys[si])
+	}
+	// About half the keys of the LSH passes are distinct; the table grows
+	// if more are.
+	var ids keyIDs
+	ids.init(total / 2)
+	occ := make([]int32, 0, total) // list id of every key occurrence
+	var count []int32
+	for _, p := range parts {
+		for _, k := range p.keys[si] {
+			id := ids.put(k, int32(len(count)))
+			if int(id) == len(count) {
+				count = append(count, 0)
+			}
+			count[id]++
+			occ = append(occ, id)
+		}
+	}
+	start := make([]int32, len(count)+1)
+	for id, c := range count {
+		start[id+1] = start[id] + c
+	}
+	next := count // reused as each list's fill cursor
+	copy(next, start)
+	pos := make([]int32, total)
+	o, base := 0, 0
+	for _, p := range parts {
+		first := o
+		for i, end := range p.end[si] {
+			for ; o < first+int(end); o++ {
+				pos[next[occ[o]]] = int32(base + i)
+				next[occ[o]]++
+			}
+		}
+		base += p.n
+	}
+	return postings{ids: ids, start: start, pos: pos}
+}
+
+// keyIDs is an open-addressing hash table (linear probing, at most half
+// full, doubling when it would fill further) from key to list id. It replaces a Go map because the generic map
+// hashes and compares a 24-byte key through out-of-line calls, which made
+// the map half of the index build.
+type keyIDs struct {
+	keys []Key
+	ids  []int32 // id+1 of the key in the same slot; 0 marks a free slot
+	n    int
+}
+
+// slot returns the first slot of k's probe sequence.
+func (t *keyIDs) slot(k Key) int {
+	h := k.Lo ^ (k.Hi*0x9e3779b97f4a7c15+k.Tag)*0xc2b2ae3d27d4eb4f
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return int(h & uint64(len(t.keys)-1))
+}
+
+// get returns k's id, and false if k is absent.
+func (t *keyIDs) get(k Key) (int32, bool) {
+	mask := len(t.keys) - 1
+	for i := t.slot(k); ; i = (i + 1) & mask {
+		switch {
+		case t.ids[i] == 0:
+			return 0, false
+		case t.keys[i] == k:
+			return t.ids[i] - 1, true
+		}
+	}
+}
+
+// put returns k's id, first giving it the id fresh if k is absent.
+func (t *keyIDs) put(k Key, fresh int32) int32 {
+	if 2*(t.n+1) > len(t.keys) {
+		t.grow()
+	}
+	mask := len(t.keys) - 1
+	for i := t.slot(k); ; i = (i + 1) & mask {
+		switch {
+		case t.ids[i] == 0:
+			t.keys[i], t.ids[i] = k, fresh+1
+			t.n++
+			return fresh
+		case t.keys[i] == k:
+			return t.ids[i] - 1
+		}
+	}
+}
+
+// init empties the table and sizes it for n keys without growing.
+func (t *keyIDs) init(n int) {
+	size := 64
+	for size < 2*n {
+		size *= 2
+	}
+	t.keys, t.ids, t.n = make([]Key, size), make([]int32, size), 0
+}
+
+// grow doubles the table and reinserts every key.
+func (t *keyIDs) grow() {
+	old, oldIDs := t.keys, t.ids
+	t.init(len(old))
+	for i, id := range oldIDs {
+		if id != 0 {
+			t.put(old[i], id-1)
+		}
 	}
 }
 
@@ -105,8 +346,8 @@ func CrossProduct() Strategy {
 type Index struct {
 	recs       []*census.Record
 	strategies []Strategy
-	byKey      []map[string][]int32 // one map per strategy; values are positions in recs
-	generated  atomic.Int64         // raw key collisions across all Candidates calls
+	post       []postings   // one key space per strategy
+	generated  atomic.Int64 // raw key collisions across all Candidates calls
 }
 
 // Generated returns the raw number of candidate-pair hits the index has
@@ -117,21 +358,34 @@ type Index struct {
 func (ix *Index) Generated() int64 { return ix.generated.Load() }
 
 // NewIndex indexes the given records (of the dataset with the given census
-// year) under every strategy.
+// year) under every strategy, on the calling goroutine.
 func NewIndex(recs []*census.Record, year int, strategies []Strategy) *Index {
-	ix := &Index{
-		recs:       recs,
-		strategies: strategies,
-		byKey:      make([]map[string][]int32, len(strategies)),
+	rk := NewRecordKeys(strategies, len(recs))
+	for _, r := range recs {
+		rk.Append(r, year)
 	}
-	for si, s := range strategies {
-		m := make(map[string][]int32)
-		for i, r := range recs {
-			for _, k := range s.Keys(r, year) {
-				m[k] = append(m[k], int32(i))
-			}
+	return NewIndexFromKeys(recs, strategies, rk)
+}
+
+// NewIndexFromKeys indexes recs from their keys under strategies, given as
+// runs that together cover recs in order. It consumes the runs: each
+// strategy's keys are released once its postings are filled. It panics if
+// the runs do not cover recs exactly.
+func NewIndexFromKeys(recs []*census.Record, strategies []Strategy, parts ...*RecordKeys) *Index {
+	n := 0
+	for _, p := range parts {
+		n += p.n
+		p.fns = nil // the key caches
+	}
+	if n != len(recs) {
+		panic("block: key runs cover a different number of records than the index")
+	}
+	ix := &Index{recs: recs, strategies: strategies, post: make([]postings, len(strategies))}
+	for si := range strategies {
+		ix.post[si] = newPostings(si, parts)
+		for _, p := range parts {
+			p.keys[si], p.end[si] = nil, nil
 		}
-		ix.byKey[si] = m
 	}
 	return ix
 }
@@ -139,20 +393,27 @@ func NewIndex(recs []*census.Record, year int, strategies []Strategy) *Index {
 // Len returns the number of indexed records.
 func (ix *Index) Len() int { return len(ix.recs) }
 
-// Scratch is reusable per-worker query state for CandidateIndices. The
-// epoch-stamp array replaces the per-call map clear of the old scratch map:
-// bumping the epoch invalidates every previous stamp in O(1), so dedup
-// state is reused across candidate calls without any reset loop.
+// Scratch is reusable per-worker query state for CandidateIndices: an
+// epoch-stamp array for deduplication (bumping the epoch invalidates every
+// previous stamp in O(1), so no reset loop runs between calls), the key
+// buffer, and one key function per strategy of the index last queried, so
+// key caches serve every query of the worker.
 type Scratch struct {
 	stamp []int32
 	epoch int32
 	out   []int32
+	keys  []Key
+	ix    *Index
+	fns   []KeyFunc
 }
 
-// reset prepares the scratch for an index of n records and starts a new
-// dedup epoch.
-func (sc *Scratch) reset(n int) {
-	if len(sc.stamp) < n {
+// reset prepares the scratch for a query of ix and starts a new dedup
+// epoch.
+func (sc *Scratch) reset(ix *Index) {
+	if sc.ix != ix {
+		sc.ix, sc.fns = ix, keyFuncs(ix.strategies)
+	}
+	if n := len(ix.recs); len(sc.stamp) < n {
 		sc.stamp = make([]int32, n)
 		sc.epoch = 0
 	}
@@ -181,11 +442,17 @@ func (ix *Index) query(o *census.Record, oldYear int, sc *Scratch) ([]int32, int
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	sc.reset(len(ix.recs))
+	sc.reset(ix)
 	raw := 0
-	for si, s := range ix.strategies {
-		for _, k := range s.Keys(o, oldYear) {
-			for _, n := range ix.byKey[si][k] {
+	for si, f := range sc.fns {
+		p := &ix.post[si]
+		sc.keys = f(o, oldYear, sc.keys[:0])
+		for _, k := range sc.keys {
+			id, ok := p.ids.get(k)
+			if !ok {
+				continue
+			}
+			for _, n := range p.pos[p.start[id]:p.start[id+1]] {
 				raw++
 				if sc.stamp[n] == sc.epoch {
 					continue
@@ -198,7 +465,7 @@ func (ix *Index) query(o *census.Record, oldYear int, sc *Scratch) ([]int32, int
 	if raw > 0 {
 		ix.generated.Add(int64(raw)) // one add per query, not per hit
 	}
-	sort.Slice(sc.out, func(i, j int) bool { return sc.out[i] < sc.out[j] })
+	slices.Sort(sc.out)
 	return sc.out, raw
 }
 

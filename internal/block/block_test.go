@@ -280,3 +280,30 @@ func TestCandidateTableMatchesQueries(t *testing.T) {
 		t.Errorf("bytes = %d for %d pairs", tab.Bytes(), tab.Pairs())
 	}
 }
+
+// TestKeyIDsGrow: the key table keeps every id through repeated doubling,
+// returns the first id of a key put twice, and finds no absent key.
+func TestKeyIDsGrow(t *testing.T) {
+	var ids keyIDs
+	ids.init(0)
+	key := func(i int) Key { return Key{Tag: uint64(i % 3), Hi: uint64(i / 7), Lo: uint64(i)} }
+	for i := 0; i < 5000; i++ {
+		if got := ids.put(key(i), int32(i)); got != int32(i) {
+			t.Fatalf("put fresh key %d gave id %d", i, got)
+		}
+		if got := ids.put(key(i/2), -1); got != int32(i/2) {
+			t.Fatalf("put known key %d gave id %d", i/2, got)
+		}
+	}
+	if len(ids.keys) < 2*5000 {
+		t.Fatalf("table of %d slots holds 5000 keys", len(ids.keys))
+	}
+	for i := 0; i < 5000; i++ {
+		if got, ok := ids.get(key(i)); !ok || got != int32(i) {
+			t.Fatalf("get key %d = %d, %v", i, got, ok)
+		}
+	}
+	if _, ok := ids.get(key(5000)); ok {
+		t.Error("absent key found")
+	}
+}

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"slices"
 	"strings"
 
 	"censuslink/internal/census"
@@ -10,59 +11,39 @@ import (
 // become candidates if they share any q-gram. This is robust to arbitrary
 // single typos (any one edit preserves most q-grams) at the cost of larger
 // candidate sets; minLen skips very short surnames that would generate
-// overly common keys.
+// overly common keys. Key: the gram's q bytes in Hi/Lo, so q is at most 16
+// (larger values are lowered to 16).
 func SurnameQGrams(q, minLen int) Strategy {
 	if q < 2 {
 		q = 3
 	}
+	q = min(q, 16)
 	if minLen < q {
 		minLen = q
 	}
 	return Strategy{
 		Name: "surname-qgrams",
-		Keys: func(r *census.Record, _ int) []string {
+		Keys: stateless(func(r *census.Record, _ int, dst []Key) []Key {
 			s := strings.ToLower(strings.TrimSpace(r.Surname))
 			if len(s) < minLen {
-				return nil
+				return dst
 			}
-			keys := make([]string, 0, len(s)-q+1)
-			seen := make(map[string]bool, len(s))
+			first := len(dst)
 			for i := 0; i+q <= len(s); i++ {
-				g := s[i : i+q]
-				if !seen[g] {
-					seen[g] = true
-					keys = append(keys, "sq:"+g)
-				}
-			}
-			return keys
-		},
-	}
-}
-
-// Composite combines several strategies into one pass whose key is the
-// concatenation of one key from each part (records match only if every part
-// agrees). Parts that emit several keys multiply out; parts that emit none
-// exclude the record.
-func Composite(name string, parts ...Strategy) Strategy {
-	return Strategy{
-		Name: name,
-		Keys: func(r *census.Record, year int) []string {
-			combined := []string{""}
-			for _, p := range parts {
-				keys := p.Keys(r, year)
-				if len(keys) == 0 {
-					return nil
-				}
-				next := make([]string, 0, len(combined)*len(keys))
-				for _, c := range combined {
-					for _, k := range keys {
-						next = append(next, c+"|"+k)
+				var k Key
+				for j := 0; j < q; j++ {
+					if j < 8 {
+						k.Hi = k.Hi<<8 | uint64(s[i+j])
+					} else {
+						k.Lo = k.Lo<<8 | uint64(s[i+j])
 					}
 				}
-				combined = next
+				if !slices.Contains(dst[first:], k) {
+					dst = append(dst, k)
+				}
 			}
-			return combined
-		},
+			return dst
+		}),
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // is a far tighter candidate set than a phonetic bucket (Soundex lumps every
 // Smith/Smyth/Smed into one key) at near-identical recall on true matches.
 //
-// Because the scheme emits plain string keys through the same Strategy
-// interface as the exact passes, it composes with everything downstream:
-// multi-pass union, the prebuilt Index and per-δ filtering.
+// Because the scheme emits keys through the same Strategy interface as the
+// exact passes, it composes with everything downstream: multi-pass union,
+// the prebuilt Index and per-δ filtering.
 
 // MinHashParams configures the q-gram MinHash/LSH scheme.
 type MinHashParams struct {
@@ -89,10 +89,9 @@ func permConsts(k int) []uint64 {
 }
 
 // minhasher holds the precomputed permutation constants of one MinHash
-// pass. It is immutable after construction and therefore safe to share
-// across concurrent index queries (the Index contract: Keys functions run
-// inside CandidateIndices from many workers at once), so per-call state
-// lives on the caller's stack or in a per-call signature slice.
+// pass. It is immutable after construction and therefore shared by every
+// key function of the pass; the mutable state (signature buffer, band
+// cache) lives in each key function.
 type minhasher struct {
 	p      MinHashParams
 	consts []uint64
@@ -151,23 +150,117 @@ func (h *minhasher) signature(norm string, sig []uint64) bool {
 	return true
 }
 
-// bandKeys appends one key per band of the signature, prefixed so keys of
-// different passes (and different band indices) never collide.
-func (h *minhasher) bandKeys(sig []uint64, prefix string, suffix string, keys []string) []string {
+// appendBands appends one accumulator per band of the signature: the
+// band's rows mixed into one 64-bit value.
+func (h *minhasher) appendBands(sig []uint64, accs []uint64) []uint64 {
 	rows := h.p.Hashes / h.p.Bands
-	var buf [16]byte
 	for b := 0; b < h.p.Bands; b++ {
-		// Mix the band's rows into one 64-bit key value.
 		acc := uint64(b) + 0x9e3779b97f4a7c15
 		for r := 0; r < rows; r++ {
 			acc = splitmix64(acc ^ sig[b*rows+r])
 		}
-		for i := 0; i < 16; i++ {
-			buf[i] = "0123456789abcdef"[acc>>(60-4*i)&0xf]
-		}
-		keys = append(keys, prefix+string(rune('a'+b))+":"+string(buf[:])+suffix)
+		accs = append(accs, acc)
 	}
-	return keys
+	return accs
+}
+
+// bandCache memoizes band accumulators for one key function, so a pass
+// computes each distinct normalized name's signature once however many
+// records carry it, and normalizes each distinct raw value once. It
+// belongs to one key function and so to one goroutine.
+type bandCache[V comparable] struct {
+	h *minhasher
+	// raw and norm map a raw value and a normalized one to the offset of
+	// its accumulators in accs, or to -1 when it has no q-grams.
+	raw  map[V]int32
+	norm map[string]int32
+	accs []uint64
+	sig  []uint64
+}
+
+func newBandCache[V comparable](h *minhasher) *bandCache[V] {
+	return &bandCache[V]{h: h, raw: make(map[V]int32), norm: make(map[string]int32), sig: make([]uint64, h.p.Hashes)}
+}
+
+// bands returns the band accumulators of raw value v, whose normalized
+// form is normalize(v), or nil when it has no q-grams. The slice must not
+// be modified.
+func (c *bandCache[V]) bands(v V, normalize func(V) string) []uint64 {
+	at, ok := c.raw[v]
+	if !ok {
+		n := normalize(v)
+		if at, ok = c.norm[n]; !ok {
+			at = -1
+			if c.h.signature(n, c.sig) {
+				at = int32(len(c.accs))
+				c.accs = c.h.appendBands(c.sig, c.accs)
+			}
+			c.norm[n] = at
+		}
+		c.raw[v] = at
+	}
+	if at < 0 {
+		return nil
+	}
+	return c.accs[at : int(at)+c.h.p.Bands]
+}
+
+// lshPass returns the key-function factory of a MinHash pass over the
+// value val(r), hashed in its normalized form norm(val(r)). Band b emits
+// Key{Tag: b<<8 | sex, Lo: acc}, where acc is the band's accumulator and
+// sex is the record's sex byte if withSex is set and 0 otherwise. With a
+// birth-year width > 0 the pass is guarded: records without an age emit
+// nothing, and each band emits one key per birth-year band in {band-1,
+// band, band+1}, held in Hi. Each part has bits of its own, so two records
+// share a key exactly when they agree on the band index, its accumulator,
+// the sex byte and (guarded) a birth-year band.
+func lshPass[V comparable](h *minhasher, val func(*census.Record) V, norm func(V) string,
+	withSex bool, width int) func() KeyFunc {
+	return func() KeyFunc {
+		c := newBandCache[V](h)
+		return func(r *census.Record, year int, dst []Key) []Key {
+			by := 0
+			if width > 0 {
+				var ok bool
+				if by, ok = birthBand(r, year, width); !ok {
+					return dst
+				}
+			}
+			var sex uint64
+			if withSex {
+				sex = sexByte(r.Sex)
+			}
+			for b, acc := range c.bands(val(r), norm) {
+				k := Key{Tag: uint64(b)<<8 | sex, Lo: acc}
+				if width == 0 {
+					dst = append(dst, k)
+					continue
+				}
+				for _, band := range [3]int{by - 1, by, by + 1} {
+					k.Hi = uint64(band)
+					dst = append(dst, k)
+				}
+			}
+			return dst
+		}
+	}
+}
+
+func surname(r *census.Record) string   { return r.Surname }
+func firstName(r *census.Record) string { return r.FirstName }
+func fullName(r *census.Record) [2]string {
+	return [2]string{r.FirstName, r.Surname}
+}
+
+// normFullName joins the normalized first name and surname with a
+// separator so grams never span the boundary; a record with neither
+// hashes to nothing.
+func normFullName(v [2]string) string {
+	fn, sn := strsim.Normalize(v[0]), strsim.Normalize(v[1])
+	if fn == "" && sn == "" {
+		return ""
+	}
+	return fn + "|" + sn
 }
 
 // SurnameMinHash blocks on banded MinHash signatures of the surname's
@@ -176,13 +269,7 @@ func SurnameMinHash(p MinHashParams) Strategy {
 	h := newMinhasher(p)
 	return Strategy{
 		Name: "surname-minhash(" + h.p.String() + ")",
-		Keys: func(r *census.Record, _ int) []string {
-			sig := make([]uint64, h.p.Hashes)
-			if !h.signature(strsim.Normalize(r.Surname), sig) {
-				return nil
-			}
-			return h.bandKeys(sig, "Ls", "", make([]string, 0, h.p.Bands))
-		},
+		Keys: lshPass(h, surname, strsim.Normalize, false, 0),
 	}
 }
 
@@ -194,36 +281,20 @@ func FirstNameMinHashSex(p MinHashParams) Strategy {
 	h := newMinhasher(p)
 	return Strategy{
 		Name: "firstname-minhash-sex(" + h.p.String() + ")",
-		Keys: func(r *census.Record, _ int) []string {
-			sig := make([]uint64, h.p.Hashes)
-			if !h.signature(strsim.Normalize(r.FirstName), sig) {
-				return nil
-			}
-			return h.bandKeys(sig, "Lf", ":"+r.Sex.String(), make([]string, 0, h.p.Bands))
-		},
+		Keys: lshPass(h, firstName, strsim.Normalize, true, 0),
 	}
 }
 
 // FullNameMinHash blocks on banded MinHash signatures of the q-grams of the
 // whole name (first name and surname, separator-joined so grams never span
 // the boundary). It is the safety net of the LSH scheme: records the
-// birth-year-composed passes exclude (missing age, larger age-recording
+// birth-year-guarded passes exclude (missing age, larger age-recording
 // errors) still pair with their close full-name variants.
 func FullNameMinHash(p MinHashParams) Strategy {
 	h := newMinhasher(p)
 	return Strategy{
 		Name: "fullname-minhash(" + h.p.String() + ")",
-		Keys: func(r *census.Record, _ int) []string {
-			fn, sn := strsim.Normalize(r.FirstName), strsim.Normalize(r.Surname)
-			if fn == "" && sn == "" {
-				return nil
-			}
-			sig := make([]uint64, h.p.Hashes)
-			if !h.signature(fn+"|"+sn, sig) {
-				return nil
-			}
-			return h.bandKeys(sig, "Ln", "", make([]string, 0, h.p.Bands))
-		},
+		Keys: lshPass(h, fullName, normFullName, false, 0),
 	}
 }
 
@@ -242,15 +313,16 @@ func FullNameMinHash(p MinHashParams) Strategy {
 type LSHConfig struct {
 	// Name parameterizes the surname and first-name passes (zero value:
 	// q=2, h=16, b=8 — a loose ≈0.35 Jaccard knee, fine because the
-	// birth-year composition does the heavy pruning).
+	// birth-year guard does the heavy pruning).
 	Name MinHashParams
 	// FullName parameterizes the full-name recovery pass (zero value:
 	// q=2, h=24, b=4 — a tight ≈0.79 knee, since this pass runs without a
 	// birth-year guard).
 	FullName MinHashParams
-	// BirthYearWidth is the band width composed with the name passes; bands
-	// are emitted with their two neighbours, so records collide when their
-	// estimated birth years differ by at most 2·width (zero value: 1).
+	// BirthYearWidth is the band width of the name passes' birth-year
+	// guard; bands are emitted with their two neighbours, so records
+	// collide when their estimated birth years differ by at most 2·width
+	// (zero value: 1).
 	BirthYearWidth int
 }
 
@@ -282,16 +354,16 @@ func (c LSHConfig) withDefaults() LSHConfig {
 
 // LSHStrategies is the MinHash/LSH multi-pass blocking configuration: the
 // birth-year-guarded surname and first-name+sex LSH passes plus the
-// full-name recovery pass (see LSHConfig for why). Every pass emits plain
-// string keys, so the scheme shares the exact-key index machinery.
+// full-name recovery pass (see LSHConfig for why). A guarded pass pairs
+// two records when they agree on a band and their birth-year bands differ
+// by at most two.
 func LSHStrategies(c LSHConfig) []Strategy {
 	c = c.withDefaults()
-	sur := SurnameMinHash(c.Name)
-	fn := FirstNameMinHashSex(c.Name)
-	by := func() Strategy { return BirthYearBand(c.BirthYearWidth) }
+	h, w := newMinhasher(c.Name), c.BirthYearWidth
+	guard := "+by" + itoa(w)
 	return []Strategy{
-		Composite(sur.Name+"+by"+itoa(c.BirthYearWidth), sur, by()),
-		Composite(fn.Name+"+by"+itoa(c.BirthYearWidth), fn, by()),
+		{Name: SurnameMinHash(c.Name).Name + guard, Keys: lshPass(h, surname, strsim.Normalize, false, w)},
+		{Name: FirstNameMinHashSex(c.Name).Name + guard, Keys: lshPass(h, firstName, strsim.Normalize, true, w)},
 		FullNameMinHash(c.FullName),
 	}
 }

@@ -1,7 +1,7 @@
 package block
 
 import (
-	"strings"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -15,6 +15,11 @@ func mhRecord(first, sur, sex string) *census.Record {
 		Surname:   sur,
 		Sex:       census.ParseSex(sex),
 	}
+}
+
+// keysOf returns the keys a fresh key function of s gives record r.
+func keysOf(s Strategy, r *census.Record, year int) []Key {
+	return s.Keys()(r, year, nil)
 }
 
 func TestMinHashParamsDefaults(t *testing.T) {
@@ -35,12 +40,12 @@ func TestMinHashParamsDefaults(t *testing.T) {
 func TestMinHashKeysDeterministic(t *testing.T) {
 	s := SurnameMinHash(MinHashParams{})
 	r := mhRecord("ann", "ashworth", "f")
-	first := s.Keys(r, 1871)
+	first := keysOf(s, r, 1871)
 	if len(first) != 8 {
 		t.Fatalf("got %d band keys, want 8", len(first))
 	}
 	for i := 0; i < 5; i++ {
-		again := SurnameMinHash(MinHashParams{}).Keys(r, 1881)
+		again := keysOf(SurnameMinHash(MinHashParams{}), r, 1881)
 		for j := range first {
 			if first[j] != again[j] {
 				t.Fatalf("keys not deterministic across instances/years: %v vs %v", first, again)
@@ -53,14 +58,14 @@ func TestMinHashKeysDeterministic(t *testing.T) {
 // share every band key — exact duplicates always survive LSH blocking.
 func TestMinHashIdenticalValuesCollide(t *testing.T) {
 	s := SurnameMinHash(MinHashParams{})
-	a := s.Keys(mhRecord("x", "Jóhannsson", "m"), 1871)
-	b := s.Keys(mhRecord("y", "johannsson", "f"), 1881)
+	a := keysOf(s, mhRecord("x", "Jóhannsson", "m"), 1871)
+	b := keysOf(s, mhRecord("y", "johannsson", "f"), 1881)
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatalf("key counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("band %d differs for identical normalized surnames: %q vs %q", i, a[i], b[i])
+			t.Fatalf("band %d differs for identical normalized surnames: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
@@ -71,9 +76,9 @@ func TestMinHashIdenticalValuesCollide(t *testing.T) {
 func TestMinHashSimilarNamesCollide(t *testing.T) {
 	s := SurnameMinHash(MinHashParams{})
 	shared := func(x, y string) int {
-		a := s.Keys(mhRecord("", x, "m"), 1871)
-		b := s.Keys(mhRecord("", y, "m"), 1881)
-		bs := map[string]bool{}
+		a := keysOf(s, mhRecord("", x, "m"), 1871)
+		b := keysOf(s, mhRecord("", y, "m"), 1881)
+		bs := map[Key]bool{}
 		for _, k := range b {
 			bs[k] = true
 		}
@@ -101,34 +106,44 @@ func TestMinHashSimilarNamesCollide(t *testing.T) {
 
 func TestMinHashKeyShape(t *testing.T) {
 	sur := SurnameMinHash(MinHashParams{})
-	for i, k := range sur.Keys(mhRecord("", "smith", "m"), 1871) {
-		if !strings.HasPrefix(k, "Ls"+string(rune('a'+i))+":") {
-			t.Errorf("surname band %d key %q lacks its band prefix", i, k)
+	for i, k := range keysOf(sur, mhRecord("", "smith", "m"), 1871) {
+		if k.Tag != uint64(i)<<8 || k.Hi != 0 {
+			t.Errorf("surname band %d key %+v does not hold its band index alone", i, k)
 		}
 	}
 	fn := FirstNameMinHashSex(MinHashParams{})
-	keys := fn.Keys(mhRecord("mary", "", "f"), 1871)
+	keys := keysOf(fn, mhRecord("mary", "", "f"), 1871)
 	for i, k := range keys {
-		if !strings.HasPrefix(k, "Lf"+string(rune('a'+i))+":") {
-			t.Errorf("firstname band %d key %q lacks its band prefix", i, k)
-		}
-		if !strings.HasSuffix(k, ":f") {
-			t.Errorf("firstname key %q lacks the sex suffix", k)
+		if k.Tag != uint64(i)<<8|'f' {
+			t.Errorf("firstname band %d key %+v does not hold its band index and sex", i, k)
 		}
 	}
-	// Different sex must never collide on the firstname pass.
-	m := fn.Keys(mhRecord("mary", "", "m"), 1871)
-	for i := range keys {
-		if keys[i] == m[i] {
-			t.Errorf("band %d collides across sex: %q", i, keys[i])
+	// Different sex must never collide on the firstname pass, and the
+	// unknown sex is a value of its own.
+	for _, sex := range []string{"m", ""} {
+		other := keysOf(fn, mhRecord("mary", "", sex), 1871)
+		for i := range keys {
+			if keys[i] == other[i] {
+				t.Errorf("band %d collides across sex %q: %+v", i, sex, keys[i])
+			}
 		}
 	}
 	// Empty values exclude the record from the pass.
-	if got := sur.Keys(mhRecord("x", "", "m"), 1871); got != nil {
+	if got := keysOf(sur, mhRecord("x", "", "m"), 1871); got != nil {
 		t.Errorf("empty surname produced keys %v", got)
 	}
-	if got := sur.Keys(mhRecord("x", "   ", "m"), 1871); got != nil {
+	if got := keysOf(sur, mhRecord("x", "   ", "m"), 1871); got != nil {
 		t.Errorf("blank surname produced keys %v", got)
+	}
+	// Every built-in key leaves the top 16 bits of Tag to scoping wrappers.
+	for _, s := range append(LSHStrategies(LSHConfig{}), HighRecallStrategies()...) {
+		r := mhRecord("mary", "smith", "f")
+		r.Age = 30
+		for _, k := range keysOf(s, r, 1871) {
+			if k.Tag>>48 != 0 {
+				t.Errorf("%s key %+v uses the scope bits", s.Name, k)
+			}
+		}
 	}
 }
 
@@ -165,16 +180,23 @@ func TestMinHashNamesEncodeParams(t *testing.T) {
 	}
 }
 
-// TestMinHashConcurrentQueries: Keys functions run inside concurrent index
-// queries; the strategy must be safe to share (run with -race).
+// TestMinHashConcurrentQueries: workers query one index at once, each
+// through its own Scratch whose key functions cache band accumulators
+// across queries; every cached answer must equal an uncached query (run
+// with -race).
 func TestMinHashConcurrentQueries(t *testing.T) {
 	rows := [][4]string{
 		{"ann", "ashworth", "f", "30"}, {"bob", "ashwirth", "m", "31"},
 		{"cat", "johansson", "f", "32"}, {"dan", "johanson", "m", "33"},
+		{"ann", "ashworth", "f", ""}, {"", "", "m", "34"},
 	}
 	old := makeDataset(t, 1871, rows)
 	new := makeDataset(t, 1881, rows)
 	ix := NewIndex(new.Records(), 1881, LSHStrategies(LSHConfig{}))
+	want := make([]string, len(old.Records()))
+	for i, o := range old.Records() {
+		want[i] = fmt.Sprint(ix.CandidateIndices(o, 1871, nil))
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -182,8 +204,11 @@ func TestMinHashConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			var sc Scratch
 			for i := 0; i < 50; i++ {
-				for _, o := range old.Records() {
-					ix.CandidateIndices(o, 1871, &sc)
+				for j, o := range old.Records() {
+					if got := fmt.Sprint(ix.CandidateIndices(o, 1871, &sc)); got != want[j] {
+						t.Errorf("record %d: cached query %s, uncached %s", j, got, want[j])
+						return
+					}
 				}
 			}
 		}()

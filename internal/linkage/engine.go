@@ -81,28 +81,67 @@ func allActive(n int) []bool {
 	return active
 }
 
-// buildTable queries ix once for every old record and returns the
-// candidate table, row i holding old[i]'s candidates. Old records are
-// split into one contiguous chunk per worker; each chunk observes ctx
-// every cancelCheckEvery records, and cancellation and worker panics are
-// reported as stage "compile". Under PanicSkip a failed chunk's rows stay
-// empty, so its records are never compared.
-func buildTable(ctx context.Context, ix *block.Index, old []*census.Record, oldYear, workers int,
-	policy PanicPolicy, st *obs.Stats) (*block.CandidateTable, error) {
-	chunks := splitChunks(len(old), workers)
-	parts := make([]*block.CandidateTable, len(chunks))
+// compileTable is the blocking half of the compile stage: it indexes the
+// new records under strategies and queries the index once for every old
+// record, returning the candidate table whose row i holds old[i]'s
+// candidates. Both halves run on the chunk pool: the new records' keys are
+// computed per chunk and joined in record order, so every posting list
+// comes out as a serial build would make it, then the old records are
+// queried per chunk. The index is dropped on return. Each chunk observes
+// ctx every cancelCheckEvery records, and cancellation and worker panics
+// are reported as stage "compile". Under PanicSkip a failed chunk's
+// records get no keys or no candidates, so they are never compared.
+func compileTable(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record, newYear int,
+	strategies []block.Strategy, workers int, policy PanicPolicy, st *obs.Stats) (*block.CandidateTable, error) {
+	keys, err := compileChunks(ctx, new, workers, policy, st,
+		func(n int) *block.RecordKeys { return block.NewRecordKeys(strategies, n) },
+		func(rk *block.RecordKeys, r *census.Record) { rk.Append(r, newYear) },
+		(*block.RecordKeys).AppendEmpty)
+	if err != nil {
+		return nil, err
+	}
+	ix := block.NewIndexFromKeys(new, strategies, keys...)
+	rows, err := compileChunks(ctx, old, workers, policy, st,
+		func(int) *queryChunk { return &queryChunk{tab: &block.CandidateTable{}} },
+		func(q *queryChunk, o *census.Record) { ix.AppendRow(q.tab, o, oldYear, &q.scratch) },
+		func(q *queryChunk) { q.tab.AppendEmptyRow() })
+	if err != nil {
+		return nil, err
+	}
+	tabs := make([]*block.CandidateTable, len(rows))
+	for i, q := range rows {
+		tabs[i] = q.tab
+	}
+	return block.JoinTables(tabs...), nil
+}
+
+// queryChunk is one chunk's share of the candidate table and its worker's
+// query scratch.
+type queryChunk struct {
+	tab     *block.CandidateTable
+	scratch block.Scratch
+}
+
+// compileChunks splits recs into one contiguous chunk per worker and
+// builds one part per chunk on the pool: a fresh part from newPart (given
+// the chunk's record count), then add for each of the chunk's records in
+// order. A chunk skipped under PanicSkip gets a fresh part holding one
+// addEmpty entry per record.
+func compileChunks[P any](ctx context.Context, recs []*census.Record, workers int, policy PanicPolicy,
+	st *obs.Stats, newPart func(n int) P, add func(P, *census.Record), addEmpty func(P)) ([]P, error) {
+	chunks := splitChunks(len(recs), workers)
+	parts := make([]P, len(chunks))
 	skipped, err := runChunks(ctx, "compile", 0, chunks, policy, st, func(ci, lo, hi int) error {
-		t := &block.CandidateTable{}
-		var scratch block.Scratch
+		p := newPart(hi - lo)
 		for i := lo; i < hi; i++ {
 			if (i-lo)%cancelCheckEvery == 0 {
 				if e := ctx.Err(); e != nil {
 					return cancelErr("compile", 0, e)
 				}
 			}
-			ix.AppendRow(t, old[i], oldYear, &scratch)
+			add(p, recs[i])
 		}
-		parts[ci] = t
+		parts[ci] = p
 		return nil
 	})
 	if err != nil {
@@ -110,13 +149,13 @@ func buildTable(ctx context.Context, ix *block.Index, old []*census.Record, oldY
 	}
 	for ci, c := range chunks {
 		if skipped[ci] {
-			parts[ci] = &block.CandidateTable{}
+			parts[ci] = newPart(c[1] - c[0])
 			for i := c[0]; i < c[1]; i++ {
-				parts[ci].AppendEmptyRow()
+				addEmpty(parts[ci])
 			}
 		}
 	}
-	return block.JoinTables(parts...), nil
+	return parts, nil
 }
 
 // cancelCheckEvery is the number of records a pipeline loop processes

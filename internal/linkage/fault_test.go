@@ -118,8 +118,8 @@ func TestPreMatchChunkPanic(t *testing.T) {
 }
 
 // TestCompileChunkPanic: a panic while the compile stage builds the
-// candidate table is reported as a compile-stage chunk failure, or skipped
-// and counted.
+// blocking index or the candidate table is reported as a compile-stage
+// chunk failure, or skipped and counted.
 func TestCompileChunkPanic(t *testing.T) {
 	skipWithoutInjection(t)
 	old, new := paperexample.Old(), paperexample.New()
@@ -136,20 +136,40 @@ func TestCompileChunkPanic(t *testing.T) {
 			t.Errorf("stage=%q chunk=%d panic=%v, want a compile chunk panic", pe.Stage, pe.Chunk, pe.Panic)
 		}
 	})
-	t.Run("skip", func(t *testing.T) {
-		defer faultinject.Reset()
-		faultinject.Set("linkage.compile.chunk", faultinject.PanicOnCall(1, "chunk crash"))
-		stats := obs.NewStats(nil)
-		cfg := faultConfig(2)
-		cfg.Panics = linkage.PanicSkip
-		cfg.Obs = stats
-		if _, err := linkage.LinkContext(context.Background(), old, new, cfg); err != nil {
-			t.Fatalf("skip policy did not absorb the chunk panic: %v", err)
-		}
-		if got := stats.Total(obs.PanicsRecovered); got != 1 {
-			t.Errorf("panics_recovered = %d, want 1", got)
-		}
-	})
+	// With two workers the compile stage passes the fault point four
+	// times: two index chunks keying the new records ("skip" fails the
+	// first), then two table chunks querying the old ones. A skipped index chunk leaves its new
+	// records in no block, a skipped table chunk its old records without
+	// candidates; either way the link completes on a smaller candidate
+	// table.
+	cleanCfg := faultConfig(2)
+	cleanCfg.Obs = obs.NewStats(nil)
+	if _, err := linkage.LinkContext(context.Background(), old, new, cleanCfg); err != nil {
+		t.Fatal(err)
+	}
+	cleanPairs := cleanCfg.Obs.Total(obs.CandidateTablePairs)
+	for _, c := range []struct {
+		name string
+		call uint64
+	}{{"skip", 1}, {"skip-table-chunk", 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			faultinject.Set("linkage.compile.chunk", faultinject.PanicOnCall(c.call, "chunk crash"))
+			stats := obs.NewStats(nil)
+			cfg := faultConfig(2)
+			cfg.Panics = linkage.PanicSkip
+			cfg.Obs = stats
+			if _, err := linkage.LinkContext(context.Background(), old, new, cfg); err != nil {
+				t.Fatalf("skip policy did not absorb the chunk panic: %v", err)
+			}
+			if got := stats.Total(obs.PanicsRecovered); got != 1 {
+				t.Errorf("panics_recovered = %d, want 1", got)
+			}
+			if got := stats.Total(obs.CandidateTablePairs); got >= cleanPairs {
+				t.Errorf("candidate table has %d pairs with a skipped chunk, %d without", got, cleanPairs)
+			}
+		})
+	}
 	t.Run("cancel", func(t *testing.T) {
 		defer faultinject.Reset()
 		ctx, cancel := context.WithCancel(context.Background())

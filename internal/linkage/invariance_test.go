@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -153,6 +154,57 @@ func TestLinkInvariantUnderIDRenaming(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestLinkInvariantUnderWorkers: the chunk pool splits the index build,
+// the candidate table, pre-matching and subgraph matching by worker count,
+// and the runtime schedules the chunks by GOMAXPROCS; neither may change
+// the output. Config.Workers 1, 2 and 4 under GOMAXPROCS 1 and 2 give the
+// same record links, group links, iterations and sources as a
+// single-worker run, for both blocking schemes.
+func TestLinkInvariantUnderWorkers(t *testing.T) {
+	old, new, err := synth.GeneratePair(synth.TestConfig(0.04, 1881000), 1871, 1881)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, scheme := range []string{"default", "lsh"} {
+		cfg := DefaultConfig()
+		if cfg.Strategies, err = ParseBlocking(scheme); err != nil {
+			t.Fatal(err)
+		}
+		var base *Result
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for _, workers := range []int{1, 2, 4} {
+				cfg.Workers = workers
+				got, err := LinkContext(context.Background(), old, new, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base == nil {
+					if len(got.RecordLinks) == 0 || len(got.GroupLinks) == 0 {
+						t.Fatalf("%s: no links; the check would be vacuous", scheme)
+					}
+					base = got
+					continue
+				}
+				for _, cmp := range []struct {
+					name      string
+					got, want any
+				}{
+					{"record links", got.RecordLinks, base.RecordLinks},
+					{"group links", got.GroupLinks, base.GroupLinks},
+					{"iterations", got.Iterations, base.Iterations},
+					{"sources", got.Sources, base.Sources},
+				} {
+					if !reflect.DeepEqual(cmp.got, cmp.want) {
+						t.Errorf("%s, GOMAXPROCS %d, %d workers: %s differ from one worker's", scheme, procs, workers, cmp.name)
+					}
+				}
+			}
 		}
 	}
 }

@@ -384,7 +384,7 @@ type RemainderOptions struct {
 // via the Hungarian algorithm) with opts.Optimal. It is the single
 // standalone entry point of the remainder pass.
 func MatchRemaining(ctx context.Context, old, new []*census.Record, opts RemainderOptions) ([]RecordLink, error) {
-	tab, err := buildTable(ctx, block.NewIndex(new, opts.NewYear, opts.Strategies), old, opts.OldYear,
+	tab, err := compileTable(ctx, old, opts.OldYear, new, opts.NewYear, opts.Strategies,
 		0, PanicFailFast, nil)
 	if err != nil {
 		return nil, err

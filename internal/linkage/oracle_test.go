@@ -10,6 +10,7 @@ package linkage
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"censuslink/internal/block"
@@ -395,10 +396,23 @@ func TestObsCompiledCacheCounters(t *testing.T) {
 	}
 }
 
-// TestLinkQueriesIndexOnce: the compile stage queries the blocking index
-// once per old record into the candidate table, and no later pass queries
-// it again, so after a full Link the index's raw hit count equals the first
-// iteration's Blocked, for both blocking schemes.
+// countedKeys wraps a strategy so every call of its key functions adds
+// one to calls.
+func countedKeys(s block.Strategy, calls *atomic.Int64) block.Strategy {
+	return block.Strategy{Name: s.Name, Keys: func() block.KeyFunc {
+		keys := s.Keys()
+		return func(r *census.Record, year int, dst []block.Key) []block.Key {
+			calls.Add(1)
+			return keys(r, year, dst)
+		}
+	}}
+}
+
+// TestLinkQueriesIndexOnce: the compile stage keys every new record once
+// to build the blocking index and every old record once to query it into
+// the candidate table, and no later pass keys a record again; so the
+// table's raw hit count is every raw hit the index produced over the link,
+// and it equals the first iteration's Blocked, for both blocking schemes.
 func TestLinkQueriesIndexOnce(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.03, 23), 1871, 1881)
 	if err != nil {
@@ -408,6 +422,10 @@ func TestLinkQueriesIndexOnce(t *testing.T) {
 		cfg := DefaultConfig()
 		if cfg.Strategies, err = ParseBlocking(scheme); err != nil {
 			t.Fatal(err)
+		}
+		calls := make([]atomic.Int64, len(cfg.Strategies))
+		for si, s := range cfg.Strategies {
+			cfg.Strategies[si] = countedKeys(s, &calls[si])
 		}
 		var rs *runState
 		var blocked []int
@@ -423,8 +441,18 @@ func TestLinkQueriesIndexOnce(t *testing.T) {
 		if len(blocked) < 2 || blocked[0] == 0 {
 			t.Fatalf("%s: %d iterations, first Blocked %v; the check would be vacuous", scheme, len(blocked), blocked)
 		}
-		if got := rs.ix.Generated(); got != int64(blocked[0]) {
-			t.Errorf("%s: index generated %d raw hits over the link, first iteration Blocked %d", scheme, got, blocked[0])
+		want := int64(len(old.Records()) + len(new.Records()))
+		for si := range calls {
+			if got := calls[si].Load(); got != want {
+				t.Errorf("%s: strategy %d keyed %d records over the link, want %d (each record once)", scheme, si, got, want)
+			}
+		}
+		tab, raw := rs.sim.tab, 0
+		for i := 0; i < tab.Rows(); i++ {
+			raw += tab.Raw(i)
+		}
+		if raw != blocked[0] {
+			t.Errorf("%s: candidate table holds %d raw hits, first iteration Blocked %d", scheme, raw, blocked[0])
 		}
 	}
 }

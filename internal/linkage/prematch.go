@@ -130,7 +130,7 @@ type PreMatchOptions struct {
 // "prematch" while pairs are scored), or are skipped and counted, per
 // opts.Panics.
 func PreMatchOpts(ctx context.Context, old, new []*census.Record, opts PreMatchOptions) (*PreMatchResult, error) {
-	tab, err := buildTable(ctx, block.NewIndex(new, opts.NewYear, opts.Strategies), old, opts.OldYear,
+	tab, err := compileTable(ctx, old, opts.OldYear, new, opts.NewYear, opts.Strategies,
 		opts.Workers, opts.Panics, opts.Obs)
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ package linkage
 import (
 	"context"
 
-	"censuslink/internal/block"
 	"censuslink/internal/census"
 	"censuslink/internal/hgraph"
 	"censuslink/internal/obs"
@@ -30,10 +29,6 @@ type runState struct {
 	// oldHH and newHH number each dataset's households by record position,
 	// for the candidate_groups stage.
 	oldHH, newHH householdIndex
-	// ix is the blocking index over the full new dataset. The compile
-	// stage queries it once per old record into the candidate table; no
-	// later stage queries it.
-	ix *block.Index
 	// sim scores pre-matching and the transitively linked vertex pairs of
 	// the subgraph stage; rem scores the remainder pass with Sim_func_rem.
 	// Both read the one candidate table and share the active-record mask
@@ -85,9 +80,9 @@ func buildGraphs(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) 
 }
 
 // compile is the compile stage: it interns both datasets against each
-// similarity function, builds the blocking index once per year pair and
-// queries it once per old record into the candidate table every later pass
-// reads, and sorts the record IDs that number cluster labels.
+// similarity function, and builds the blocking index once per year pair
+// and queries it once per old record into the candidate table every later
+// pass reads. The index itself does not outlive the stage.
 func (rs *runState) compile(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return cancelErr("compile", 0, err)
@@ -95,8 +90,8 @@ func (rs *runState) compile(ctx context.Context) error {
 	stop := rs.cfg.Obs.Stage("compile")
 	defer stop()
 	oldRecs, newRecs := rs.old.Records(), rs.new.Records()
-	rs.ix = block.NewIndex(newRecs, rs.new.Year, rs.cfg.Strategies)
-	tab, err := buildTable(ctx, rs.ix, oldRecs, rs.old.Year, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs)
+	tab, err := compileTable(ctx, oldRecs, rs.old.Year, newRecs, rs.new.Year, rs.cfg.Strategies,
+		rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs)
 	if err != nil {
 		return err
 	}

@@ -19,32 +19,39 @@ import (
 	"censuslink/internal/synth"
 )
 
-// districtScoped wraps a blocking strategy so its keys are prefixed with the
+// districtScoped wraps a blocking strategy so its keys are scoped by the
 // record's synthetic district (the "d<N>_" ID prefix emitted by
 // synth.Config.Districts). Multi-district populations have no inter-district
 // migration, so scoping blocks by district loses no true matches while
 // keeping candidate pairs linear rather than quadratic in the district
 // count — the same role enumeration districts play in real census linkage.
 // Records without a district prefix (single-district synth, real data) keep
-// their unscoped keys.
+// their unscoped keys. The scope is N+1 in the top 16 bits of Key.Tag,
+// which every built-in key leaves zero, so scoped keys of different
+// districts never meet each other or an unscoped key. A district number
+// that does not fit, or is written with a leading zero (so two prefixes
+// would share a number), panics rather than merging districts.
 func districtScoped(inner block.Strategy) block.Strategy {
 	return block.Strategy{
 		Name: inner.Name + "-district",
-		Keys: func(r *census.Record, year int) []string {
-			keys := inner.Keys(r, year)
-			d, _, ok := strings.Cut(r.ID, "_")
-			if !ok || len(d) < 2 || d[0] != 'd' {
-				return keys
-			}
-			for _, c := range d[1:] {
-				if c < '0' || c > '9' {
-					return keys
+		Keys: func() block.KeyFunc {
+			keys := inner.Keys()
+			return func(r *census.Record, year int, dst []block.Key) []block.Key {
+				first := len(dst)
+				dst = keys(r, year, dst)
+				d, _, ok := strings.Cut(r.ID, "_")
+				if !ok || len(d) < 2 || d[0] != 'd' || strings.Trim(d[1:], "0123456789") != "" {
+					return dst
 				}
+				n, err := strconv.ParseUint(d[1:], 10, 16)
+				if err != nil || n+1 >= 1<<16 || strconv.FormatUint(n, 10) != d[1:] {
+					panic("district " + d + " does not fit the key scope")
+				}
+				for i := first; i < len(dst); i++ {
+					dst[i].Tag |= (n + 1) << 48
+				}
+				return dst
 			}
-			for i, k := range keys {
-				keys[i] = d + "|" + k
-			}
-			return keys
 		},
 	}
 }
