@@ -304,14 +304,16 @@ func TestBenchTrajectory(t *testing.T) {
 	})
 	truth := evaluate.TrueRecordMapping(old, new)
 	countAndCoverage := func(strategies []block.Strategy) (int, float64) {
-		pairs, covered := 0, 0
-		block.Candidates(old.Records(), old.Year, new.Records(), new.Year, strategies,
+		covered := 0
+		pairs, err := linkage.Candidates(context.Background(), old.Records(), old.Year, new.Records(), new.Year, strategies,
 			func(o, n *census.Record) {
-				pairs++
 				if truth[linkage.Pair{Old: o.ID, New: n.ID}] {
 					covered++
 				}
 			})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return pairs, float64(covered) / float64(len(truth))
 	}
 	exactPairs, exactCov := countAndCoverage(cfg.Strategies)

@@ -204,12 +204,19 @@ func main() {
 			len(res.Iterations), res.RemainderRecordLinks)
 	case "cl":
 		stop := stats.Stage("baseline_cl")
-		recordLinks = collective.Link(oldDS, newDS, collective.DefaultConfig())
+		var err error
+		recordLinks, err = collective.Link(ctx, oldDS, newDS, collective.DefaultConfig())
 		stop()
+		if err != nil {
+			log.Fatal(err)
+		}
 	case "graphsim":
 		stop := stats.Stage("baseline_graphsim")
-		res := graphsim.Link(oldDS, newDS, graphsim.DefaultConfig())
+		res, err := graphsim.Link(ctx, oldDS, newDS, graphsim.DefaultConfig())
 		stop()
+		if err != nil {
+			log.Fatal(err)
+		}
 		recordLinks, groupLinks = res.RecordLinks, res.GroupLinks
 	default:
 		log.Fatalf("unknown method %q", *method)

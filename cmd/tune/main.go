@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -69,8 +70,11 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sample := linkage.BuildTrainingSet(oldDS, newDS, truth,
+	sample, err := linkage.BuildTrainingSet(context.Background(), oldDS, newDS, truth,
 		strategies, *negRatio, *seed)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "training sample: %d pairs (%d matches)\n", len(sample), len(truth))
 
 	res, err := linkage.TuneWeights(sample, linkage.OmegaOne(0).Matchers, *delta, *rounds)

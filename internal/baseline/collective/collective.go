@@ -15,6 +15,7 @@ package collective
 
 import (
 	"container/heap"
+	"context"
 	"sort"
 
 	"censuslink/internal/block"
@@ -98,7 +99,8 @@ func (h *entryHeap) Pop() any {
 }
 
 // Link runs the collective baseline and returns the 1:1 record mapping.
-func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
+// Candidate generation observes ctx (see linkage.Candidates).
+func Link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) ([]linkage.RecordLink, error) {
 	oldRecs := oldDS.Records()
 	newRecs := newDS.Records()
 	oldIdx := make(map[string]int, len(oldRecs))
@@ -113,18 +115,7 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
 		newIdx[r.ID] = i
 		newIDs[i] = r.ID
 	}
-	gap := newDS.Year - oldDS.Year
-
-	ageOK := func(o, n *census.Record) bool {
-		if o.Age == census.AgeMissing || n.Age == census.AgeMissing {
-			return true
-		}
-		dev := (n.Age - o.Age) - gap
-		if dev < 0 {
-			dev = -dev
-		}
-		return dev <= cfg.AgeTolerance
-	}
+	age := linkage.MatchConfig{AgeTolerance: cfg.AgeTolerance, YearGap: newDS.Year - oldDS.Year}
 
 	// Candidate generation via blocking, with the age filter. The scan
 	// scores through interned value pairs with an early exit at the floor
@@ -134,9 +125,9 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
 	candIdx := make(map[[2]int]int) // (oldIdx, newIdx) -> candidate index
 	byOld := make([][]int, len(oldRecs))
 	byNew := make([][]int, len(newRecs))
-	block.Candidates(oldRecs, oldDS.Year, newRecs, newDS.Year, cfg.Strategies,
+	_, err := linkage.Candidates(ctx, oldRecs, oldDS.Year, newRecs, newDS.Year, cfg.Strategies,
 		func(o, n *census.Record) {
-			if !ageOK(o, n) {
+			if !age.AgeConsistent(o, n) {
 				return
 			}
 			oi, ni := oldIdx[o.ID], newIdx[n.ID]
@@ -151,6 +142,9 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
 			byOld[oi] = append(byOld[oi], ci)
 			byNew[ni] = append(byNew[ni], ci)
 		})
+	if err != nil {
+		return nil, err
+	}
 
 	// Household neighbour lists (indices into the record slices).
 	oldNbrs := neighbours(oldDS, oldIdx)
@@ -241,7 +235,7 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
 		}
 		return links[i].New < links[j].New
 	})
-	return links
+	return links, nil
 }
 
 // neighbours returns, per record index, the indices of the other members of

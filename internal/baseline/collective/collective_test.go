@@ -1,10 +1,13 @@
 package collective
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"censuslink/internal/census"
+	"censuslink/internal/linkage"
 	"censuslink/internal/paperexample"
 )
 
@@ -14,7 +17,7 @@ import (
 // behind its lower recall in Table 6.
 func TestCLRunningExample(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	links := Link(old, new, DefaultConfig())
+	links := mustLink(t, old, new, DefaultConfig())
 	got := map[string]string{}
 	for _, l := range links {
 		got[l.Old] = l.New
@@ -53,7 +56,7 @@ func TestCLExpandsFromSeeds(t *testing.T) {
 	add(new, "n3", "h", "wilm", "barnes", "piecer", census.SexMale, 19, census.RoleSon)
 
 	cfg := DefaultConfig()
-	links := Link(old, new, cfg)
+	links := mustLink(t, old, new, cfg)
 	got := map[string]string{}
 	for _, l := range links {
 		got[l.Old] = l.New
@@ -79,7 +82,7 @@ func TestCLAgeFilter(t *testing.T) {
 		Surname: "pickup", Sex: census.SexMale, Age: 30, Role: census.RoleHead}); err != nil {
 		t.Fatal(err)
 	}
-	if links := Link(old, new, DefaultConfig()); len(links) != 0 {
+	if links := mustLink(t, old, new, DefaultConfig()); len(links) != 0 {
 		t.Errorf("age-inconsistent pair linked: %v", links)
 	}
 }
@@ -87,7 +90,7 @@ func TestCLAgeFilter(t *testing.T) {
 // TestCLOneToOne: the produced mapping must be 1:1.
 func TestCLOneToOne(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	links := Link(old, new, DefaultConfig())
+	links := mustLink(t, old, new, DefaultConfig())
 	seenOld, seenNew := map[string]bool{}, map[string]bool{}
 	for _, l := range links {
 		if seenOld[l.Old] || seenNew[l.New] {
@@ -101,9 +104,9 @@ func TestCLOneToOne(t *testing.T) {
 // TestCLDeterminism: repeated runs agree exactly.
 func TestCLDeterminism(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	base := Link(old, new, DefaultConfig())
+	base := mustLink(t, old, new, DefaultConfig())
 	for i := 0; i < 3; i++ {
-		if got := Link(old, new, DefaultConfig()); !reflect.DeepEqual(got, base) {
+		if got := mustLink(t, old, new, DefaultConfig()); !reflect.DeepEqual(got, base) {
 			t.Fatal("CL output varies between runs")
 		}
 	}
@@ -113,7 +116,7 @@ func TestCLDeterminism(t *testing.T) {
 // example — CL links strictly fewer correct pairs.
 func TestCLWorseThanIterative(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	cl := Link(old, new, DefaultConfig())
+	cl := mustLink(t, old, new, DefaultConfig())
 	truth := paperexample.TrueRecordMapping()
 	clCorrect := 0
 	for _, l := range cl {
@@ -123,5 +126,26 @@ func TestCLWorseThanIterative(t *testing.T) {
 	}
 	if clCorrect >= len(truth) {
 		t.Errorf("CL found %d of %d true links; expected strictly fewer (moved persons)", clCorrect, len(truth))
+	}
+}
+
+// mustLink runs the baseline under a background context.
+func mustLink(t *testing.T, old, new *census.Dataset, cfg Config) []linkage.RecordLink {
+	t.Helper()
+	res, err := Link(context.Background(), old, new, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestLinkCancelled: a cancelled context stops the baseline with the
+// cancellation instead of a result.
+func TestLinkCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Link(ctx, paperexample.Old(), paperexample.New(), DefaultConfig())
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Link on a cancelled context = %v, %v; want no result and context.Canceled", res, err)
 	}
 }

@@ -60,14 +60,14 @@ type Result struct {
 	GroupLinks  []linkage.GroupLink
 }
 
-// Link runs the GraphSim baseline.
-func Link(oldDS, newDS *census.Dataset, cfg Config) *Result {
+// Link runs the GraphSim baseline. Its record-mapping pass observes ctx
+// (see linkage.MatchRemaining).
+func Link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) (*Result, error) {
 	gap := newDS.Year - oldDS.Year
 	matchCfg := linkage.MatchConfig{AgeTolerance: cfg.AgeTolerance, YearGap: gap}
 
-	// Step 1: one-shot, highly selective 1:1 record mapping. With a
-	// background context the pass cannot fail.
-	records, _ := linkage.MatchRemaining(context.Background(),
+	// Step 1: one-shot, highly selective 1:1 record mapping.
+	records, err := linkage.MatchRemaining(ctx,
 		oldDS.Records(), newDS.Records(), linkage.RemainderOptions{
 			Sim:        cfg.Sim.WithDelta(cfg.RecordThreshold),
 			OldYear:    oldDS.Year,
@@ -75,6 +75,9 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) *Result {
 			Match:      matchCfg,
 			Strategies: cfg.Strategies,
 		})
+	if err != nil {
+		return nil, err
+	}
 
 	// Step 2: household similarities over the fixed record mapping.
 	oldGraphs := hgraph.BuildAll(oldDS)
@@ -167,5 +170,5 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) *Result {
 		}
 		return res.GroupLinks[i].New < res.GroupLinks[j].New
 	})
-	return res
+	return res, nil
 }

@@ -1,9 +1,12 @@
 package graphsim
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
+	"censuslink/internal/census"
 	"censuslink/internal/linkage"
 	"censuslink/internal/paperexample"
 )
@@ -14,7 +17,7 @@ import (
 // the recall limitation behind Table 7.
 func TestGraphSimRunningExample(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	res := Link(old, new, DefaultConfig())
+	res := mustLink(t, old, new, DefaultConfig())
 
 	gotGroups := map[linkage.GroupPair]bool{}
 	for _, g := range res.GroupLinks {
@@ -39,7 +42,7 @@ func TestGraphSimRunningExample(t *testing.T) {
 // contains high-similarity pairs; Alice (changed surname) is excluded.
 func TestGraphSimRecordMappingSelective(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	res := Link(old, new, DefaultConfig())
+	res := mustLink(t, old, new, DefaultConfig())
 	for _, l := range res.RecordLinks {
 		if l.Old == "1871_3" {
 			t.Errorf("Alice should not be in the selective record mapping: %v", l)
@@ -53,7 +56,7 @@ func TestGraphSimRecordMappingSelective(t *testing.T) {
 // TestGraphSimGroupsOneToOne: household links are 1:1.
 func TestGraphSimGroupsOneToOne(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	res := Link(old, new, DefaultConfig())
+	res := mustLink(t, old, new, DefaultConfig())
 	seenOld, seenNew := map[string]bool{}, map[string]bool{}
 	for _, g := range res.GroupLinks {
 		if seenOld[g.Old] || seenNew[g.New] {
@@ -66,9 +69,9 @@ func TestGraphSimGroupsOneToOne(t *testing.T) {
 
 func TestGraphSimDeterminism(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	base := Link(old, new, DefaultConfig())
+	base := mustLink(t, old, new, DefaultConfig())
 	for i := 0; i < 3; i++ {
-		if got := Link(old, new, DefaultConfig()); !reflect.DeepEqual(got, base) {
+		if got := mustLink(t, old, new, DefaultConfig()); !reflect.DeepEqual(got, base) {
 			t.Fatal("GraphSim output varies between runs")
 		}
 	}
@@ -80,8 +83,29 @@ func TestGraphSimGroupThreshold(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
 	cfg := DefaultConfig()
 	cfg.GroupThreshold = 0.99
-	res := Link(old, new, cfg)
+	res := mustLink(t, old, new, cfg)
 	if len(res.GroupLinks) != 0 {
 		t.Errorf("threshold 0.99 should reject all households: %v", res.GroupLinks)
+	}
+}
+
+// mustLink runs the baseline under a background context.
+func mustLink(t *testing.T, old, new *census.Dataset, cfg Config) *Result {
+	t.Helper()
+	res, err := Link(context.Background(), old, new, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestLinkCancelled: a cancelled context stops the baseline with the
+// cancellation instead of a result.
+func TestLinkCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Link(ctx, paperexample.Old(), paperexample.New(), DefaultConfig())
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Link on a cancelled context = %v, %v; want no result and context.Canceled", res, err)
 	}
 }

@@ -11,6 +11,7 @@
 package temporal
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -91,30 +92,25 @@ func Score(cfg Config, o, n *census.Record, gapYears float64) float64 {
 
 // Link runs the temporal baseline: blocked candidates are scored with the
 // decay model, filtered by the age window, and matched greedily into a 1:1
-// record mapping.
-func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
+// record mapping. Candidate generation observes ctx (see
+// linkage.Candidates).
+func Link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) ([]linkage.RecordLink, error) {
 	gap := newDS.Year - oldDS.Year
-	ageOK := func(o, n *census.Record) bool {
-		if o.Age == census.AgeMissing || n.Age == census.AgeMissing {
-			return true
-		}
-		dev := (n.Age - o.Age) - gap
-		if dev < 0 {
-			dev = -dev
-		}
-		return dev <= cfg.AgeTolerance
-	}
+	age := linkage.MatchConfig{AgeTolerance: cfg.AgeTolerance, YearGap: gap}
 
 	var cands []linkage.RecordLink
-	block.Candidates(oldDS.Records(), oldDS.Year, newDS.Records(), newDS.Year,
+	_, err := linkage.Candidates(ctx, oldDS.Records(), oldDS.Year, newDS.Records(), newDS.Year,
 		cfg.Strategies, func(o, n *census.Record) {
-			if !ageOK(o, n) {
+			if !age.AgeConsistent(o, n) {
 				return
 			}
 			if s := Score(cfg, o, n, float64(gap)); s >= cfg.Threshold {
 				cands = append(cands, linkage.RecordLink{Old: o.ID, New: n.ID, Sim: s})
 			}
 		})
+	if err != nil {
+		return nil, err
+	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].Sim != cands[j].Sim {
 			return cands[i].Sim > cands[j].Sim
@@ -141,5 +137,5 @@ func Link(oldDS, newDS *census.Dataset, cfg Config) []linkage.RecordLink {
 		}
 		return out[i].New < out[j].New
 	})
-	return out
+	return out, nil
 }

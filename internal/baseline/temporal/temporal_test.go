@@ -1,11 +1,14 @@
 package temporal
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"censuslink/internal/census"
+	"censuslink/internal/linkage"
 	"censuslink/internal/paperexample"
 )
 
@@ -60,7 +63,7 @@ func TestScoreForgivesVolatileAttributes(t *testing.T) {
 
 func TestTemporalLinkRunningExample(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	links := Link(old, new, DefaultConfig())
+	links := mustLink(t, old, new, DefaultConfig())
 	got := map[string]string{}
 	for _, l := range links {
 		got[l.Old] = l.New
@@ -95,10 +98,31 @@ func TestTemporalLinkRunningExample(t *testing.T) {
 
 func TestTemporalLinkDeterminism(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
-	base := Link(old, new, DefaultConfig())
+	base := mustLink(t, old, new, DefaultConfig())
 	for i := 0; i < 3; i++ {
-		if got := Link(old, new, DefaultConfig()); !reflect.DeepEqual(got, base) {
+		if got := mustLink(t, old, new, DefaultConfig()); !reflect.DeepEqual(got, base) {
 			t.Fatal("temporal baseline not deterministic")
 		}
+	}
+}
+
+// mustLink runs the baseline under a background context.
+func mustLink(t *testing.T, old, new *census.Dataset, cfg Config) []linkage.RecordLink {
+	t.Helper()
+	res, err := Link(context.Background(), old, new, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestLinkCancelled: a cancelled context stops the baseline with the
+// cancellation instead of a result.
+func TestLinkCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Link(ctx, paperexample.Old(), paperexample.New(), DefaultConfig())
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Link on a cancelled context = %v, %v; want no result and context.Canceled", res, err)
 	}
 }

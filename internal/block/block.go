@@ -567,29 +567,6 @@ func (ix *Index) Candidates(o *census.Record, oldYear int, sc *Scratch) []*censu
 	return out
 }
 
-// Candidates enumerates the union of candidate pairs over all strategies and
-// calls visit exactly once per distinct (old, new) record pair. Enumeration
-// order is deterministic: old records in input order, and for each old
-// record its candidates in new-input order.
-func Candidates(old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	strategies []Strategy, visit func(o, n *census.Record)) {
-	ix := NewIndex(new, newYear, strategies)
-	var scratch Scratch
-	for _, o := range old {
-		for _, n := range ix.Candidates(o, oldYear, &scratch) {
-			visit(o, n)
-		}
-	}
-}
-
-// CountPairs returns the number of distinct candidate pairs the strategies
-// generate, for reduction-ratio reporting.
-func CountPairs(old []*census.Record, oldYear int, new []*census.Record, newYear int, strategies []Strategy) int {
-	n := 0
-	Candidates(old, oldYear, new, newYear, strategies, func(_, _ *census.Record) { n++ })
-	return n
-}
-
 // itoa is a minimal integer formatter (avoids strconv import for one use).
 func itoa(v int) string {
 	if v == 0 {

@@ -31,7 +31,7 @@ func TestSurnameQGramsNoDuplicateVisits(t *testing.T) {
 	old := makeDataset(t, 1871, [][4]string{{"a", "banana", "m", "30"}})
 	new := makeDataset(t, 1881, [][4]string{{"a", "banana", "m", "40"}})
 	count := 0
-	Candidates(old.Records(), old.Year, new.Records(), new.Year,
+	candidates(old.Records(), old.Year, new.Records(), new.Year,
 		[]Strategy{SurnameQGrams(3, 4)}, func(_, _ *census.Record) { count++ })
 	if count != 1 {
 		t.Errorf("visited %d times, want 1", count)

@@ -229,7 +229,7 @@ func TestMinHashUnionWithIndex(t *testing.T) {
 		{"mary", "taylor", "f", "35"},  // surname change: firstname pass must catch it
 	})
 	got := map[string]bool{}
-	Candidates(old.Records(), 1871, new.Records(), 1881, LSHStrategies(LSHConfig{}),
+	candidates(old.Records(), 1871, new.Records(), 1881, LSHStrategies(LSHConfig{}),
 		func(o, n *census.Record) { got[o.ID+"|"+n.ID] = true })
 	if !got["1871_0|1881_0"] {
 		t.Error("surname typo pair missed by LSH blocking")
@@ -248,7 +248,7 @@ func TestMinHashMissingAgeRecovered(t *testing.T) {
 	old := makeDataset(t, 1871, [][4]string{{"ann", "ashworth", "f", ""}})
 	new := makeDataset(t, 1881, [][4]string{{"ann", "ashworth", "f", "40"}})
 	got := 0
-	Candidates(old.Records(), 1871, new.Records(), 1881, LSHStrategies(LSHConfig{}),
+	candidates(old.Records(), 1871, new.Records(), 1881, LSHStrategies(LSHConfig{}),
 		func(o, n *census.Record) { got++ })
 	if got != 1 {
 		t.Errorf("missing-age pair candidates = %d, want 1", got)
@@ -258,7 +258,7 @@ func TestMinHashMissingAgeRecovered(t *testing.T) {
 	old = makeDataset(t, 1871, [][4]string{{"ann", "ashworth", "f", "20"}})
 	new = makeDataset(t, 1881, [][4]string{{"ann", "ashworth", "f", "50"}})
 	got = 0
-	Candidates(old.Records(), 1871, new.Records(), 1881, LSHStrategies(LSHConfig{}),
+	candidates(old.Records(), 1871, new.Records(), 1881, LSHStrategies(LSHConfig{}),
 		func(o, n *census.Record) { got++ })
 	if got != 1 {
 		t.Errorf("age-divergent pair candidates = %d, want 1 (full-name pass)", got)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"censuslink/internal/baseline/collective"
@@ -69,26 +68,22 @@ func (e *Env) Ablation() (*report.Table, *AblationData, error) {
 
 // ReductionRatio reports the blocking effectiveness on the evaluation pair:
 // candidate pairs versus the full cross product, per strategy set.
-func (e *Env) ReductionRatio() *report.Table {
+func (e *Env) ReductionRatio() (*report.Table, error) {
 	old, new := e.evalPair()
 	total := float64(old.NumRecords()) * float64(new.NumRecords())
 	t := &report.Table{
 		Title:  "Blocking: candidate pairs vs cross product",
 		Header: []string{"strategy", "pairs", "reduction"},
 	}
-	cfg := e.baseConfig()
-	pre, err := linkage.PreMatchOpts(context.Background(), old.Records(), new.Records(),
-		linkage.PreMatchOptions{
-			Sim: cfg.Sim.WithDelta(cfg.DeltaHigh), OldYear: old.Year, NewYear: new.Year,
-			Strategies: cfg.Strategies, Workers: cfg.Workers,
-		})
-	if err != nil { // background context, no faults: cannot happen
-		panic(err)
+	pairs, err := linkage.Candidates(e.linkCtx(), old.Records(), old.Year, new.Records(), new.Year,
+		e.baseConfig().Strategies, nil)
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow("default multi-pass", report.I(pre.Compared),
-		report.Pct(1-float64(pre.Compared)/total)+"%")
+	t.AddRow("default multi-pass", report.I(pairs),
+		report.Pct(1-float64(pairs)/total)+"%")
 	t.AddRow("cross product", report.I(int(total)), "0.0%")
-	return t
+	return t, nil
 }
 
 // BaselinesData compares the record mappings of all implemented record
@@ -107,8 +102,14 @@ func (e *Env) Baselines() (*report.Table, *BaselinesData, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cl := collective.Link(old, new, collective.DefaultConfig())
-	td := temporal.Link(old, new, temporal.DefaultConfig())
+	cl, err := collective.Link(e.linkCtx(), old, new, collective.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	td, err := temporal.Link(e.linkCtx(), old, new, temporal.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
 	data := &BaselinesData{
 		CL:       e.quality(&linkage.Result{RecordLinks: cl}, old, new),
 		Temporal: e.quality(&linkage.Result{RecordLinks: td}, old, new),

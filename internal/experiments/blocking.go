@@ -3,7 +3,6 @@ package experiments
 import (
 	"sort"
 
-	"censuslink/internal/block"
 	"censuslink/internal/census"
 	"censuslink/internal/evaluate"
 	"censuslink/internal/linkage"
@@ -61,14 +60,16 @@ func (e *Env) BlockingComparison() (*report.Table, *BlockingComparisonData, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		pairs, covered := 0, 0
-		block.Candidates(old.Records(), old.Year, new.Records(), new.Year, strategies,
+		covered := 0
+		pairs, err := linkage.Candidates(e.linkCtx(), old.Records(), old.Year, new.Records(), new.Year, strategies,
 			func(o, n *census.Record) {
-				pairs++
 				if truth[linkage.Pair{Old: o.ID, New: n.ID}] {
 					covered++
 				}
 			})
+		if err != nil {
+			return nil, nil, err
+		}
 		coverage := 0.0
 		if len(truth) > 0 {
 			coverage = float64(covered) / float64(len(truth))

@@ -344,7 +344,10 @@ func (e *Env) Table6() (*report.Table, *Table6Data, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	clLinks := collective.Link(old, new, collective.DefaultConfig())
+	clLinks, err := collective.Link(e.linkCtx(), old, new, collective.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
 	data := &Table6Data{
 		CL:   e.quality(&linkage.Result{RecordLinks: clLinks}, old, new).Record,
 		Ours: e.quality(res, old, new).Record,
@@ -373,7 +376,10 @@ func (e *Env) Table7() (*report.Table, *Table7Data, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	gs := graphsim.Link(old, new, graphsim.DefaultConfig())
+	gs, err := graphsim.Link(e.linkCtx(), old, new, graphsim.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
 	data := &Table7Data{
 		GraphSim: e.quality(&linkage.Result{RecordLinks: gs.RecordLinks, GroupLinks: gs.GroupLinks}, old, new).Group,
 		Ours:     e.quality(res, old, new).Group,

@@ -210,7 +210,10 @@ func TestAblationShape(t *testing.T) {
 
 func TestReductionRatio(t *testing.T) {
 	e := sharedEnv(t)
-	tab := e.ReductionRatio()
+	tab, err := e.ReductionRatio()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %v", tab.Rows)
 	}

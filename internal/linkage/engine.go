@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"censuslink/internal/block"
 	"censuslink/internal/census"
@@ -115,6 +116,36 @@ func compileTable(ctx context.Context, old []*census.Record, oldYear int, new []
 	return block.JoinTables(tabs...), nil
 }
 
+// Candidates calls visit once for every distinct candidate pair that
+// strategies block between old and new, old records in input order and
+// each one's candidates in new-input order, and returns the number of
+// pairs; visit may be nil to count only. The pairs are the rows of the
+// candidate table a link's compile stage builds, on GOMAXPROCS workers.
+// The visits run on the calling goroutine, which observes ctx every
+// cancelCheckEvery old records; cancellation and worker panics surface as
+// a *PipelineError of stage "compile".
+func Candidates(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record, newYear int,
+	strategies []block.Strategy, visit func(o, n *census.Record)) (int, error) {
+	tab, err := compileTable(ctx, old, oldYear, new, newYear, strategies, 0, PanicFailFast, nil)
+	if err != nil {
+		return 0, err
+	}
+	if visit == nil {
+		return tab.Pairs(), nil
+	}
+	for i, o := range old {
+		if i%cancelCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, cancelErr("compile", 0, err)
+			}
+		}
+		for _, j := range tab.Row(i) {
+			visit(o, new[j])
+		}
+	}
+	return tab.Pairs(), nil
+}
+
 // queryChunk is one chunk's share of the candidate table and its worker's
 // query scratch.
 type queryChunk struct {
@@ -129,9 +160,9 @@ type queryChunk struct {
 // addEmpty entry per record.
 func compileChunks[P any](ctx context.Context, recs []*census.Record, workers int, policy PanicPolicy,
 	st *obs.Stats, newPart func(n int) P, add func(P, *census.Record), addEmpty func(P)) ([]P, error) {
-	chunks := splitChunks(len(recs), workers)
-	parts := make([]P, len(chunks))
-	skipped, err := runChunks(ctx, "compile", 0, chunks, policy, st, func(ci, lo, hi int) error {
+	size := perWorker(len(recs), workers)
+	parts := make([]P, chunkCount(len(recs), size))
+	skipped, err := runChunks(ctx, "compile", 0, len(recs), size, workers, policy, st, func(ci, lo, hi int) error {
 		p := newPart(hi - lo)
 		for i := lo; i < hi; i++ {
 			if (i-lo)%cancelCheckEvery == 0 {
@@ -147,10 +178,11 @@ func compileChunks[P any](ctx context.Context, recs []*census.Record, workers in
 	if err != nil {
 		return nil, err
 	}
-	for ci, c := range chunks {
-		if skipped[ci] {
-			parts[ci] = newPart(c[1] - c[0])
-			for i := c[0]; i < c[1]; i++ {
+	for ci, skip := range skipped {
+		if skip {
+			lo, hi := ci*size, min((ci+1)*size, len(recs))
+			parts[ci] = newPart(hi - lo)
+			for range hi - lo {
 				addEmpty(parts[ci])
 			}
 		}
@@ -158,38 +190,51 @@ func compileChunks[P any](ctx context.Context, recs []*census.Record, workers in
 	return parts, nil
 }
 
-// cancelCheckEvery is the number of records a pipeline loop processes
-// between cancellation checkpoints — frequent enough for prompt aborts,
-// rare enough to stay invisible in profiles.
+// cancelCheckEvery is the number of items a pipeline loop, or a pool
+// worker claiming chunks, processes between cancellation checkpoints —
+// frequent enough for prompt aborts, rare enough to stay invisible in
+// profiles.
 const cancelCheckEvery = 64
 
-// splitChunks splits n items into at most workers contiguous [lo, hi)
-// ranges of equal size; workers <= 0 selects GOMAXPROCS.
-func splitChunks(n, workers int) [][2]int {
+// poolSize resolves a worker bound: workers <= 0 selects GOMAXPROCS.
+func poolSize(workers int) int {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	size := max((n+workers-1)/workers, 1)
-	var chunks [][2]int
-	for lo := 0; lo < n; lo += size {
-		chunks = append(chunks, [2]int{lo, min(lo+size, n)})
-	}
-	return chunks
+	return workers
 }
 
-// runChunks runs fn on every chunk concurrently, one goroutine per chunk,
-// with panic isolation and the configured panic policy. Every chunk first
-// passes the fault-injection point "linkage.<stage>.chunk". A panic or
-// injected failure becomes a *PipelineError naming the stage, δ and chunk
-// index. Cancellation wins over chunk failures: if ctx is done when the
-// chunks finish, runChunks reports that. Under PanicFailFast the first
-// failing chunk's error is returned; under PanicSkip failed chunks are
-// counted on obs.PanicsRecovered and flagged in the returned slice, and
-// the caller drops their results, so the merge stays deterministic.
-func runChunks(ctx context.Context, stage string, delta float64, chunks [][2]int, policy PanicPolicy,
+// perWorker returns the chunk size that splits n items into one contiguous
+// chunk per worker.
+func perWorker(n, workers int) int {
+	w := poolSize(workers)
+	return max((n+w-1)/w, 1)
+}
+
+// chunkCount returns the number of chunks of size items that cover n items.
+func chunkCount(n, size int) int { return (n + size - 1) / size }
+
+// runChunks is the one worker pool of a link. It covers the item range
+// [0, n) with chunks of size items — chunk ci is [ci*size, min((ci+1)*size,
+// n)) — and runs fn on them from min(workers, chunks) goroutines that claim
+// chunk indices from an atomic cursor. A worker observes ctx before its
+// first claim and every cancelCheckEvery claims after it, and every worker
+// stops claiming once a chunk has failed under PanicFailFast. Every chunk
+// first passes the fault-injection point "linkage.<stage>.chunk"; a panic
+// or injected failure becomes a *PipelineError naming the stage, δ and
+// chunk index. Cancellation wins over chunk failures: if ctx is done when
+// the pool stops, runChunks reports that. Under PanicFailFast the
+// lowest-numbered failed chunk's error is returned; under PanicSkip failed
+// chunks are counted on obs.PanicsRecovered and flagged in the returned
+// slice, and the caller drops their results, so the merge stays
+// deterministic.
+func runChunks(ctx context.Context, stage string, delta float64, n, size, workers int, policy PanicPolicy,
 	st *obs.Stats, fn func(ci, lo, hi int) error) ([]bool, error) {
 	point := "linkage." + stage + ".chunk"
-	errs := make([]error, len(chunks))
+	chunks := chunkCount(n, size)
+	errs := make([]error, chunks)
+	var cursor atomic.Int64
+	var failed atomic.Bool
 	runOne := func(ci int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -201,22 +246,33 @@ func runChunks(ctx context.Context, stage string, delta float64, chunks [][2]int
 		if e := faultinject.Hit(point); e != nil {
 			return &PipelineError{Stage: stage, Delta: delta, Chunk: ci, Err: e}
 		}
-		return fn(ci, chunks[ci][0], chunks[ci][1])
+		return fn(ci, ci*size, min((ci+1)*size, n))
 	}
 	var wg sync.WaitGroup
-	for ci := range chunks {
+	for range min(poolSize(workers), chunks) {
 		wg.Add(1)
-		go func(ci int) {
+		go func() {
 			defer wg.Done()
-			errs[ci] = runOne(ci)
-		}(ci)
+			for claims := 0; !failed.Load(); claims++ {
+				if claims%cancelCheckEvery == 0 && ctx.Err() != nil {
+					return
+				}
+				ci := int(cursor.Add(1) - 1)
+				if ci >= chunks {
+					return
+				}
+				if errs[ci] = runOne(ci); errs[ci] != nil && policy == PanicFailFast {
+					failed.Store(true)
+				}
+			}
+		}()
 	}
 	wg.Wait()
 
 	if err := ctx.Err(); err != nil {
 		return nil, cancelErr(stage, delta, err)
 	}
-	skipped := make([]bool, len(chunks))
+	skipped := make([]bool, chunks)
 	for ci, err := range errs {
 		if err == nil {
 			continue

@@ -5,6 +5,7 @@ package linkage_test
 // The pipeline-level differentials live in oracle_test.go.
 
 import (
+	"context"
 	"testing"
 
 	"censuslink/internal/block"
@@ -31,7 +32,7 @@ func TestCompiledAggSimBitIdentical(t *testing.T) {
 	for _, f := range funcs {
 		eng := f.Compile(old.Records(), new.Records())
 		checked := 0
-		block.Candidates(old.Records(), old.Year, new.Records(), new.Year, block.DefaultStrategies(),
+		candidates(t, old, new, block.DefaultStrategies(),
 			func(o, n *census.Record) {
 				oi, ok := eng.Old.Pos(o.ID)
 				if !ok {
@@ -70,7 +71,7 @@ func TestCompiledAggSimAtLeastAgreesWithThreshold(t *testing.T) {
 	f := linkage.OmegaTwo(0.7)
 	for _, delta := range []float64{0.7, 0.65, 0.6, 0.55, 0.5} {
 		eng := f.Compile(old.Records(), new.Records())
-		block.Candidates(old.Records(), old.Year, new.Records(), new.Year, block.DefaultStrategies(),
+		candidates(t, old, new, block.DefaultStrategies(),
 			func(o, n *census.Record) {
 				oi, _ := eng.Old.Pos(o.ID)
 				ni, _ := eng.New.Pos(n.ID)
@@ -83,5 +84,14 @@ func TestCompiledAggSimAtLeastAgreesWithThreshold(t *testing.T) {
 					t.Fatalf("delta=%v: accepted sim %v != naive %v for (%s, %s)", delta, got, want, o.ID, n.ID)
 				}
 			})
+	}
+}
+
+// candidates calls visit for every blocked candidate pair of old and new.
+func candidates(t *testing.T, old, new *census.Dataset, strategies []block.Strategy, visit func(o, n *census.Record)) {
+	t.Helper()
+	if _, err := linkage.Candidates(context.Background(), old.Records(), old.Year, new.Records(), new.Year,
+		strategies, visit); err != nil {
+		t.Fatal(err)
 	}
 }

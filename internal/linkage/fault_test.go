@@ -11,12 +11,14 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"censuslink/internal/faultinject"
 	"censuslink/internal/linkage"
 	"censuslink/internal/obs"
 	"censuslink/internal/paperexample"
+	"censuslink/internal/synth"
 )
 
 func faultConfig(workers int) linkage.Config {
@@ -35,7 +37,7 @@ func skipWithoutInjection(t *testing.T) {
 func TestWorkerPanicFailFast(t *testing.T) {
 	skipWithoutInjection(t)
 	defer faultinject.Reset()
-	faultinject.Set("linkage.match_groups", faultinject.PanicOnCall(1, "poisoned household"))
+	faultinject.Set("linkage.subgraph_match.chunk", faultinject.PanicOnCall(1, "poisoned household"))
 
 	old, new := paperexample.Old(), paperexample.New()
 	_, err := linkage.LinkContext(context.Background(), old, new, faultConfig(2))
@@ -66,7 +68,7 @@ func TestWorkerPanicFailFast(t *testing.T) {
 func TestWorkerPanicSkipCompletes(t *testing.T) {
 	skipWithoutInjection(t)
 	defer faultinject.Reset()
-	faultinject.Set("linkage.match_groups", faultinject.PanicOnCall(1, "poisoned household"))
+	faultinject.Set("linkage.subgraph_match.chunk", faultinject.PanicOnCall(1, "poisoned household"))
 
 	stats := obs.NewStats(nil)
 	cfg := faultConfig(2)
@@ -182,6 +184,79 @@ func TestCompileChunkPanic(t *testing.T) {
 		var pe *linkage.PipelineError
 		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Stage != "compile" {
 			t.Fatalf("error = %v, want a compile-stage cancellation", err)
+		}
+	})
+}
+
+// TestSubgraphPoolStops: inside subgraph_match the chunk pool runs one
+// group pair per chunk. Cancelling from the first pair's fault point
+// aborts the stage with a cancellation once every worker has claimed at
+// most one checkpoint interval (64 pairs) more, far fewer than the pass's
+// thousands of group pairs. A fail-fast panic on the first pair stops a
+// one-worker pool at that pair.
+func TestSubgraphPoolStops(t *testing.T) {
+	skipWithoutInjection(t)
+	const workers, checkpoint = 4, 64
+	old, new, err := synth.GeneratePair(synth.TestConfig(0.04, 1871000), 1871, 1881)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := linkage.LinkContext(context.Background(), old, new, faultConfig(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := clean.Iterations[0].GroupPairs
+	if pairs < 4*workers*checkpoint {
+		t.Fatalf("%d group pairs in the first pass; too few to see the pool stop", pairs)
+	}
+
+	t.Run("cancel", func(t *testing.T) {
+		defer faultinject.Reset()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// after counts the pairs claimed once cancel has returned; the
+		// scheduler may delay the cancelling worker, so pairs matched
+		// before that do not count.
+		var hits, after atomic.Int64
+		var cancelled atomic.Bool
+		faultinject.Set("linkage.subgraph_match.chunk", func() error {
+			if hits.Add(1) == 1 {
+				cancel()
+				cancelled.Store(true)
+			} else if cancelled.Load() {
+				after.Add(1)
+			}
+			return nil
+		})
+		res, err := linkage.LinkContext(ctx, old, new, faultConfig(workers))
+		if res != nil {
+			t.Error("cancelled run returned a partial result")
+		}
+		var pe *linkage.PipelineError
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Stage != "subgraph_match" {
+			t.Fatalf("error = %v, want a subgraph_match cancellation", err)
+		}
+		if got := after.Load(); got > workers*checkpoint {
+			t.Errorf("pool matched %d of %d group pairs after the cancel, want at most %d",
+				got, pairs, workers*checkpoint)
+		}
+	})
+	t.Run("fail-fast", func(t *testing.T) {
+		defer faultinject.Reset()
+		var hits atomic.Int64
+		faultinject.Set("linkage.subgraph_match.chunk", func() error {
+			if hits.Add(1) == 1 {
+				panic("poisoned household")
+			}
+			return nil
+		})
+		_, err := linkage.LinkContext(context.Background(), old, new, faultConfig(1))
+		var pe *linkage.PipelineError
+		if !errors.As(err, &pe) || pe.Stage != "subgraph_match" || pe.Group.Old == "" || pe.Panic == nil {
+			t.Fatalf("error = %v, want a subgraph_match panic naming its group pair", err)
+		}
+		if got := hits.Load(); got != 1 {
+			t.Errorf("pool matched %d of %d group pairs, want it to stop at the poisoned one", got, pairs)
 		}
 	})
 }

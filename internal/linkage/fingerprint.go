@@ -32,6 +32,11 @@ func (c Config) Fingerprint() string {
 	fmt.Fprintf(h, "agetol %d\n", c.AgeTolerance)
 	fmt.Fprintf(h, "flags %t %t %t %t\n",
 		c.StopOnEmpty, c.DirectVerticesOnly, c.VertexGuards, c.OptimalRemainder)
+	if c.OptimalRemainder {
+		// The optimal remainder solves in record-ID order; snapshots
+		// solved in row order must not resolve.
+		fmt.Fprintf(h, "remainder-solve by-id\n")
+	}
 	for _, s := range c.Strategies {
 		fmt.Fprintf(h, "block %q\n", s.Name)
 	}

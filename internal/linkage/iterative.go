@@ -1,13 +1,13 @@
 package linkage
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
+	"slices"
 	"sort"
-	"sync"
+	"strings"
 
 	"censuslink/internal/assign"
 	"censuslink/internal/block"
@@ -342,12 +342,7 @@ func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook ru
 	}
 	cfg.Obs.Add(obs.RemainderGroupLinks, res.RemainderGroupLinks)
 
-	sort.Slice(res.RecordLinks, func(i, j int) bool {
-		if res.RecordLinks[i].Old != res.RecordLinks[j].Old {
-			return res.RecordLinks[i].Old < res.RecordLinks[j].Old
-		}
-		return res.RecordLinks[i].New < res.RecordLinks[j].New
-	})
+	sortLinks(res.RecordLinks)
 	sort.Slice(res.GroupLinks, func(i, j int) bool {
 		if res.GroupLinks[i].Old != res.GroupLinks[j].Old {
 			return res.GroupLinks[i].Old < res.GroupLinks[j].Old
@@ -423,7 +418,7 @@ func matchRemainder(ctx context.Context, old, new []*census.Record,
 				continue
 			}
 			n := cp.eng.New.Recs[ni]
-			if !cfg.ageConsistent(o, n) {
+			if !cfg.AgeConsistent(o, n) {
 				continue
 			}
 			if s, hit := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); hit {
@@ -468,8 +463,16 @@ func greedyRemainder(cands []RecordLink) []RecordLink {
 
 // optimalRemainder selects the 1:1 mapping of maximum total similarity over
 // the candidate links with the Hungarian algorithm (per connected candidate
-// component), sorted by record IDs.
+// component), sorted by record IDs. The solver breaks ties by element and
+// edge order, so it is given both record lists and the candidates sorted
+// by record ID: the mapping then does not depend on the datasets' row
+// order.
 func optimalRemainder(cands []RecordLink, old, new []*census.Record) []RecordLink {
+	byID := func(a, b *census.Record) int { return strings.Compare(a.ID, b.ID) }
+	old, new, cands = slices.Clone(old), slices.Clone(new), slices.Clone(cands)
+	slices.SortFunc(old, byID)
+	slices.SortFunc(new, byID)
+	sortLinks(cands)
 	oldIdx := make(map[string]int, len(old))
 	for i, r := range old {
 		oldIdx[r.ID] = i
@@ -496,110 +499,14 @@ func optimalRemainder(cands []RecordLink, old, new []*census.Record) []RecordLin
 			out = append(out, RecordLink{Old: old[l].ID, New: new[r].ID, Sim: sims[[2]int{l, r}]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Old != out[j].Old {
-			return out[i].Old < out[j].Old
-		}
-		return out[i].New < out[j].New
-	})
 	return out
 }
 
-// matchGroupsParallel runs gm.MatchGroups over all candidate group pairs with
-// a bounded worker pool; the output order matches the input pair order, so
-// the result is deterministic. Every worker isolates panics: under
-// PanicFailFast the pool drains promptly and the first failure (in pair
-// order) surfaces as a *PipelineError naming the group pair; under
-// PanicSkip the poisoned pairs contribute no subgraph and are counted on
-// obs.PanicsRecovered. Cancellation stops the pool between pairs.
-func matchGroupsParallel(ctx context.Context, delta float64, pairs []GroupPair, oldGraphs, newGraphs map[string]*hgraph.Graph,
-	gm *GroupMatcher, workers int, policy PanicPolicy, st *obs.Stats) ([]*Subgraph, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	slots := make([]*Subgraph, len(pairs))
-	errs := make([]error, len(pairs))
-	matchOne := func(i int) (err error) {
-		gp := pairs[i]
-		defer func() {
-			if r := recover(); r != nil {
-				pe := panicErr("subgraph_match", delta, r, debug.Stack())
-				pe.Group = gp
-				err = pe
-			}
-		}()
-		if e := faultinject.Hit("linkage.match_groups"); e != nil {
-			return &PipelineError{Stage: "subgraph_match", Delta: delta, Group: gp, Chunk: -1, Err: e}
-		}
-		slots[i] = gm.MatchGroups(oldGraphs[gp.Old], newGraphs[gp.New])
-		return nil
-	}
-	if workers <= 1 {
-		for i := range pairs {
-			if i%cancelCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, cancelErr("subgraph_match", delta, err)
-				}
-			}
-			if errs[i] = matchOne(i); errs[i] != nil && policy == PanicFailFast {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		abort := make(chan struct{})
-		var abortOnce sync.Once
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if errs[i] = matchOne(i); errs[i] != nil && policy == PanicFailFast {
-						abortOnce.Do(func() { close(abort) })
-					}
-				}
-			}()
-		}
-	feed:
-		for i := range pairs {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break feed
-			case <-abort:
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
-	// Cancellation wins over worker failures: the caller asked the whole
-	// run to stop, so report that rather than a coincidental pair error.
-	if err := ctx.Err(); err != nil {
-		return nil, cancelErr("subgraph_match", delta, err)
-	}
-	recovered := 0
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if policy == PanicFailFast {
-			return nil, err
-		}
-		recovered++
-	}
-	st.Add(obs.PanicsRecovered, recovered)
-	subs := slots[:0]
-	for _, s := range slots {
-		if s != nil {
-			subs = append(subs, s)
-		}
-	}
-	return subs, nil
+// sortLinks sorts record links by old and then new record ID.
+func sortLinks(links []RecordLink) {
+	slices.SortFunc(links, func(a, b RecordLink) int {
+		return cmp.Or(strings.Compare(a.Old, b.Old), strings.Compare(a.New, b.New))
+	})
 }
 
 // withoutLinked filters out the records that appear on the given side of any

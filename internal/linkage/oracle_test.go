@@ -126,7 +126,7 @@ func remainderOracle(old []*census.Record, oldYear int, new []*census.Record, ne
 	var scratch block.Scratch
 	for _, o := range old {
 		for _, n := range ix.Candidates(o, oldYear, &scratch) {
-			if !match.ageConsistent(o, n) {
+			if !match.AgeConsistent(o, n) {
 				continue
 			}
 			if s := f.AggSim(o, n); s >= f.Delta {

@@ -34,9 +34,12 @@ type CandidateLink struct {
 // only within one census year, so the string views look records up per
 // side.
 type PreMatchResult struct {
-	// Links lists the candidate pairs with agg_sim >= δ in deterministic
-	// order: old records in input order, each with its candidates in
-	// ascending new position.
+	// Links lists the candidate pairs with agg_sim >= δ sorted by old and
+	// then new position: the old records of a pass are scored in ascending
+	// position (inside LinkContext the remaining records keep dataset
+	// order), each with its candidate-table row, which ascends by new
+	// position. NewGroupMatcher relies on this order to find a pair's
+	// similarity by binary search.
 	Links []CandidateLink
 	// OldLabels[i] and NewLabels[j] are the cluster labels of old record i
 	// and new record j, or -1 for a record outside the pass's input.
@@ -206,17 +209,17 @@ func (pm *preMatcher) bytes() int {
 // slotted by chunk index. The links are then clustered with a
 // position-keyed union-find.
 //
-// Chunks own disjoint rows, so they update disjoint score entries; oldPos
-// must not repeat a position.
+// oldPos must ascend strictly: chunks then own disjoint rows and update
+// disjoint score entries, and Links come out sorted by position.
 func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float64,
 	workers int, policy PanicPolicy, st *obs.Stats) (*PreMatchResult, error) {
 	type chunkResult struct {
 		links             []CandidateLink
 		compared, blocked int
 	}
-	chunks := splitChunks(len(oldPos), workers)
-	results := make([]chunkResult, len(chunks))
-	skipped, err := runChunks(ctx, "prematch", delta, chunks, policy, st, func(ci, lo, hi int) error {
+	size := perWorker(len(oldPos), workers)
+	results := make([]chunkResult, chunkCount(len(oldPos), size))
+	skipped, err := runChunks(ctx, "prematch", delta, len(oldPos), size, workers, policy, st, func(ci, lo, hi int) error {
 		res := &results[ci]
 		for j := lo; j < hi; j++ {
 			if (j-lo)%cancelCheckEvery == 0 {

@@ -3,7 +3,7 @@ package linkage
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 
 	"censuslink/internal/census"
 	"censuslink/internal/obs"
@@ -187,73 +187,40 @@ func linkPairsSequential(ctx context.Context, pairs [][2]*census.Dataset, cfg Co
 	return nil
 }
 
-// linkPairsParallel runs the remaining pairs under a bounded worker pool.
-// Results are slotted by pair index, so the output order is identical to
-// the sequential path's. Each pair collects into its own obs.Stats child;
-// the children are merged into cfg.Obs in pair order after the pool drains,
-// so iteration snapshots never interleave across pairs. The first failure
-// (in pair order) stops new pairs from being fed, but pairs already in
-// flight run to completion and keep their slots — a failed save must not
-// discard sibling work that is about to finish (and on a single-CPU box the
-// scheduler could otherwise cancel an almost-done sibling nondeterministically).
-// Only parent-context cancellation aborts in-flight pairs.
+// linkPairsParallel runs the remaining pairs on the chunk pool, one pair
+// per chunk (stage "series"). Results are slotted by pair index, so the
+// output order is identical to the sequential path's. Each pair collects
+// into its own obs.Stats child; the children are merged into cfg.Obs in
+// pair order after the pool stops, so iteration snapshots never interleave
+// across pairs. The first failure stops the pool from claiming new pairs,
+// but pairs already in flight run to completion and keep their slots — a
+// failed save must not discard sibling work that is about to finish. Only
+// parent-context cancellation aborts in-flight pairs.
 func linkPairsParallel(ctx context.Context, pairs [][2]*census.Dataset, cfg Config, cfgHash string,
 	opts SeriesOptions, todo []int, out []*Result) error {
-	workers := opts.PairWorkers
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	children := make([]*obs.Stats, len(todo))
 	errs := make([]error, len(todo))
-	next := make(chan int) // index into todo
-	stopFeed := make(chan struct{})
-	var stopOnce sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range next {
-				pair := pairs[todo[ti]]
-				pcfg := cfg
-				if cfg.Obs != nil {
-					children[ti] = obs.NewStats(nil)
-					pcfg.Obs = children[ti]
-				}
-				res, err := linkAndSave(pctx, opts, cfgHash, pair, pcfg)
-				if err != nil {
-					errs[ti] = err
-					stopOnce.Do(func() { close(stopFeed) }) // fail fast: no new pairs
-					continue
-				}
-				out[todo[ti]] = res
+	_, err := runChunks(ctx, "series", 0, len(todo), 1, opts.PairWorkers, PanicFailFast, nil,
+		func(ti, _, _ int) error {
+			pcfg := cfg
+			if cfg.Obs != nil {
+				children[ti] = obs.NewStats(nil)
+				pcfg.Obs = children[ti]
 			}
-		}()
-	}
-feed:
-	for ti := range todo {
-		select {
-		case next <- ti:
-		case <-stopFeed:
-			break feed
-		case <-pctx.Done():
-			break feed
+			out[todo[ti]], errs[ti] = linkAndSave(ctx, opts, cfgHash, pairs[todo[ti]], pcfg)
+			return errs[ti]
+		})
+	for _, c := range children {
+		if c != nil {
+			cfg.Obs.Merge(c.Report())
 		}
 	}
-	close(next)
-	wg.Wait()
-
-	for ti := range todo {
-		if children[ti] != nil {
-			cfg.Obs.Merge(children[ti].Report())
-		}
+	if err == nil {
+		return nil
 	}
 	// Report the first real failure in pair order. Cancellation errors may
-	// only echo a sibling's fail-fast (or the parent context), so they rank
-	// behind any genuine failure and are reported only when nothing else is.
+	// only echo the parent context, so they rank behind any genuine failure
+	// and are reported only when nothing else is.
 	first := -1
 	for ti, err := range errs {
 		if err == nil {
@@ -267,15 +234,20 @@ feed:
 			break
 		}
 	}
-	if first >= 0 {
-		pair := pairs[todo[first]]
-		return &SeriesError{
-			OldYear:   pair[0].Year,
-			NewYear:   pair[1].Year,
-			Completed: completedCount(out),
-			Pairs:     len(pairs),
-			Err:       errs[first],
+	if first == -1 {
+		// A pair panicked, or the pool was cancelled between pairs: blame
+		// the first pair without a result.
+		if first = slices.IndexFunc(todo, func(i int) bool { return out[i] == nil }); first == -1 {
+			return nil
 		}
+		errs[first] = err
 	}
-	return nil
+	pair := pairs[todo[first]]
+	return &SeriesError{
+		OldYear:   pair[0].Year,
+		NewYear:   pair[1].Year,
+		Completed: completedCount(out),
+		Pairs:     len(pairs),
+		Err:       errs[first],
+	}
 }

@@ -23,12 +23,12 @@ type runState struct {
 	// match is the subgraph-matching configuration (τ, year gap, α, β and
 	// the ablation toggles) shared by the subgraph and remainder stages.
 	match MatchConfig
-	// oldGraphs and newGraphs hold one household graph per household ID
-	// (completeGroups of Algorithm 1).
-	oldGraphs, newGraphs map[string]*hgraph.Graph
-	// oldHH and newHH number each dataset's households by record position,
-	// for the candidate_groups stage.
+	// oldHH and newHH number each dataset's households by record position
+	// and hold one household graph per household number (completeGroups of
+	// Algorithm 1).
 	oldHH, newHH householdIndex
+	// groupBuf is the candidate_groups stage's buffer, reused across δ.
+	groupBuf []uint64
 	// sim scores pre-matching and the transitively linked vertex pairs of
 	// the subgraph stage; rem scores the remainder pass with Sim_func_rem.
 	// Both read the one candidate table and share the active-record mask
@@ -72,10 +72,8 @@ func buildGraphs(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) 
 			DirectVerticesOnly: cfg.DirectVerticesOnly,
 			VertexGuards:       cfg.VertexGuards,
 		},
-		oldGraphs: buildAll(oldDS),
-		newGraphs: buildAll(newDS),
-		oldHH:     newHouseholdIndex(oldDS),
-		newHH:     newHouseholdIndex(newDS),
+		oldHH: newHouseholdIndex(oldDS, buildAll(oldDS)),
+		newHH: newHouseholdIndex(newDS, buildAll(newDS)),
 	}, nil
 }
 
@@ -120,25 +118,47 @@ func (rs *runState) prematch(ctx context.Context, delta float64, remOld, remNew 
 	return pre, err
 }
 
-// candidateGroups is the candidate_groups stage.
-func (rs *runState) candidateGroups(pre *PreMatchResult) []GroupPair {
+// candidateGroups is the candidate_groups stage. The returned pairs live
+// in the run's buffer until the next δ's call.
+func (rs *runState) candidateGroups(pre *PreMatchResult) []uint64 {
 	stop := rs.cfg.Obs.Stage("candidate_groups")
 	defer stop()
-	return candidateGroupPairs(pre, rs.oldHH, rs.newHH)
+	rs.groupBuf = candidateGroupPairs(pre, rs.oldHH, rs.newHH, rs.groupBuf)
+	return rs.groupBuf
 }
 
 // subgraphMatch is the subgraph_match stage: the position view of the pass,
-// then MatchGroups over every candidate group pair on a bounded worker pool.
-func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []GroupPair, pre *PreMatchResult) ([]*Subgraph, error) {
+// then MatchGroups over every candidate group pair on the chunk pool, one
+// pair per chunk. A failure names its group pair in PipelineError.Group,
+// and under PanicSkip only the poisoned pair is dropped. Subgraphs come
+// out in pair order.
+func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []uint64, pre *PreMatchResult) ([]*Subgraph, error) {
 	stop := rs.cfg.Obs.Stage("subgraph_match")
 	gm := NewGroupMatcher(pre, rs.sim.eng, delta, rs.match)
-	subs, err := matchGroupsParallel(ctx, delta, pairs, rs.oldGraphs, rs.newGraphs,
-		gm, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs)
+	slots := make([]*Subgraph, len(pairs))
+	_, err := runChunks(ctx, "subgraph_match", delta, len(pairs), 1, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs,
+		func(ci, _, _ int) error {
+			ho, hn := unpackPair(pairs[ci])
+			slots[ci] = gm.MatchGroups(rs.oldHH.graphs[ho], rs.newHH.graphs[hn])
+			return nil
+		})
 	stop()
 	// Flushed inside the δ iteration, so the memo counters land in its
 	// snapshot.
 	rs.sim.flushCounters(rs.cfg.Obs)
-	return subs, err
+	if err != nil {
+		if pe, ok := err.(*PipelineError); ok && pe.Chunk >= 0 {
+			pe.Group, pe.Chunk = groupPair(pairs[pe.Chunk], rs.oldHH, rs.newHH), -1
+		}
+		return nil, err
+	}
+	subs := slots[:0]
+	for _, s := range slots {
+		if s != nil {
+			subs = append(subs, s)
+		}
+	}
+	return subs, nil
 }
 
 // remainder is the remainder stage: the attribute-only pass (line 17 of

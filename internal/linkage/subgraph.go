@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -80,10 +81,10 @@ func (c MatchConfig) rpSim(dOld, dNew int) (float64, bool) {
 	return 1 - float64(dev)/float64(c.AgeTolerance+1), true
 }
 
-// ageConsistent reports whether a record pair's ages are consistent with the
-// census interval: the person must have aged by YearGap ± AgeTolerance
-// years. Missing ages pass (no evidence against the pair).
-func (c MatchConfig) ageConsistent(o, n *census.Record) bool {
+// AgeConsistent reports whether a record pair's ages are consistent with the
+// census interval (paper footnote 2): the person must have aged by YearGap
+// ± AgeTolerance years. Missing ages pass (no evidence against the pair).
+func (c MatchConfig) AgeConsistent(o, n *census.Record) bool {
 	if o.Age == census.AgeMissing || n.Age == census.AgeMissing {
 		return true
 	}
@@ -97,10 +98,11 @@ func (c MatchConfig) ageConsistent(o, n *census.Record) bool {
 // GroupMatcher is the subgraph stage's view of one pre-matching pass
 // (Section 3.3), keyed by dataset position: the cluster label of every
 // record and the label sizes of the uniqueness score, read directly from
-// the position-keyed PreMatchResult, the directly compared pairs with their
-// similarities, plus the compiled engine that scores pairs linked only
-// transitively. It is built once per δ-iteration in O(links) and is
-// read-only afterwards, so the stage's workers share it.
+// the position-keyed PreMatchResult, whose sorted links give the directly
+// compared pairs with their similarities, plus the compiled engine that
+// scores pairs linked only transitively. It is built once per δ-iteration
+// in O(1), allocates nothing, and is read-only afterwards, so the stage's
+// workers share it.
 type GroupMatcher struct {
 	eng   *compare.Engine
 	delta float64
@@ -110,13 +112,10 @@ type GroupMatcher struct {
 	oldLabel, newLabel []int32
 	// labelSize[l] is |label l| (Eq. 7).
 	labelSize []int32
-	// direct holds the similarity of every directly compared pair, keyed
-	// by posKey(old position, new position).
-	direct map[uint64]float64
+	// links are the pass's directly compared pairs above δ, sorted by old
+	// and then new position (PreMatchResult.Links).
+	links []CandidateLink
 }
-
-// posKey packs an (old, new) dataset position pair into a map key.
-func posKey(oi, ni int32) uint64 { return uint64(uint32(oi))<<32 | uint64(uint32(ni)) }
 
 // NewGroupMatcher builds the position view of a pre-matching pass at
 // threshold delta. The engine must be compiled over the full record lists
@@ -129,19 +128,31 @@ func NewGroupMatcher(pre *PreMatchResult, eng *compare.Engine, delta float64, cf
 		panic(fmt.Sprintf("linkage: pre-matching over %d+%d records, engine over %d+%d",
 			len(pre.OldLabels), len(pre.NewLabels), len(eng.Old.Recs), len(eng.New.Recs)))
 	}
-	m := &GroupMatcher{
+	return &GroupMatcher{
 		eng:       eng,
 		delta:     delta,
 		cfg:       cfg,
 		oldLabel:  pre.OldLabels,
 		newLabel:  pre.NewLabels,
 		labelSize: pre.LabelSize,
-		direct:    make(map[uint64]float64, len(pre.Links)),
+		links:     pre.Links,
 	}
-	for _, l := range pre.Links {
-		m.direct[posKey(l.Old, l.New)] = l.Sim
+}
+
+// directSim returns the pre-matching similarity of the pair at old
+// position oi and new position ni, and whether the pass linked it
+// directly, by binary search over the sorted links.
+func (m *GroupMatcher) directSim(oi, ni int32) (float64, bool) {
+	k, found := slices.BinarySearchFunc(m.links, CandidateLink{Old: oi, New: ni}, func(a, b CandidateLink) int {
+		if c := cmp.Compare(a.Old, b.Old); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.New, b.New)
+	})
+	if !found {
+		return 0, false
 	}
-	return m
+	return m.links[k].Sim, true
 }
 
 // vertexCand is a candidate vertex: member positions i in the old graph and
@@ -178,7 +189,7 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 			continue
 		}
 		for j, n := range newMembers {
-			if m.newLabel[newPos[j]] == lo && m.cfg.ageConsistent(o, n) {
+			if m.newLabel[newPos[j]] == lo && m.cfg.AgeConsistent(o, n) {
 				cands = append(cands, vertexCand{i: i, j: j})
 			}
 		}
@@ -191,7 +202,7 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 	// linked only transitively are scored through the engine.
 	kept := cands[:0]
 	for _, c := range cands {
-		sim, direct := m.direct[posKey(oldPos[c.i], newPos[c.j])]
+		sim, direct := m.directSim(oldPos[c.i], newPos[c.j])
 		if !direct {
 			if m.cfg.DirectVerticesOnly {
 				continue
@@ -352,33 +363,38 @@ type GroupPair struct {
 
 // candidateGroupPairs derives the distinct group pairs connected by at
 // least one pre-matching record link (Section 3.3: subgraph matching is
-// only applied to pairs of groups sharing a similar record). Order follows
-// the first occurrence in the deterministic link list. pre must have been
-// computed over the full record lists indexed by oldHH and newHH; pairs
-// are deduplicated by household number, so no string is hashed.
-func candidateGroupPairs(pre *PreMatchResult, oldHH, newHH householdIndex) []GroupPair {
-	seen := make(map[uint64]struct{})
-	var out []GroupPair
+// only applied to pairs of groups sharing a similar record), as packed
+// (old household number, new household number) pairs in ascending order.
+// It writes them into buf's storage and returns the slice, so a caller
+// that passes the previous result back reuses one buffer across δ passes.
+// pre must have been computed over the full record lists indexed by oldHH
+// and newHH.
+func candidateGroupPairs(pre *PreMatchResult, oldHH, newHH householdIndex, buf []uint64) []uint64 {
+	buf = buf[:0]
 	for _, l := range pre.Links {
-		ho, hn := oldHH.of[l.Old], newHH.of[l.New]
-		k := posKey(ho, hn)
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			out = append(out, GroupPair{Old: oldHH.ids[ho], New: newHH.ids[hn]})
-		}
+		buf = append(buf, packPair(oldHH.of[l.Old], newHH.of[l.New]))
 	}
-	return out
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
+
+// packPair packs an (old, new) household-number pair into one sortable
+// word; unpackPair inverts it.
+func packPair(ho, hn int32) uint64 { return uint64(uint32(ho))<<32 | uint64(uint32(hn)) }
+
+func unpackPair(k uint64) (ho, hn int32) { return int32(k >> 32), int32(uint32(k)) }
 
 // householdIndex numbers the households of one dataset in order of first
 // appearance and maps every record position to its household's number.
 type householdIndex struct {
-	of  []int32  // of[i] is the household number of record i
-	ids []string // ids[h] is household h's ID
+	of     []int32         // of[i] is the household number of record i
+	ids    []string        // ids[h] is household h's ID
+	graphs []*hgraph.Graph // graphs[h] is household h's graph
 }
 
-// newHouseholdIndex indexes the households of ds by record position.
-func newHouseholdIndex(ds *census.Dataset) householdIndex {
+// newHouseholdIndex indexes the households of ds by record position, with
+// their graphs from graphs (keyed by household ID).
+func newHouseholdIndex(ds *census.Dataset, graphs map[string]*hgraph.Graph) householdIndex {
 	recs := ds.Records()
 	hx := householdIndex{of: make([]int32, len(recs))}
 	num := make(map[string]int32, ds.NumHouseholds())
@@ -388,14 +404,15 @@ func newHouseholdIndex(ds *census.Dataset) householdIndex {
 			h = int32(len(hx.ids))
 			num[r.HouseholdID] = h
 			hx.ids = append(hx.ids, r.HouseholdID)
+			hx.graphs = append(hx.graphs, graphs[r.HouseholdID])
 		}
 		hx.of[i] = h
 	}
 	return hx
 }
 
-// AgeConsistent is the exported form of the record-pair age window check
-// (paper footnote 2), for diagnostic tooling.
-func (c MatchConfig) AgeConsistent(o, n *census.Record) bool {
-	return c.ageConsistent(o, n)
+// groupPair names the packed household-number pair k by household IDs.
+func groupPair(k uint64, oldHH, newHH householdIndex) GroupPair {
+	ho, hn := unpackPair(k)
+	return GroupPair{Old: oldHH.ids[ho], New: newHH.ids[hn]}
 }

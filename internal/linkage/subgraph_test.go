@@ -51,7 +51,7 @@ func matchGroupsOracle(gOld, gNew *hgraph.Graph, pre *preMatchView, f SimFunc, c
 					continue
 				}
 			}
-			if !cfg.ageConsistent(o, n) {
+			if !cfg.AgeConsistent(o, n) {
 				continue
 			}
 			cands = append(cands, VertexPair{Old: o, New: n, Sim: sim})
@@ -358,7 +358,11 @@ func TestSubgraphDuplicateNamesOneToOne(t *testing.T) {
 func TestCandidateGroupPairs(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
 	pre := figure3PreMatch(1)
-	pairs := candidateGroupPairs(pre, newHouseholdIndex(old), newHouseholdIndex(new))
+	oldHH, newHH := newHouseholdIndex(old, nil), newHouseholdIndex(new, nil)
+	var pairs []GroupPair
+	for _, k := range candidateGroupPairs(pre, oldHH, newHH, nil) {
+		pairs = append(pairs, groupPair(k, oldHH, newHH))
+	}
 	want := map[GroupPair]bool{
 		{Old: "1871_a", New: "1881_a"}: true,
 		{Old: "1871_a", New: "1881_d"}: true,
@@ -398,16 +402,16 @@ func TestRpSim(t *testing.T) {
 func TestAgeConsistent(t *testing.T) {
 	cfg := paperMatchConfig()
 	mk := func(age int) *census.Record { return &census.Record{Age: age} }
-	if !cfg.ageConsistent(mk(30), mk(40)) {
+	if !cfg.AgeConsistent(mk(30), mk(40)) {
 		t.Error("exact ten-year gap rejected")
 	}
-	if !cfg.ageConsistent(mk(30), mk(43)) {
+	if !cfg.AgeConsistent(mk(30), mk(43)) {
 		t.Error("gap within tolerance rejected")
 	}
-	if cfg.ageConsistent(mk(30), mk(44)) {
+	if cfg.AgeConsistent(mk(30), mk(44)) {
 		t.Error("gap outside tolerance accepted")
 	}
-	if !cfg.ageConsistent(mk(census.AgeMissing), mk(44)) {
+	if !cfg.AgeConsistent(mk(census.AgeMissing), mk(44)) {
 		t.Error("missing age should pass")
 	}
 }
@@ -428,8 +432,10 @@ func (h *subgraphOracleHook) hook(rs *runState, delta float64, _, _ []*census.Re
 	f := rs.cfg.Sim.WithDelta(delta)
 	gm := NewGroupMatcher(pre, rs.sim.eng, delta, rs.match)
 	view := viewOf(pre)
-	for _, gp := range candidateGroupPairs(pre, rs.oldHH, rs.newHH) {
-		gOld, gNew := rs.oldGraphs[gp.Old], rs.newGraphs[gp.New]
+	for _, k := range candidateGroupPairs(pre, rs.oldHH, rs.newHH, nil) {
+		gp := groupPair(k, rs.oldHH, rs.newHH)
+		ho, hn := unpackPair(k)
+		gOld, gNew := rs.oldHH.graphs[ho], rs.newHH.graphs[hn]
 		got := gm.MatchGroups(gOld, gNew)
 		if want := matchGroupsOracle(gOld, gNew, view, f, rs.match); !reflect.DeepEqual(got, want) {
 			h.t.Fatalf("delta=%v %v: MatchGroups %+v, oracle %+v", delta, gp, got, want)

@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -19,11 +20,12 @@ type TrainingPair struct {
 // between two datasets, using a known truth mapping (e.g. from synthetic
 // data or a manually linked reference). Matches are kept in full; the far
 // more numerous non-matches are down-sampled to negativeRatio times the
-// match count (deterministically, by seed).
-func BuildTrainingSet(old, new *census.Dataset, truth map[Pair]bool,
-	strategies []block.Strategy, negativeRatio float64, seed int64) []TrainingPair {
+// match count (deterministically, by seed). Candidates come from
+// Candidates, so cancellation surfaces as its *PipelineError.
+func BuildTrainingSet(ctx context.Context, old, new *census.Dataset, truth map[Pair]bool,
+	strategies []block.Strategy, negativeRatio float64, seed int64) ([]TrainingPair, error) {
 	var matches, nonMatches []TrainingPair
-	block.Candidates(old.Records(), old.Year, new.Records(), new.Year, strategies,
+	_, err := Candidates(ctx, old.Records(), old.Year, new.Records(), new.Year, strategies,
 		func(o, n *census.Record) {
 			p := TrainingPair{Old: o, New: n, Match: truth[Pair{Old: o.ID, New: n.ID}]}
 			if p.Match {
@@ -32,6 +34,9 @@ func BuildTrainingSet(old, new *census.Dataset, truth map[Pair]bool,
 				nonMatches = append(nonMatches, p)
 			}
 		})
+	if err != nil {
+		return nil, err
+	}
 	want := int(float64(len(matches)) * negativeRatio)
 	if want > len(nonMatches) || negativeRatio <= 0 {
 		want = len(nonMatches)
@@ -40,7 +45,7 @@ func BuildTrainingSet(old, new *census.Dataset, truth map[Pair]bool,
 	rng.Shuffle(len(nonMatches), func(i, j int) {
 		nonMatches[i], nonMatches[j] = nonMatches[j], nonMatches[i]
 	})
-	return append(matches, nonMatches[:want]...)
+	return append(matches, nonMatches[:want]...), nil
 }
 
 // TuneResult reports the outcome of weight learning.

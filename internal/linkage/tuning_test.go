@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -84,7 +85,10 @@ func TestTuneWeightsBeatsUniformOnRunningExample(t *testing.T) {
 	for o, n := range paperexample.TrueRecordMapping() {
 		truth[Pair{Old: o, New: n}] = true
 	}
-	sample := BuildTrainingSet(old, new, truth, block.DefaultStrategies(), 0, 1)
+	sample, err := BuildTrainingSet(context.Background(), old, new, truth, block.DefaultStrategies(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	matchers := OmegaOne(0).Matchers
 	res, err := TuneWeights(sample, matchers, 0.6, 40)
 	if err != nil {
@@ -106,7 +110,10 @@ func TestBuildTrainingSet(t *testing.T) {
 	for o, n := range paperexample.TrueRecordMapping() {
 		truth[Pair{Old: o, New: n}] = true
 	}
-	all := BuildTrainingSet(old, new, truth, block.DefaultStrategies(), 0, 1)
+	all, err := BuildTrainingSet(context.Background(), old, new, truth, block.DefaultStrategies(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	matches := 0
 	for _, p := range all {
 		if p.Match {
@@ -121,13 +128,19 @@ func TestBuildTrainingSet(t *testing.T) {
 		t.Error("sample should include non-matches")
 	}
 	// Down-sampling caps the negatives.
-	capped := BuildTrainingSet(old, new, truth, block.DefaultStrategies(), 1.0, 1)
+	capped, err := BuildTrainingSet(context.Background(), old, new, truth, block.DefaultStrategies(), 1.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	negatives := len(capped) - matches
 	if negatives > matches {
 		t.Errorf("negativeRatio 1.0 kept %d negatives for %d matches", negatives, matches)
 	}
 	// Determinism.
-	again := BuildTrainingSet(old, new, truth, block.DefaultStrategies(), 1.0, 1)
+	again, err := BuildTrainingSet(context.Background(), old, new, truth, block.DefaultStrategies(), 1.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(again) != len(capped) {
 		t.Error("training set not deterministic")
 	}
