@@ -21,17 +21,18 @@ test:
 	$(GO) test ./...
 
 # One iteration of every table/figure benchmark plus the micro benchmarks,
-# then the pre-matching trajectory report and the serving-layer load report
+# then the link trajectory report and the serving-layer load report
 # (the loadgen harness against a precomputed synthetic series).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	CENSUSLINK_BENCH_JSON=BENCH_prematch.json $(GO) test -run TestBenchTrajectory -v .
 	CENSUSLINK_SERVER_BENCH_JSON=$(CURDIR)/BENCH_server.json $(GO) test -count=1 -run TestServerBenchTrajectory -v ./cmd/loadgen
 
-# Performance regression gate: re-measure the compiled pre-matching pass
-# and the serving layer, failing when either is slower than its committed
-# baseline allows (2x per op for pre-matching, 5x p50 for serving) or when
-# the conditional-GET revalidation ratio drops below 0.9.
+# Performance regression gate: re-measure one full link under the default
+# and the LSH blocking schemes and the serving layer, failing when either is
+# slower than its committed baseline allows (1.5x per link, 5x p50 for
+# serving), when a link's record or group F-measure drops by more than one
+# point, or when the conditional-GET revalidation ratio drops below 0.9.
 bench-regress:
 	CENSUSLINK_BENCH_BASELINE=BENCH_prematch.json $(GO) test -run TestBenchTrajectory -v .
 	CENSUSLINK_SERVER_BENCH_BASELINE=$(CURDIR)/BENCH_server.json $(GO) test -count=1 -run TestServerBenchTrajectory -v ./cmd/loadgen

@@ -256,22 +256,24 @@ func BenchmarkLinkSeriesIncremental(b *testing.B) {
 	})
 }
 
-// TestBenchTrajectory measures the standalone pre-matching pass
-// programmatically and writes a JSON report to the path named by the
-// CENSUSLINK_BENCH_JSON environment variable. The report also carries the
-// similarity-memo counters of one compiled Link run so the cache
-// effectiveness is recorded alongside the timing.
+// TestBenchTrajectory times one full link of a census pair under the
+// default and the LSH blocking schemes, with the record and group
+// F-measure of each against the synthetic truth, plus the LSH candidate
+// trade-off, the incremental series and the append-only evolution rows,
+// and writes a JSON report to the path named by the CENSUSLINK_BENCH_JSON
+// environment variable.
 //
 // With CENSUSLINK_BENCH_BASELINE set to a previously committed report
 // (BENCH_prematch.json), the test additionally acts as a performance
-// regression gate: it fails when the compiled pre-matching pass has become
-// more than 2x slower per op than the baseline. The test is skipped when
-// neither variable is set.
+// regression gate: it fails when either full link has become more than
+// 1.5x slower per op than the baseline, or its record or group F-measure
+// has dropped by more than one point. The test is skipped when neither
+// variable is set.
 func TestBenchTrajectory(t *testing.T) {
 	path := os.Getenv("CENSUSLINK_BENCH_JSON")
 	basePath := os.Getenv("CENSUSLINK_BENCH_BASELINE")
 	if path == "" && basePath == "" {
-		t.Skip("set CENSUSLINK_BENCH_JSON to write the pre-matching benchmark report, " +
+		t.Skip("set CENSUSLINK_BENCH_JSON to write the benchmark report, " +
 			"or CENSUSLINK_BENCH_BASELINE to compare against a committed one")
 	}
 	old, new, err := synth.GeneratePair(synth.TestConfig(benchScale(), 1871), 1871, 1881)
@@ -279,29 +281,43 @@ func TestBenchTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := linkage.DefaultConfig()
-	f := cfg.Sim.WithDelta(cfg.DeltaHigh)
-	compiled := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchPreMatch(old, new, f, cfg)
-		}
-	})
-
-	// LSH blocking rows: one compiled pre-matching pass under the MinHash/LSH
-	// scheme, plus the candidate-count and true-match-coverage trade-off
-	// against the default phonetic passes. The counts feed the regression
-	// gate below: the scheme must keep its >= 5x pair reduction and >= 0.98
-	// relative recall as the code evolves.
 	lshStrategies, err := linkage.ParseBlocking("lsh")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lshCfg := cfg
 	lshCfg.Strategies = lshStrategies
-	lshBench := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchPreMatch(old, new, f, lshCfg)
-		}
-	})
+
+	report := map[string]any{
+		"benchmark": "PreMatch",
+		"scale":     benchScale(),
+	}
+	// Full-link rows: one LinkContext per op under each blocking scheme,
+	// and the quality of the links it returns.
+	for _, scheme := range []struct {
+		name string
+		cfg  linkage.Config
+	}{{"link_default", cfg}, {"link_lsh", lshCfg}} {
+		var res *linkage.Result
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = linkage.LinkContext(context.Background(), old, new, scheme.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		rec, grp := evaluate.EvaluateResult(res, old, new)
+		report[scheme.name+"_ns_op"] = r.NsPerOp()
+		report[scheme.name+"_record_f1"] = rec.F1
+		report[scheme.name+"_group_f1"] = grp.F1
+		t.Logf("%s %v/op, record F %.4f, group F %.4f", scheme.name, r.NsPerOp(), rec.F1, grp.F1)
+	}
+
+	// LSH blocking rows: the candidate-count and true-match-coverage
+	// trade-off against the default phonetic passes. The scheme must keep
+	// its >= 5x pair reduction and >= 0.98 relative recall as the code
+	// evolves.
 	truth := evaluate.TrueRecordMapping(old, new)
 	countAndCoverage := func(strategies []block.Strategy) (int, float64) {
 		covered := 0
@@ -320,8 +336,8 @@ func TestBenchTrajectory(t *testing.T) {
 	lshPairs, lshCov := countAndCoverage(lshStrategies)
 	lshReduction := float64(exactPairs) / float64(lshPairs)
 	lshRelRecall := lshCov / exactCov
-	t.Logf("lsh prematch %v/op; pairs %d vs %d exact (%.2fx reduction), relative recall %.4f",
-		lshBench.NsPerOp(), lshPairs, exactPairs, lshReduction, lshRelRecall)
+	t.Logf("lsh pairs %d vs %d exact (%.2fx reduction), relative recall %.4f",
+		lshPairs, exactPairs, lshReduction, lshRelRecall)
 	if lshReduction < 5 {
 		t.Errorf("LSH candidate-pair reduction %.2fx below the 5x target", lshReduction)
 	}
@@ -334,25 +350,11 @@ func TestBenchTrajectory(t *testing.T) {
 	if _, err := linkage.LinkContext(context.Background(), old, new, statsCfg); err != nil {
 		t.Fatal(err)
 	}
-	rep := statsCfg.Obs.Report()
-	hits := rep.Counters[obs.SimCacheHits]
-	misses := rep.Counters[obs.SimCacheMisses]
-
-	report := map[string]any{
-		"benchmark":          "PreMatch",
-		"scale":              benchScale(),
-		"compiled_ns_op":     compiled.NsPerOp(),
-		"sim_cache_hits":     hits,
-		"sim_cache_misses":   misses,
-		"sim_cache_hit_rate": float64(hits) / float64(hits+misses),
-		"pruned_comparisons": rep.Counters[obs.PrunedComparisons],
-
-		"prematch_lsh_ns_op":           lshBench.NsPerOp(),
-		"prematch_lsh_pairs":           lshPairs,
-		"prematch_exact_pairs":         exactPairs,
-		"prematch_lsh_pair_reduction":  lshReduction,
-		"prematch_lsh_relative_recall": lshRelRecall,
-	}
+	report["pruned_comparisons"] = statsCfg.Obs.Report().Counters[obs.PrunedComparisons]
+	report["prematch_lsh_pairs"] = lshPairs
+	report["prematch_exact_pairs"] = exactPairs
+	report["prematch_lsh_pair_reduction"] = lshReduction
+	report["prematch_lsh_relative_recall"] = lshRelRecall
 
 	// Incremental series rows: one cold pass per iteration (fresh store,
 	// full pipeline) against a warm re-run served entirely from snapshots.
@@ -490,56 +492,61 @@ func TestBenchTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("prematch %v/op, memo hit rate %.3f", compiled.NsPerOp(), float64(hits)/float64(hits+misses))
 
 	if basePath != "" {
 		base, err := readBenchBaseline(basePath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if base.Scale != benchScale() {
-			t.Skipf("baseline scale %.3f != current scale %.3f: not comparable", base.Scale, benchScale())
+		if base["scale"] != benchScale() {
+			t.Skipf("baseline scale %.3f != current scale %.3f: not comparable", base["scale"], benchScale())
 		}
-		ratio := float64(compiled.NsPerOp()) / float64(base.CompiledNsOp)
-		t.Logf("compiled prematch vs baseline %s: %d ns/op now, %d ns/op then (%.2fx)",
-			basePath, compiled.NsPerOp(), base.CompiledNsOp, ratio)
-		if ratio > 2 {
-			t.Errorf("compiled pre-matching regressed %.2fx vs the committed baseline (limit 2x): %d ns/op vs %d ns/op",
-				ratio, compiled.NsPerOp(), base.CompiledNsOp)
-		}
-		if base.LSHNsOp > 0 {
-			lr := float64(lshBench.NsPerOp()) / float64(base.LSHNsOp)
-			t.Logf("lsh prematch vs baseline: %d ns/op now, %d ns/op then (%.2fx)",
-				lshBench.NsPerOp(), base.LSHNsOp, lr)
-			if lr > 2 {
-				t.Errorf("LSH pre-matching regressed %.2fx vs the committed baseline (limit 2x): %d ns/op vs %d ns/op",
-					lr, lshBench.NsPerOp(), base.LSHNsOp)
+		for _, scheme := range []string{"link_default", "link_lsh"} {
+			now, then := float64(report[scheme+"_ns_op"].(int64)), base[scheme+"_ns_op"]
+			t.Logf("%s vs baseline %s: %.0f ns/op now, %.0f ns/op then (%.2fx)", scheme, basePath, now, then, now/then)
+			if now/then > 1.5 {
+				t.Errorf("%s regressed %.2fx vs the committed baseline (limit 1.5x): %.0f ns/op vs %.0f ns/op",
+					scheme, now/then, now, then)
+			}
+			for _, f := range []string{"_record_f1", "_group_f1"} {
+				if now, then := report[scheme+f].(float64), base[scheme+f]; now < then-0.01 {
+					t.Errorf("%s%s dropped to %.4f from the committed %.4f (limit one point)", scheme, f, now, then)
+				}
 			}
 		}
 	}
 }
 
-// benchBaseline is the subset of the BENCH_prematch.json report the
-// regression gate compares against.
-type benchBaseline struct {
-	Scale        float64 `json:"scale"`
-	CompiledNsOp int64   `json:"compiled_ns_op"`
-	LSHNsOp      int64   `json:"prematch_lsh_ns_op"`
+// benchGated lists the BENCH_prematch.json rows the regression gate
+// compares against.
+var benchGated = []string{
+	"link_default_ns_op", "link_default_record_f1", "link_default_group_f1",
+	"link_lsh_ns_op", "link_lsh_record_f1", "link_lsh_group_f1",
 }
 
-func readBenchBaseline(path string) (*benchBaseline, error) {
+// readBenchBaseline returns the numeric rows of a committed report,
+// requiring every gated row to be present and positive.
+func readBenchBaseline(path string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var b benchBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
+	var rows map[string]any
+	if err := json.Unmarshal(data, &rows); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if b.CompiledNsOp <= 0 {
-		return nil, fmt.Errorf("%s: missing or non-positive compiled_ns_op", path)
+	base := make(map[string]float64, len(rows))
+	for k, v := range rows {
+		if f, ok := v.(float64); ok {
+			base[k] = f
+		}
 	}
-	return &b, nil
+	for _, k := range benchGated {
+		if base[k] <= 0 {
+			return nil, fmt.Errorf("%s: missing or non-positive %s", path, k)
+		}
+	}
+	return base, nil
 }
 
 // BenchmarkEvolutionAnalysis times pattern derivation for one linked pair.

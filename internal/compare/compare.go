@@ -1,21 +1,22 @@
 // Package compare implements the compiled comparison engine: census records
 // are compiled once per dataset — every attribute value interned into a
 // per-attribute dictionary of value IDs with one precomputed strsim.Profile
-// per distinct value — and record pairs are then scored through a
-// distinct-pair memo table with a remaining-weight upper-bound early exit.
+// per distinct value — and record pairs are then scored by comparing the
+// two records' profiles matcher by matcher, with a remaining-weight
+// upper-bound early exit and a resumable partial score.
 //
 // Census data is dominated by small dictionaries of distinct surnames,
-// addresses and occupations, so after the first δ-iteration of the linkage
-// loop almost every attribute comparison is a table lookup. The engine is
-// constructed so its results are bit-for-bit identical to the interpreted
-// string path (linkage.SimFunc): profiles share the same rune-level cores
-// as the string functions, and aggregation follows the same matcher order
-// with the same skip-zero-weight rule.
+// addresses and occupations, so normalising and tokenising each distinct
+// value once leaves each attribute comparison only the profile kernel. The
+// engine is constructed so its results are bit-for-bit identical to the
+// interpreted string path (linkage.SimFunc): profiles share the same
+// rune-level cores as the string functions, and aggregation follows the
+// same matcher order with the same skip-zero-weight rule.
 package compare
 
 import (
 	"fmt"
-	"sync"
+	"math"
 	"sync/atomic"
 
 	"censuslink/internal/census"
@@ -29,8 +30,8 @@ type Matcher struct {
 	Attr   census.Attribute
 	Weight float64
 	// Prof is the profile comparator. When nil, Sim is wrapped with
-	// strsim.Memoized so the matcher still benefits from the distinct-pair
-	// memo table while scoring through the string path.
+	// strsim.FuncProfiled, whose profile is the raw value, so the matcher
+	// scores through the string path.
 	Prof *strsim.Profiled
 	// Sim is the interpreted fallback used when Prof is nil.
 	Sim strsim.Func
@@ -65,7 +66,7 @@ func Compile(recs []*census.Record, matchers []Matcher) *CompiledDataset {
 			if cd.matchers[mi].Sim == nil {
 				panic(fmt.Sprintf("compare: matcher %d (%v) has neither Prof nor Sim", mi, cd.matchers[mi].Attr))
 			}
-			cd.matchers[mi].Prof = strsim.Memoized("func", cd.matchers[mi].Sim)
+			cd.matchers[mi].Prof = strsim.FuncProfiled("func", cd.matchers[mi].Sim)
 		}
 	}
 	for i, r := range recs {
@@ -126,30 +127,11 @@ func (cd *CompiledDataset) DistinctValues(mi int) int {
 // error is orders of magnitude below 1e-9.
 const pruneEps = 1e-9
 
-// memoShards is the number of lock shards per matcher memo; the shard is
-// picked by Fibonacci-hashing the pair key.
-const memoShards = 64
-
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[uint64]float64
-}
-
-// pairMemo memoizes distinct (old value ID, new value ID) similarities for
-// one matcher. Concurrent double-computation is benign: comparators are
-// pure, so racing writers store the same value.
-type pairMemo struct {
-	shards [memoShards]memoShard
-}
-
-func (pm *pairMemo) shard(key uint64) *memoShard {
-	return &pm.shards[(key*0x9E3779B97F4A7C15)>>(64-6)]
-}
-
 // Engine scores (old record index, new record index) pairs between two
 // compiled datasets. It is safe for concurrent use and is designed to live
-// across all δ-iterations of a LinkContext call so that similarities computed at a
-// higher threshold are reused verbatim at relaxed ones.
+// across all δ-iterations of a LinkContext call; callers that keep each
+// pair's resumable score (ResumeAtLeast) continue at a relaxed threshold
+// where the higher one stopped.
 type Engine struct {
 	Old *CompiledDataset
 	New *CompiledDataset
@@ -159,10 +141,7 @@ type Engine struct {
 	// scored lists the matchers with non-zero weight in matcher order; a
 	// resumable score's next index counts into it.
 	scored []int
-	memos  []pairMemo
 
-	hits   atomic.Int64
-	misses atomic.Int64
 	pruned atomic.Int64
 }
 
@@ -180,7 +159,6 @@ func NewEngine(old, new *CompiledDataset) *Engine {
 		Old:     old,
 		New:     new,
 		suffixW: make([]float64, len(old.matchers)),
-		memos:   make([]pairMemo, len(old.matchers)),
 	}
 	for i := len(old.matchers) - 1; i >= 0; i-- {
 		if i+1 < len(old.matchers) {
@@ -195,48 +173,24 @@ func NewEngine(old, new *CompiledDataset) *Engine {
 	if len(e.scored) > MaxWeightedMatchers {
 		panic(fmt.Sprintf("compare: %d weighted matchers, at most %d can resume", len(e.scored), MaxWeightedMatchers))
 	}
-	for mi := range e.memos {
-		for si := range e.memos[mi].shards {
-			e.memos[mi].shards[si].m = make(map[uint64]float64)
-		}
-	}
 	return e
 }
 
-// attrSim returns the matcher-mi similarity of the pair through the memo
-// table, computing and storing it on first sight of the value-ID pair.
+// attrSim returns the matcher-mi similarity of the pair, compared on the
+// two interned value profiles.
 func (e *Engine) attrSim(mi, oi, ni int) float64 {
-	ia := e.Old.ids[mi][oi]
-	ib := e.New.ids[mi][ni]
-	key := uint64(uint32(ia))<<32 | uint64(uint32(ib))
-	sh := e.memos[mi].shard(key)
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		e.hits.Add(1)
-		return v
-	}
-	e.misses.Add(1)
-	v = e.Old.matchers[mi].Prof.Compare(&e.Old.profiles[mi][ia], &e.New.profiles[mi][ib])
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
-	return v
+	a, b := &e.Old.profiles[mi][e.Old.ids[mi][oi]], &e.New.profiles[mi][e.New.ids[mi][ni]]
+	return e.Old.matchers[mi].Prof.Compare(a, b)
 }
 
 // AggSim returns the weighted aggregated similarity of old record oi and
 // new record ni, bit-for-bit equal to linkage.SimFunc.AggSim on the same
 // records: identical per-attribute values, identical accumulation order.
+// It is ResumeAtLeast from zero state at δ = −Inf, which never prunes.
 func (e *Engine) AggSim(oi, ni int) float64 {
-	s := 0.0
-	for mi := range e.suffixW {
-		w := e.Old.matchers[mi].Weight
-		if w == 0 {
-			continue
-		}
-		s += w * e.attrSim(mi, oi, ni)
-	}
+	var s float64
+	var k uint8
+	e.ResumeAtLeast(oi, ni, math.Inf(-1), &s, &k)
 	return s
 }
 
@@ -264,14 +218,14 @@ const MaxWeightedMatchers = 255
 // zero state.
 //
 // If the stored upper bound *sum + suffixW (the weight still to come)
-// proves the pair below delta, it returns false with no lookup and counts a
-// pruned comparison. Otherwise it adds the remaining matchers in matcher
-// order, stopping early once the upper bound falls below delta. Because
-// matchers are added in the same order whatever the thresholds, *sum after
-// an accepting call is bit-for-bit AggSim, and the pairs accepted at each
-// delta are exactly those a fresh score accepts. Over a non-increasing
-// threshold sequence the partial sum of a rejected pair is also the one a
-// fresh score returns.
+// proves the pair below delta, it returns false without comparing an
+// attribute and counts a pruned comparison. Otherwise it adds the
+// remaining matchers in matcher order, stopping early once the upper bound
+// falls below delta. Because matchers are added in the same order whatever
+// the thresholds, *sum after an accepting call is bit-for-bit AggSim, and
+// the pairs accepted at each delta are exactly those a fresh score
+// accepts. Over a non-increasing threshold sequence the partial sum of a
+// rejected pair is also the one a fresh score returns.
 func (e *Engine) ResumeAtLeast(oi, ni int, delta float64, sum *float64, next *uint8) bool {
 	s, k := *sum, int(*next)
 	if k > 0 && s+e.suffixW[e.scored[k-1]] < delta-pruneEps {
@@ -301,7 +255,8 @@ func (e *Engine) SimVector(oi, ni int) []float64 {
 	return out
 }
 
-// Counters returns the cumulative memo hit, miss and pruned-pair counts.
-func (e *Engine) Counters() (hits, misses, pruned int64) {
-	return e.hits.Load(), e.misses.Load(), e.pruned.Load()
+// Pruned returns the cumulative count of comparisons the upper bound cut
+// short.
+func (e *Engine) Pruned() int64 {
+	return e.pruned.Load()
 }

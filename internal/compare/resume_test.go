@@ -24,11 +24,22 @@ func resumeMatchers() []Matcher {
 
 // resumeEngines returns two engines over the same records: one scores
 // with carried ResumeAtLeast state, the other from scratch, so their
-// counters can be compared.
-func resumeEngines(nOld, nNew int) (resumed, fresh *Engine) {
+// counters can be compared. compares[0] and compares[1] count the profile
+// comparisons the resumed and the fresh engine make.
+func resumeEngines(nOld, nNew int) (resumed, fresh *Engine, compares *[2]int) {
 	old, new := testRecords("o", nOld), testRecords("n", nNew)
-	ms := resumeMatchers()
-	return NewEngine(Compile(old, ms), Compile(new, ms)), NewEngine(Compile(old, ms), Compile(new, ms))
+	compares = &[2]int{}
+	engine := func(n *int) *Engine {
+		ms := resumeMatchers()
+		for i := range ms {
+			counted := *ms[i].Prof
+			cmp := counted.Compare
+			counted.Compare = func(a, b *strsim.Profile) float64 { *n++; return cmp(a, b) }
+			ms[i].Prof = &counted
+		}
+		return NewEngine(Compile(old, ms), Compile(new, ms))
+	}
+	return engine(&compares[0]), engine(&compares[1]), compares
 }
 
 // checkResume scores pair (oi, ni) at every delta in turn, carrying one
@@ -64,6 +75,8 @@ func checkResume(t *testing.T, resumed, fresh *Engine, oi, ni int, deltas []floa
 // repeated and mixed threshold sequences. Over the descending sequences it
 // also requires the pruned-comparison counts of both engines to agree: a
 // skip on the stored bound counts exactly where a fresh score would prune.
+// Resuming compares each (pair, matcher) at most once, so the resumed
+// engine makes fewer profile comparisons than the fresh one.
 func TestResumeAtLeastMatchesAggSimAtLeast(t *testing.T) {
 	sequences := map[string][]float64{
 		"descending": {0.9, 0.8, 0.75, 0.7, 0.65, 0.6, 0.55, 0.5, 0.3},
@@ -74,24 +87,24 @@ func TestResumeAtLeastMatchesAggSimAtLeast(t *testing.T) {
 	}
 	for name, deltas := range sequences {
 		t.Run(name, func(t *testing.T) {
-			resumed, fresh := resumeEngines(40, 37)
+			resumed, fresh, compares := resumeEngines(40, 37)
 			for oi := range resumed.Old.Recs {
 				for ni := range resumed.New.Recs {
 					checkResume(t, resumed, fresh, oi, ni, deltas)
 				}
 			}
-			_, _, pr := resumed.Counters()
-			_, _, pf := fresh.Counters()
+			pr, pf := resumed.Pruned(), fresh.Pruned()
 			if pf == 0 {
 				t.Fatal("no comparison was pruned; the sequence does not exercise resuming")
 			}
 			if name != "ascending" && name != "mixed" && pr != pf {
 				t.Errorf("pruned comparisons: resumed %d, fresh %d", pr, pf)
 			}
-			hr, mr, _ := resumed.Counters()
-			hf, mf, _ := fresh.Counters()
-			if hr+mr >= hf+mf {
-				t.Errorf("resumed scoring made %d memo lookups, fresh scoring %d; want fewer", hr+mr, hf+mf)
+			if limit := len(resumed.Old.Recs) * len(resumed.New.Recs) * len(resumed.scored); compares[0] > limit {
+				t.Errorf("resumed scoring made %d comparisons, more than one per (pair, matcher) (%d)", compares[0], limit)
+			}
+			if compares[0] >= compares[1] {
+				t.Errorf("resumed scoring made %d comparisons, fresh scoring %d; want fewer", compares[0], compares[1])
 			}
 		})
 	}
@@ -102,7 +115,7 @@ func TestResumeAtLeastMatchesAggSimAtLeast(t *testing.T) {
 // score does not prune there (the bound is not below the guard), so the
 // resumed score must continue too, reaching the same partial sum.
 func TestResumeAtLeastBoundary(t *testing.T) {
-	resumed, fresh := resumeEngines(40, 37)
+	resumed, fresh, _ := resumeEngines(40, 37)
 	boundaries := 0
 	for oi := range resumed.Old.Recs {
 		for ni := range resumed.New.Recs {
@@ -150,7 +163,7 @@ func FuzzResumeAtLeast(f *testing.F) {
 	f.Add(uint8(5), uint8(5), []byte{140, 140, 140})
 	f.Add(uint8(11), uint8(2), []byte{120, 190, 80, 150, 150, 40, 220})
 	f.Add(uint8(39), uint8(36), []byte{255, 0})
-	resumed, fresh := resumeEngines(40, 37)
+	resumed, fresh, _ := resumeEngines(40, 37)
 	f.Fuzz(func(t *testing.T, oi, ni uint8, seq []byte) {
 		deltas := make([]float64, len(seq))
 		for i, b := range seq {

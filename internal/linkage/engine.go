@@ -16,7 +16,7 @@ import (
 
 // CompareMatchers converts the SimFunc's matchers into their compiled form
 // for internal/compare. Matchers without a profile comparator fall back to
-// memoizing their string function.
+// scoring through their string function.
 func (f SimFunc) CompareMatchers() []compare.Matcher {
 	out := make([]compare.Matcher, len(f.Matchers))
 	for i, m := range f.Matchers {
@@ -45,9 +45,9 @@ type compiledPair struct {
 	// active[i] reports whether new record i is still unlinked; shared by
 	// the pre-matching and remainder passes of one LinkContext call.
 	active []bool
-	// Last engine counter values flushed to obs, so each stage reports
-	// deltas rather than cumulative totals.
-	prevHits, prevMisses, prevPruned int64
+	// prevPruned is the engine's pruned count at the last flush to obs, so
+	// each stage reports a delta rather than the cumulative total.
+	prevPruned int64
 }
 
 // setActive recomputes the active mask from the remaining (unlinked) new
@@ -63,14 +63,12 @@ func (cp *compiledPair) setActive(remaining []*census.Record) {
 	}
 }
 
-// flushCounters adds the engine counter deltas since the previous flush to
-// the run's observability stats.
+// flushCounters adds the engine's pruned comparisons since the previous
+// flush to the run's observability stats.
 func (cp *compiledPair) flushCounters(st *obs.Stats) {
-	h, m, p := cp.eng.Counters()
-	st.Add(obs.SimCacheHits, int(h-cp.prevHits))
-	st.Add(obs.SimCacheMisses, int(m-cp.prevMisses))
+	p := cp.eng.Pruned()
 	st.Add(obs.PrunedComparisons, int(p-cp.prevPruned))
-	cp.prevHits, cp.prevMisses, cp.prevPruned = h, m, p
+	cp.prevPruned = p
 }
 
 // allActive returns an active mask with every one of n records active.

@@ -100,11 +100,22 @@ func (c Config) Validate() error {
 	if err := c.Remainder.Validate(); err != nil {
 		return fmt.Errorf("linkage: remainder: %w", err)
 	}
+	if !(c.DeltaHigh >= 0 && c.DeltaHigh <= 1) || !(c.DeltaLow >= 0 && c.DeltaLow <= 1) {
+		return fmt.Errorf("linkage: delta_high %v and delta_low %v must lie in [0, 1]", c.DeltaHigh, c.DeltaLow)
+	}
 	if c.DeltaHigh < c.DeltaLow {
 		return fmt.Errorf("linkage: delta_high %.3f below delta_low %.3f", c.DeltaHigh, c.DeltaLow)
 	}
-	if c.DeltaHigh > c.DeltaLow && c.DeltaStep <= 0 {
-		return fmt.Errorf("linkage: delta_step must be positive, got %.4f", c.DeltaStep)
+	if c.DeltaHigh > c.DeltaLow {
+		// roundDelta snaps every δ to a 1e-9 grid, so a finer step would
+		// repeat thresholds.
+		if !(c.DeltaStep >= 1e-9 && c.DeltaStep <= 1) {
+			return fmt.Errorf("linkage: delta_step %v must lie in [1e-9, 1]", c.DeltaStep)
+		}
+		if n := c.deltaPasses(); n > maxDeltaPasses {
+			return fmt.Errorf("linkage: delta schedule %v→%v by %v has %d passes, at most %d",
+				c.DeltaHigh, c.DeltaLow, c.DeltaStep, n, maxDeltaPasses)
+		}
 	}
 	if c.Alpha < 0 || c.Beta < 0 || c.Alpha+c.Beta > 1.0001 {
 		return fmt.Errorf("linkage: invalid group weights alpha=%.2f beta=%.2f", c.Alpha, c.Beta)
@@ -138,6 +149,29 @@ func (c Config) deltaSchedule() []float64 {
 		}
 		out = append(out, d)
 	}
+}
+
+// maxDeltaPasses bounds the length of the δ schedule Validate accepts.
+const maxDeltaPasses = 1000
+
+// deltaPasses returns len(c.deltaSchedule()) without building it: one pass
+// per threshold above DeltaLow plus the clamped final one. The quotient
+// only estimates the first index whose snapped threshold reaches DeltaLow,
+// so it is corrected by the schedule's own test, which is monotone in the
+// index.
+func (c Config) deltaPasses() int {
+	if c.DeltaHigh <= c.DeltaLow || c.DeltaStep <= 0 {
+		return 1
+	}
+	reached := func(i int) bool { return roundDelta(c.DeltaHigh-float64(i)*c.DeltaStep) <= c.DeltaLow }
+	k := int(math.Ceil((c.DeltaHigh - c.DeltaLow) / c.DeltaStep))
+	for k > 0 && reached(k-1) {
+		k--
+	}
+	for !reached(k) {
+		k++
+	}
+	return k + 1
 }
 
 // roundDelta snaps a computed threshold to nine decimal places, more than
@@ -392,7 +426,7 @@ func MatchRemaining(ctx context.Context, old, new []*census.Record, opts Remaind
 // matchRemainder is the remainder pass: after the remainder fault-injection
 // checkpoint it collects the blocked, age-consistent candidate links with
 // similarity at or above Sim_func_rem's δ — the candidate-table rows of the
-// old records filtered by cp's active mask, scored through the memoizing
+// old records filtered by cp's active mask, scored through the compiled
 // engine — and selects them into a 1:1 mapping, greedily or optimally. The
 // candidate scan observes ctx every few records and aborts with a typed
 // error; the assignment solve runs to completion (it is in-memory and brief

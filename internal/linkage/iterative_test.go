@@ -2,6 +2,7 @@ package linkage
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -283,6 +284,61 @@ func TestConfigValidate(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestConfigValidateDeltaSchedule: thresholds outside [0, 1], steps finer
+// than the 1e-9 grid deltaSchedule snaps to and schedules of more than
+// maxDeltaPasses passes are rejected; deltaPasses counts exactly the
+// schedule deltaSchedule builds.
+func TestConfigValidateDeltaSchedule(t *testing.T) {
+	cases := []struct {
+		name            string
+		high, low, step float64
+		passes          int // 0: Validate must reject
+	}{
+		{"default", 0.7, 0.5, 0.05, 5},
+		{"one-shot", 0.5, 0.5, 0, 1},
+		{"full range", 1, 0, 0.1, 11},
+		{"step above range", 0.7, 0.5, 0.3, 2},
+		{"clamped last pass", 0.7, 0.52, 0.05, 5},
+		{"exactly the limit", 1, 0, 1.0 / 999, 1000},
+		{"one over the limit", 1, 0, 0.001, 0},
+		{"micro step", 0.7, 0.5, 1e-6, 0},
+		{"below the grid", 0.7, 0.6999999995, 1e-11, 0},
+		{"far below the grid", 0.7, 0.5, 1e-10, 0},
+		{"on the grid", 0.7, 0.69999999, 1e-9, 11},
+		{"step above one", 0.7, 0.5, 1.5, 0},
+		{"infinite step", 0.7, 0.5, math.Inf(1), 0},
+		{"NaN step", 0.7, 0.5, math.NaN(), 0},
+		{"high above one", 1.2, 0.5, 0.05, 0},
+		{"low below zero", 0.7, -0.1, 0.05, 0},
+		{"both below zero", -0.5, -0.5, 0, 0},
+		{"NaN high", math.NaN(), 0.5, 0.05, 0},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.DeltaHigh, cfg.DeltaLow, cfg.DeltaStep = c.high, c.low, c.step
+		err := cfg.Validate()
+		if c.passes == 0 {
+			if err == nil {
+				t.Errorf("%s: %v→%v by %v accepted", c.name, c.high, c.low, c.step)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		sched := cfg.deltaSchedule()
+		if len(sched) != c.passes || cfg.deltaPasses() != c.passes {
+			t.Errorf("%s: schedule has %d passes, deltaPasses %d, want %d", c.name, len(sched), cfg.deltaPasses(), c.passes)
+		}
+		for i := 1; i < len(sched); i++ {
+			if sched[i] >= sched[i-1] {
+				t.Errorf("%s: δ %v at pass %d after %v", c.name, sched[i], i, sched[i-1])
+			}
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // function and weight. Prof, when set, is the precompilable profile form of
 // Sim used by the compiled comparison engine (internal/compare); it must
 // score bit-for-bit identically to Sim. When Prof is nil the engine falls
-// back to memoizing Sim itself.
+// back to scoring through Sim itself.
 type AttributeMatcher struct {
 	Attr   census.Attribute
 	Sim    strsim.Func

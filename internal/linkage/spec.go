@@ -62,8 +62,8 @@ var matcherRegistry = map[string]strsim.Func{
 
 // profiledRegistry maps matcher names to their precompilable profile forms
 // for the compiled engine. Names absent here (damerau, tokendice, lcs,
-// mongeelkan) have no native profile and fall back to memoizing the string
-// function, which is still correct — just without precomputation.
+// mongeelkan) have no native profile and fall back to scoring through the
+// string function, which is still correct — just without precomputation.
 var profiledRegistry = map[string]*strsim.Profiled{
 	"qgram2":      strsim.BigramProfiled,
 	"qgram3":      strsim.QGramProfiled(3),

@@ -31,12 +31,10 @@ type runState struct {
 	groupBuf []uint64
 	// sim scores pre-matching and the transitively linked vertex pairs of
 	// the subgraph stage; rem scores the remainder pass with Sim_func_rem.
-	// Both read the one candidate table and share the active-record mask
-	// the δ loop narrows, and their memo tables live for the whole call, so
-	// a similarity computed at a higher δ is reused verbatim at relaxed
-	// thresholds and by the subgraph stage. sim also keeps every table
-	// entry's resumable score, so each pass continues a pair's scoring
-	// where the previous pass stopped.
+	// Both read the one candidate table, share the active-record mask the
+	// δ loop narrows and live for the whole call. sim also keeps every
+	// table entry's resumable score, so each pass continues a pair's
+	// scoring where the previous pass stopped.
 	sim *preMatcher
 	rem *compiledPair
 }
@@ -143,9 +141,6 @@ func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []ui
 			return nil
 		})
 	stop()
-	// Flushed inside the δ iteration, so the memo counters land in its
-	// snapshot.
-	rs.sim.flushCounters(rs.cfg.Obs)
 	if err != nil {
 		if pe, ok := err.(*PipelineError); ok && pe.Chunk >= 0 {
 			pe.Group, pe.Chunk = groupPair(pairs[pe.Chunk], rs.oldHH, rs.newHH), -1

@@ -483,59 +483,57 @@ func TestMatchGroupsOracleDifferential(t *testing.T) {
 	}
 }
 
-// cacheSink records, at the close of every δ iteration, the cumulative
-// memo counters of the engine the iteration scored through.
-type cacheSink struct {
+// prunedSink records, at the close of every δ iteration, the cumulative
+// pruned count of the engine the iteration scored through.
+type prunedSink struct {
 	obs.NopSink
-	eng  func() (hits, misses int64)
-	seen []int64
+	pruned func() int64
+	seen   []int64
 }
 
-func (s *cacheSink) IterationDone(obs.Iteration) {
-	h, m := s.eng()
-	s.seen = append(s.seen, h+m)
+func (s *prunedSink) IterationDone(obs.Iteration) {
+	s.seen = append(s.seen, s.pruned())
 }
 
-// TestObsSubgraphCacheAttribution: the memo lookups of the resident Sim
-// engine (pre-matching and subgraph matching) land in the snapshot of the
-// δ iteration that made them, and those of the remainder engine in the run
-// totals only, so per-iteration counts plus the remainder's equal the run
-// totals and the engines' own counters.
+// TestObsSubgraphCacheAttribution: the pruned comparisons of the resident
+// Sim engine land in the snapshot of the δ iteration that made them, and
+// those of the remainder engine in the run totals only, so per-iteration
+// counts plus the remainder's equal the run totals and the engines' own
+// counters.
 func TestObsSubgraphCacheAttribution(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 7), 1861, 1871)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	sink := &cacheSink{}
+	sink := &prunedSink{}
 	cfg.Obs = obs.NewStats(sink)
 	var rs *runState
 	capture := func(r *runState, _ float64, _, _ []*census.Record, _ *PreMatchResult, _ []RecordLink) { rs = r }
-	sink.eng = func() (int64, int64) {
-		h, m, _ := rs.sim.eng.Counters()
-		return h, m
-	}
+	sink.pruned = func() int64 { return rs.sim.eng.Pruned() }
 	if _, err := link(context.Background(), old, new, cfg, capture); err != nil {
 		t.Fatal(err)
 	}
 	rep := cfg.Obs.Report()
-	lookups := func(c map[string]int64) int64 { return c[obs.SimCacheHits] + c[obs.SimCacheMisses] }
 	if len(rep.Iterations) != len(sink.seen) || len(rep.Iterations) == 0 {
 		t.Fatalf("%d iterations reported, %d seen", len(rep.Iterations), len(sink.seen))
 	}
 	var prev, iterSum int64
 	for i, it := range rep.Iterations {
-		if got, want := lookups(it.Counters), sink.seen[i]-prev; got != want {
-			t.Errorf("iteration %d (delta %v): %d memo lookups reported, engine made %d", i, it.Delta, got, want)
+		if got, want := it.Counters[obs.PrunedComparisons], sink.seen[i]-prev; got != want {
+			t.Errorf("iteration %d (delta %v): %d pruned comparisons reported, engine pruned %d", i, it.Delta, got, want)
 		}
 		prev = sink.seen[i]
-		iterSum += lookups(it.Counters)
+		iterSum += it.Counters[obs.PrunedComparisons]
 	}
-	h, m, _ := rs.rem.eng.Counters()
-	if got, want := iterSum+h+m, lookups(rep.Counters); got != want {
-		t.Errorf("iterations %d + remainder %d = %d, run totals %d", iterSum, h+m, got, want)
+	if iterSum == 0 {
+		t.Fatal("no iteration pruned a comparison; the attribution is not exercised")
 	}
-	if sh, sm, _ := rs.sim.eng.Counters(); sh+sm != iterSum {
-		t.Errorf("Sim engine made %d memo lookups, iterations report %d", sh+sm, iterSum)
+	rem := rs.rem.eng.Pruned()
+	if got, want := iterSum+rem, rep.Counters[obs.PrunedComparisons]; got != want {
+		t.Errorf("iterations %d + remainder %d = %d, run totals %d", iterSum, rem, got, want)
+	}
+	if sp := rs.sim.eng.Pruned(); sp != iterSum {
+		t.Errorf("Sim engine pruned %d comparisons, iterations report %d", sp, iterSum)
 	}
 }

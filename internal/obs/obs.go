@@ -45,11 +45,11 @@ const (
 	// EvolutionVertices and EvolutionEdges size the evolution graph.
 	EvolutionVertices = "evolution_vertices"
 	EvolutionEdges    = "evolution_edges"
-	// SimCacheHits counts attribute comparisons served from the compiled
-	// engine's distinct-pair memo table.
-	SimCacheHits = "sim_cache_hits"
-	// SimCacheMisses counts attribute comparisons the compiled engine had
-	// to compute (and then memoize) for a first-seen value-ID pair.
+	// SimCacheHits and SimCacheMisses are no longer emitted: they counted
+	// the hits and misses of the compiled engine's similarity memo, which
+	// was deleted. The names stay only because the benchmark module reads
+	// them (bench/calls.go), where they now read 0.
+	SimCacheHits   = "sim_cache_hits"
 	SimCacheMisses = "sim_cache_misses"
 	// PrunedComparisons counts record pairs the compiled engine cut short
 	// because the remaining-weight upper bound proved they could not reach

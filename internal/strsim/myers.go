@@ -10,8 +10,8 @@ package strsim
 // Both paths compute the exact unit-cost Levenshtein distance, so
 // levenshteinRunes can dispatch here while staying bit-for-bit identical to
 // the classic two-row DP (kept below as levenshteinRunesDP, the differential
-// oracle for the fuzz tests). The compiled engine's similarity memo depends
-// on that identity.
+// oracle for the fuzz tests). The compiled engine's bit-identity with the
+// string path depends on that identity.
 
 // myersRunes returns the Levenshtein distance between two rune slices using
 // the bit-parallel recurrence. The shorter slice becomes the pattern so the

@@ -77,7 +77,7 @@ func TestMyersDifferentialRandom(t *testing.T) {
 
 // FuzzMyersDifferential asserts the bit-parallel distance is bit-for-bit
 // identical to the DP oracle for arbitrary unicode inputs — the property the
-// compiled engine's similarity memo depends on. The seed corpus crosses the
+// compiled engine's bit-identity with the string path depends on. The seed corpus crosses the
 // 64-rune block boundary in both operands.
 func FuzzMyersDifferential(f *testing.F) {
 	f.Add("smith", "smyth")

@@ -150,11 +150,11 @@ var EditSimProfiled = &Profiled{
 	},
 }
 
-// Memoized wraps an arbitrary string Func as a Profiled whose profile is
-// just the original string: comparators without a native profile form
-// (Damerau, Monge-Elkan, token Dice) still benefit from the engine's
-// distinct-pair memo table while scoring through the string path.
-func Memoized(name string, f Func) *Profiled {
+// FuncProfiled wraps an arbitrary string Func as a Profiled whose profile
+// is just the original string: comparators without a native profile form
+// (Damerau, Monge-Elkan, token Dice) run in the compiled engine by scoring
+// through the string path.
+func FuncProfiled(name string, f Func) *Profiled {
 	return &Profiled{
 		Name:  name,
 		Build: func(s string) Profile { return Profile{Norm: s} },

@@ -84,13 +84,13 @@ func TestProfiledSymmetricRange(t *testing.T) {
 	}
 }
 
-func TestMemoizedProfiled(t *testing.T) {
-	m := Memoized("damerau", DamerauSim)
+func TestFuncProfiled(t *testing.T) {
+	m := FuncProfiled("damerau", DamerauSim)
 	for _, pair := range profilePairs {
 		pa := m.Build(pair[0])
 		pb := m.Build(pair[1])
 		if got, want := m.Compare(&pa, &pb), DamerauSim(pair[0], pair[1]); got != want {
-			t.Errorf("memoized damerau(%q, %q): %v != %v", pair[0], pair[1], got, want)
+			t.Errorf("func-profiled damerau(%q, %q): %v != %v", pair[0], pair[1], got, want)
 		}
 	}
 }
