@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"censuslink/internal/block"
 	"censuslink/internal/census"
@@ -263,12 +264,17 @@ func BenchmarkLinkSeriesIncremental(b *testing.B) {
 // and writes a JSON report to the path named by the CENSUSLINK_BENCH_JSON
 // environment variable.
 //
+// Next to each scheme's full-link row it records the per-op time of every
+// observability stage of that link (<scheme>_stage_<stage>_ns) and the
+// peak heap in use (<scheme>_peak_heap_inuse_bytes).
+//
 // With CENSUSLINK_BENCH_BASELINE set to a previously committed report
 // (BENCH_prematch.json), the test additionally acts as a performance
 // regression gate: it fails when either full link has become more than
-// 1.5x slower per op than the baseline, or its record or group F-measure
-// has dropped by more than one point. The test is skipped when neither
-// variable is set.
+// 1.5x slower per op than the baseline, when its compile, prematch or
+// subgraph_match stage has become more than 2x slower, or when its record
+// or group F-measure has dropped by more than one point. The test is
+// skipped when neither variable is set.
 func TestBenchTrajectory(t *testing.T) {
 	path := os.Getenv("CENSUSLINK_BENCH_JSON")
 	basePath := os.Getenv("CENSUSLINK_BENCH_BASELINE")
@@ -312,6 +318,33 @@ func TestBenchTrajectory(t *testing.T) {
 		report[scheme.name+"_record_f1"] = rec.F1
 		report[scheme.name+"_group_f1"] = grp.F1
 		t.Logf("%s %v/op, record F %.4f, group F %.4f", scheme.name, r.NsPerOp(), rec.F1, grp.F1)
+
+		// Stage rows: the same link observed, the per-op time of every
+		// stage and the peak heap in use over the ops.
+		var stageNS map[string]time.Duration
+		var peakHeap int64
+		staged := testing.Benchmark(func(b *testing.B) {
+			stageNS, peakHeap = map[string]time.Duration{}, 0
+			for i := 0; i < b.N; i++ {
+				observed := scheme.cfg
+				observed.Obs = obs.NewStats(nil)
+				if _, err := linkage.LinkContext(context.Background(), old, new, observed); err != nil {
+					b.Fatal(err)
+				}
+				rep := observed.Obs.Report()
+				for name, st := range rep.Stages {
+					stageNS[name] += st.TotalNS
+				}
+				peakHeap = max(peakHeap, rep.Gauges[obs.PeakHeapInuse])
+			}
+		})
+		for name, d := range stageNS {
+			report[stageRow(scheme.name, name)] = int64(d) / int64(staged.N)
+		}
+		report[scheme.name+"_peak_heap_inuse_bytes"] = peakHeap
+		t.Logf("%s stages per op over %d observed links: compile %v, prematch %v, subgraph_match %v; peak heap in use %d MB",
+			scheme.name, staged.N, stageNS["compile"]/time.Duration(staged.N), stageNS["prematch"]/time.Duration(staged.N),
+			stageNS["subgraph_match"]/time.Duration(staged.N), peakHeap>>20)
 	}
 
 	// LSH blocking rows: the candidate-count and true-match-coverage
@@ -508,6 +541,15 @@ func TestBenchTrajectory(t *testing.T) {
 				t.Errorf("%s regressed %.2fx vs the committed baseline (limit 1.5x): %.0f ns/op vs %.0f ns/op",
 					scheme, now/then, now, then)
 			}
+			for _, stage := range gatedStages {
+				row := stageRow(scheme, stage)
+				now, then := float64(report[row].(int64)), base[row]
+				t.Logf("%s vs baseline: %.0f ns/op now, %.0f ns/op then (%.2fx)", row, now, then, now/then)
+				if now/then > 2 {
+					t.Errorf("%s regressed %.2fx vs the committed baseline (limit 2x): %.0f ns/op vs %.0f ns/op",
+						row, now/then, now, then)
+				}
+			}
 			for _, f := range []string{"_record_f1", "_group_f1"} {
 				if now, then := report[scheme+f].(float64), base[scheme+f]; now < then-0.01 {
 					t.Errorf("%s%s dropped to %.4f from the committed %.4f (limit one point)", scheme, f, now, then)
@@ -517,12 +559,27 @@ func TestBenchTrajectory(t *testing.T) {
 	}
 }
 
+// gatedStages lists the stages whose per-op time the regression gate
+// holds to 2x of the baseline under each blocking scheme.
+var gatedStages = []string{"compile", "prematch", "subgraph_match"}
+
+// stageRow names the report row of one stage's per-op time under a scheme.
+func stageRow(scheme, stage string) string { return scheme + "_stage_" + stage + "_ns" }
+
 // benchGated lists the BENCH_prematch.json rows the regression gate
 // compares against.
-var benchGated = []string{
-	"link_default_ns_op", "link_default_record_f1", "link_default_group_f1",
-	"link_lsh_ns_op", "link_lsh_record_f1", "link_lsh_group_f1",
-}
+var benchGated = func() []string {
+	rows := []string{
+		"link_default_ns_op", "link_default_record_f1", "link_default_group_f1",
+		"link_lsh_ns_op", "link_lsh_record_f1", "link_lsh_group_f1",
+	}
+	for _, scheme := range []string{"link_default", "link_lsh"} {
+		for _, stage := range gatedStages {
+			rows = append(rows, stageRow(scheme, stage))
+		}
+	}
+	return rows
+}()
 
 // readBenchBaseline returns the numeric rows of a committed report,
 // requiring every gated row to be present and positive.

@@ -20,6 +20,7 @@ import (
 
 	"censuslink/internal/block"
 	"censuslink/internal/census"
+	"censuslink/internal/compare"
 	"censuslink/internal/linkage"
 )
 
@@ -132,8 +133,8 @@ func Link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) ([]link
 			}
 			oi, ni := oldIdx[o.ID], newIdx[n.ID]
 			// Hopeless pairs never become competitive.
-			sim, keep := eng.AggSimAtLeast(oi, ni, cfg.AcceptThreshold/2)
-			if !keep {
+			sim, v := eng.AggSimAtLeast(oi, ni, cfg.AcceptThreshold/2)
+			if v != compare.Accepted {
 				return
 			}
 			ci := len(cands)

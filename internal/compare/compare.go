@@ -17,7 +17,6 @@ package compare
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"censuslink/internal/census"
 	"censuslink/internal/strsim"
@@ -128,10 +127,11 @@ func (cd *CompiledDataset) DistinctValues(mi int) int {
 const pruneEps = 1e-9
 
 // Engine scores (old record index, new record index) pairs between two
-// compiled datasets. It is safe for concurrent use and is designed to live
-// across all δ-iterations of a LinkContext call; callers that keep each
-// pair's resumable score (ResumeAtLeast) continue at a relaxed threshold
-// where the higher one stopped.
+// compiled datasets. It holds no mutable state, so it is safe for
+// concurrent use, and it is designed to live across all δ-iterations of a
+// LinkContext call; callers that keep each pair's resumable score
+// (ResumeAtLeast) continue at a relaxed threshold where the higher one
+// stopped.
 type Engine struct {
 	Old *CompiledDataset
 	New *CompiledDataset
@@ -141,9 +141,20 @@ type Engine struct {
 	// scored lists the matchers with non-zero weight in matcher order; a
 	// resumable score's next index counts into it.
 	scored []int
-
-	pruned atomic.Int64
 }
+
+// Verdict is the outcome of scoring a pair against a threshold δ.
+type Verdict uint8
+
+const (
+	// Below: every weighted matcher was added and the sum is under δ.
+	Below Verdict = iota
+	// Pruned: the remaining-weight upper bound proved the pair under δ
+	// before every weighted matcher was added.
+	Pruned
+	// Accepted: the sum reached δ; it is bit-for-bit AggSim.
+	Accepted
+)
 
 // NewEngine pairs two datasets compiled against the same matcher set.
 func NewEngine(old, new *CompiledDataset) *Engine {
@@ -194,17 +205,18 @@ func (e *Engine) AggSim(oi, ni int) float64 {
 	return s
 }
 
-// AggSimAtLeast returns (AggSim(oi, ni), true) when the aggregated
-// similarity reaches delta. When the remaining-weight upper bound proves
-// the pair cannot reach delta it stops early and returns the partial sum
-// with false; the partial value must not be used as an exact similarity.
+// AggSimAtLeast returns (AggSim(oi, ni), Accepted) when the aggregated
+// similarity reaches delta, and (AggSim(oi, ni), Below) when it falls short
+// after every matcher. When the remaining-weight upper bound proves the
+// pair cannot reach delta it stops early and returns the partial sum with
+// Pruned; the partial value must not be used as an exact similarity.
 // The epsilon guard guarantees no pair whose full similarity is ≥ delta is
 // ever pruned, so accepted pairs are exactly those AggSim accepts.
-func (e *Engine) AggSimAtLeast(oi, ni int, delta float64) (float64, bool) {
+func (e *Engine) AggSimAtLeast(oi, ni int, delta float64) (float64, Verdict) {
 	var s float64
 	var k uint8
-	ok := e.ResumeAtLeast(oi, ni, delta, &s, &k)
-	return s, ok
+	v := e.ResumeAtLeast(oi, ni, delta, &s, &k)
+	return s, v
 }
 
 // MaxWeightedMatchers is the largest number of weighted matchers an
@@ -218,31 +230,33 @@ const MaxWeightedMatchers = 255
 // zero state.
 //
 // If the stored upper bound *sum + suffixW (the weight still to come)
-// proves the pair below delta, it returns false without comparing an
-// attribute and counts a pruned comparison. Otherwise it adds the
-// remaining matchers in matcher order, stopping early once the upper bound
-// falls below delta. Because matchers are added in the same order whatever
-// the thresholds, *sum after an accepting call is bit-for-bit AggSim, and
-// the pairs accepted at each delta are exactly those a fresh score
-// accepts. Over a non-increasing threshold sequence the partial sum of a
+// proves the pair below delta, it returns Pruned without comparing an
+// attribute. Otherwise it adds the remaining matchers in matcher order,
+// stopping early with Pruned once the upper bound falls below delta, and
+// returns Accepted or Below after the last one. The caller counts the
+// Pruned verdicts it reports. Because matchers are added in the same order
+// whatever the thresholds, *sum after an accepting call is bit-for-bit
+// AggSim, and the pairs accepted at each delta are exactly those a fresh
+// score accepts. Over a non-increasing threshold sequence the partial sum of a
 // rejected pair is also the one a fresh score returns.
-func (e *Engine) ResumeAtLeast(oi, ni int, delta float64, sum *float64, next *uint8) bool {
+func (e *Engine) ResumeAtLeast(oi, ni int, delta float64, sum *float64, next *uint8) Verdict {
 	s, k := *sum, int(*next)
 	if k > 0 && s+e.suffixW[e.scored[k-1]] < delta-pruneEps {
-		e.pruned.Add(1)
-		return false
+		return Pruned
 	}
 	for ; k < len(e.scored); k++ {
 		mi := e.scored[k]
 		s += e.Old.matchers[mi].Weight * e.attrSim(mi, oi, ni)
 		if s+e.suffixW[mi] < delta-pruneEps {
 			*sum, *next = s, uint8(k+1)
-			e.pruned.Add(1)
-			return false
+			return Pruned
 		}
 	}
 	*sum, *next = s, uint8(k)
-	return s >= delta
+	if s >= delta {
+		return Accepted
+	}
+	return Below
 }
 
 // SimVector returns the per-matcher similarity vector, bit-for-bit equal
@@ -253,10 +267,4 @@ func (e *Engine) SimVector(oi, ni int) []float64 {
 		out[mi] = e.attrSim(mi, oi, ni)
 	}
 	return out
-}
-
-// Pruned returns the cumulative count of comparisons the upper bound cut
-// short.
-func (e *Engine) Pruned() int64 {
-	return e.pruned.Load()
 }

@@ -95,10 +95,15 @@ func TestAggSimAtLeastNeverPrunesMatches(t *testing.T) {
 	ms := testMatchers()
 	for _, delta := range []float64{0.3, 0.5, 0.7, 0.9} {
 		eng := NewEngine(Compile(old, ms), Compile(new, ms))
+		pruned := 0
 		for oi, o := range old {
 			for ni, n := range new {
 				want := naiveAggSim(ms, o, n)
-				got, ok := eng.AggSimAtLeast(oi, ni, delta)
+				got, v := eng.AggSimAtLeast(oi, ni, delta)
+				ok := v == Accepted
+				if v == Pruned {
+					pruned++
+				}
 				if (want >= delta) != ok {
 					t.Fatalf("AggSimAtLeast(%s, %s, %v): ok=%v but naive sim %v", o.ID, n.ID, delta, ok, want)
 				}
@@ -107,7 +112,7 @@ func TestAggSimAtLeastNeverPrunesMatches(t *testing.T) {
 				}
 			}
 		}
-		if pruned := eng.Pruned(); delta >= 0.7 && pruned == 0 {
+		if delta >= 0.7 && pruned == 0 {
 			t.Errorf("delta=%v: expected pruned comparisons on a dissimilar corpus", delta)
 		}
 	}

@@ -24,7 +24,7 @@ func resumeMatchers() []Matcher {
 
 // resumeEngines returns two engines over the same records: one scores
 // with carried ResumeAtLeast state, the other from scratch, so their
-// counters can be compared. compares[0] and compares[1] count the profile
+// work can be compared. compares[0] and compares[1] count the profile
 // comparisons the resumed and the fresh engine make.
 func resumeEngines(nOld, nNew int) (resumed, fresh *Engine, compares *[2]int) {
 	old, new := testRecords("o", nOld), testRecords("n", nNew)
@@ -46,8 +46,11 @@ func resumeEngines(nOld, nNew int) (resumed, fresh *Engine, compares *[2]int) {
 // resumable state, and requires each call to agree with a from-scratch
 // AggSimAtLeast at that delta: the same accept decision, and on accept the
 // same sum, bit for bit, which is also AggSim. While the deltas have not
-// risen, a rejected pair's partial sum must match too.
-func checkResume(t *testing.T, resumed, fresh *Engine, oi, ni int, deltas []float64) {
+// risen, a rejected pair's partial sum and verdict must match too: a skip
+// on the stored bound is Pruned exactly where a fresh score prunes. It
+// returns the number of Pruned verdicts of the resumed and the fresh
+// scores.
+func checkResume(t *testing.T, resumed, fresh *Engine, oi, ni int, deltas []float64) (pr, pf int) {
 	t.Helper()
 	sum, next := 0.0, uint8(0)
 	descending := true
@@ -55,8 +58,15 @@ func checkResume(t *testing.T, resumed, fresh *Engine, oi, ni int, deltas []floa
 		if i > 0 && delta > deltas[i-1] {
 			descending = false
 		}
-		ok := resumed.ResumeAtLeast(oi, ni, delta, &sum, &next)
-		want, wantOK := fresh.AggSimAtLeast(oi, ni, delta)
+		v := resumed.ResumeAtLeast(oi, ni, delta, &sum, &next)
+		want, wantV := fresh.AggSimAtLeast(oi, ni, delta)
+		if v == Pruned {
+			pr++
+		}
+		if wantV == Pruned {
+			pf++
+		}
+		ok, wantOK := v == Accepted, wantV == Accepted
 		if ok != wantOK {
 			t.Fatalf("pair (%d, %d) deltas %v: at %v ResumeAtLeast=%v, AggSimAtLeast=%v", oi, ni, deltas, delta, ok, wantOK)
 		}
@@ -67,14 +77,18 @@ func checkResume(t *testing.T, resumed, fresh *Engine, oi, ni int, deltas []floa
 		if !ok && descending && sum != want {
 			t.Fatalf("pair (%d, %d) deltas %v: at %v rejected partial sum %v, AggSimAtLeast %v", oi, ni, deltas, delta, sum, want)
 		}
+		if descending && v != wantV {
+			t.Fatalf("pair (%d, %d) deltas %v: at %v ResumeAtLeast verdict %v, AggSimAtLeast %v", oi, ni, deltas, delta, v, wantV)
+		}
 	}
+	return pr, pf
 }
 
 // TestResumeAtLeastMatchesAggSimAtLeast is the kernel differential of
 // resumable scoring over every record pair and descending, ascending,
-// repeated and mixed threshold sequences. Over the descending sequences it
-// also requires the pruned-comparison counts of both engines to agree: a
-// skip on the stored bound counts exactly where a fresh score would prune.
+// repeated and mixed threshold sequences. Over the non-increasing sequences
+// it also requires the Pruned verdicts of both scores to agree in number:
+// a skip on the stored bound counts exactly where a fresh score would prune.
 // Resuming compares each (pair, matcher) at most once, so the resumed
 // engine makes fewer profile comparisons than the fresh one.
 func TestResumeAtLeastMatchesAggSimAtLeast(t *testing.T) {
@@ -88,12 +102,13 @@ func TestResumeAtLeastMatchesAggSimAtLeast(t *testing.T) {
 	for name, deltas := range sequences {
 		t.Run(name, func(t *testing.T) {
 			resumed, fresh, compares := resumeEngines(40, 37)
+			pr, pf := 0, 0
 			for oi := range resumed.Old.Recs {
 				for ni := range resumed.New.Recs {
-					checkResume(t, resumed, fresh, oi, ni, deltas)
+					r, f := checkResume(t, resumed, fresh, oi, ni, deltas)
+					pr, pf = pr+r, pf+f
 				}
 			}
-			pr, pf := resumed.Pruned(), fresh.Pruned()
 			if pf == 0 {
 				t.Fatal("no comparison was pruned; the sequence does not exercise resuming")
 			}
@@ -120,7 +135,7 @@ func TestResumeAtLeastBoundary(t *testing.T) {
 	for oi := range resumed.Old.Recs {
 		for ni := range resumed.New.Recs {
 			sum, next := 0.0, uint8(0)
-			if resumed.ResumeAtLeast(oi, ni, 0.95, &sum, &next) || int(next) == len(resumed.scored) {
+			if resumed.ResumeAtLeast(oi, ni, 0.95, &sum, &next) == Accepted || int(next) == len(resumed.scored) {
 				continue
 			}
 			bound := sum + resumed.suffixW[resumed.scored[next-1]]

@@ -45,9 +45,6 @@ type compiledPair struct {
 	// active[i] reports whether new record i is still unlinked; shared by
 	// the pre-matching and remainder passes of one LinkContext call.
 	active []bool
-	// prevPruned is the engine's pruned count at the last flush to obs, so
-	// each stage reports a delta rather than the cumulative total.
-	prevPruned int64
 }
 
 // setActive recomputes the active mask from the remaining (unlinked) new
@@ -61,14 +58,6 @@ func (cp *compiledPair) setActive(remaining []*census.Record) {
 			cp.active[i] = true
 		}
 	}
-}
-
-// flushCounters adds the engine's pruned comparisons since the previous
-// flush to the run's observability stats.
-func (cp *compiledPair) flushCounters(st *obs.Stats) {
-	p := cp.eng.Pruned()
-	st.Add(obs.PrunedComparisons, int(p-cp.prevPruned))
-	cp.prevPruned = p
 }
 
 // allActive returns an active mask with every one of n records active.

@@ -10,6 +10,7 @@ import (
 
 	"censuslink/internal/block"
 	"censuslink/internal/census"
+	"censuslink/internal/compare"
 	"censuslink/internal/linkage"
 	"censuslink/internal/synth"
 )
@@ -76,7 +77,8 @@ func TestCompiledAggSimAtLeastAgreesWithThreshold(t *testing.T) {
 				oi, _ := eng.Old.Pos(o.ID)
 				ni, _ := eng.New.Pos(n.ID)
 				want := f.AggSim(o, n)
-				got, ok := eng.AggSimAtLeast(oi, ni, delta)
+				got, v := eng.AggSimAtLeast(oi, ni, delta)
+				ok := v == compare.Accepted
 				if (want >= delta) != ok {
 					t.Fatalf("delta=%v: AggSimAtLeast(%s, %s) ok=%v, naive sim=%v", delta, o.ID, n.ID, ok, want)
 				}

@@ -12,6 +12,7 @@ import (
 	"censuslink/internal/assign"
 	"censuslink/internal/block"
 	"censuslink/internal/census"
+	"censuslink/internal/compare"
 	"censuslink/internal/faultinject"
 	"censuslink/internal/hgraph"
 	"censuslink/internal/obs"
@@ -402,7 +403,7 @@ type RemainderOptions struct {
 	// Optimal solves the 1:1 matching optimally (Hungarian) instead of
 	// greedily by descending similarity.
 	Optimal bool
-	// Obs, when non-nil, receives the compiled engine's cache counters.
+	// Obs, when non-nil, receives the pass's PrunedComparisons.
 	Obs *obs.Stats
 }
 
@@ -419,8 +420,7 @@ func MatchRemaining(ctx context.Context, old, new []*census.Record, opts Remaind
 		return nil, err
 	}
 	cp := &compiledPair{eng: opts.Sim.Compile(old, new), tab: tab, active: allActive(len(new))}
-	defer cp.flushCounters(opts.Obs)
-	return matchRemainder(ctx, old, new, opts.Sim, opts.Match, cp, opts.Optimal)
+	return matchRemainder(ctx, old, new, opts.Sim, opts.Match, cp, opts.Optimal, opts.Obs)
 }
 
 // matchRemainder is the remainder pass: after the remainder fault-injection
@@ -428,15 +428,17 @@ func MatchRemaining(ctx context.Context, old, new []*census.Record, opts Remaind
 // similarity at or above Sim_func_rem's δ — the candidate-table rows of the
 // old records filtered by cp's active mask, scored through the compiled
 // engine — and selects them into a 1:1 mapping, greedily or optimally. The
-// candidate scan observes ctx every few records and aborts with a typed
+// scan's pruned comparisons are added to obs.PrunedComparisons on st once.
+// The candidate scan observes ctx every few records and aborts with a typed
 // error; the assignment solve runs to completion (it is in-memory and brief
 // relative to the scan). With a background context it never fails.
 func matchRemainder(ctx context.Context, old, new []*census.Record,
-	f SimFunc, cfg MatchConfig, cp *compiledPair, optimal bool) ([]RecordLink, error) {
+	f SimFunc, cfg MatchConfig, cp *compiledPair, optimal bool, st *obs.Stats) ([]RecordLink, error) {
 	if err := faultinject.Hit("linkage.remainder"); err != nil {
 		return nil, &PipelineError{Stage: "remainder", Delta: f.Delta, Chunk: -1, Err: err}
 	}
 	var cands []RecordLink
+	pruned := 0
 	for i, o := range old {
 		if i%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -455,11 +457,15 @@ func matchRemainder(ctx context.Context, old, new []*census.Record,
 			if !cfg.AgeConsistent(o, n) {
 				continue
 			}
-			if s, hit := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); hit {
+			switch s, v := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); v {
+			case compare.Accepted:
 				cands = append(cands, RecordLink{Old: o.ID, New: n.ID, Sim: s})
+			case compare.Pruned:
+				pruned++
 			}
 		}
 	}
+	st.Add(obs.PrunedComparisons, pruned)
 	if optimal {
 		return optimalRemainder(cands, old, new), nil
 	}

@@ -116,8 +116,8 @@ type PreMatchOptions struct {
 	Workers int
 	// Panics selects the worker panic policy (fail-fast by default).
 	Panics PanicPolicy
-	// Obs, when non-nil, receives the PanicsRecovered counter under
-	// PanicSkip.
+	// Obs, when non-nil, receives the pass's PrunedComparisons and, under
+	// PanicSkip, the PanicsRecovered counter.
 	Obs *obs.Stats
 }
 
@@ -162,6 +162,10 @@ type preMatcher struct {
 	// record ID and old before new on equal IDs. Labels are numbered by
 	// walking it once per pass.
 	byID []int32
+	// links[ci] is chunk ci's link buffer, truncated and refilled by every
+	// pass, so the δ passes of one link reuse it instead of growing a new
+	// one each time.
+	links [][]CandidateLink
 }
 
 // newPreMatcher allocates the per-entry score state of cp's table and
@@ -203,24 +207,30 @@ func (pm *preMatcher) bytes() int {
 // isolation and cooperative cancellation (runChunks, stage "prematch"),
 // resuming every active entry's score through
 // compare.Engine.ResumeAtLeast, so accepted pairs carry similarities
-// bit-for-bit equal to SimFunc.AggSim. Under PanicSkip a failed chunk
-// contributes no comparisons and is counted on obs.PanicsRecovered; the
-// surviving chunks still merge deterministically because results are
-// slotted by chunk index. The links are then clustered with a
-// position-keyed union-find.
+// bit-for-bit equal to SimFunc.AggSim. Each chunk counts its own compared,
+// blocked and pruned pairs, and the pass adds the pruned total to
+// obs.PrunedComparisons once. Under PanicSkip a failed chunk contributes
+// no comparisons and is counted on obs.PanicsRecovered; the surviving
+// chunks still merge deterministically because results are slotted by
+// chunk index. The links are then clustered with a position-keyed
+// union-find.
 //
 // oldPos must ascend strictly: chunks then own disjoint rows and update
 // disjoint score entries, and Links come out sorted by position.
 func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float64,
 	workers int, policy PanicPolicy, st *obs.Stats) (*PreMatchResult, error) {
 	type chunkResult struct {
-		links             []CandidateLink
-		compared, blocked int
+		compared, blocked, pruned int
 	}
 	size := perWorker(len(oldPos), workers)
-	results := make([]chunkResult, chunkCount(len(oldPos), size))
+	chunks := chunkCount(len(oldPos), size)
+	results := make([]chunkResult, chunks)
+	for len(pm.links) < chunks {
+		pm.links = append(pm.links, nil)
+	}
 	skipped, err := runChunks(ctx, "prematch", delta, len(oldPos), size, workers, policy, st, func(ci, lo, hi int) error {
 		res := &results[ci]
+		links := pm.links[ci][:0]
 		for j := lo; j < hi; j++ {
 			if (j-lo)%cancelCheckEvery == 0 {
 				if e := ctx.Err(); e != nil {
@@ -233,27 +243,40 @@ func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float6
 			for _, ni := range pm.tab.Row(oi) {
 				if pm.active[ni] {
 					res.compared++
-					if pm.eng.ResumeAtLeast(oi, int(ni), delta, &pm.sum[e], &pm.next[e]) {
-						res.links = append(res.links, CandidateLink{Old: int32(oi), New: ni, Sim: pm.sum[e]})
+					switch pm.eng.ResumeAtLeast(oi, int(ni), delta, &pm.sum[e], &pm.next[e]) {
+					case compare.Accepted:
+						links = append(links, CandidateLink{Old: int32(oi), New: ni, Sim: pm.sum[e]})
+					case compare.Pruned:
+						res.pruned++
 					}
 				}
 				e++
 			}
 		}
+		pm.links[ci] = links
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := &PreMatchResult{old: pm.eng.Old, new: pm.eng.New}
+	n, pruned := 0, 0
 	for ci, res := range results {
 		if skipped[ci] {
 			continue
 		}
 		out.Compared += res.compared
 		out.Blocked += res.blocked
-		out.Links = append(out.Links, res.links...)
+		pruned += res.pruned
+		n += len(pm.links[ci])
 	}
+	out.Links = make([]CandidateLink, 0, n)
+	for ci := range results {
+		if !skipped[ci] {
+			out.Links = append(out.Links, pm.links[ci]...)
+		}
+	}
+	st.Add(obs.PrunedComparisons, pruned)
 	pm.cluster(out, oldPos)
 	return out, nil
 }

@@ -112,7 +112,6 @@ func (rs *runState) prematch(ctx context.Context, delta float64, remOld, remNew 
 	}
 	pre, err := rs.sim.preMatch(ctx, oldPos, delta, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs)
 	stop()
-	rs.sim.flushCounters(rs.cfg.Obs)
 	return pre, err
 }
 
@@ -162,8 +161,7 @@ func (rs *runState) remainder(ctx context.Context, remOld, remNew []*census.Reco
 	stop := rs.cfg.Obs.Stage("remainder")
 	rs.rem.setActive(remNew)
 	links, err := matchRemainder(ctx, remOld, remNew, rs.cfg.Remainder, rs.match,
-		rs.rem, rs.cfg.OptimalRemainder)
+		rs.rem, rs.cfg.OptimalRemainder, rs.cfg.Obs)
 	stop()
-	rs.rem.flushCounters(rs.cfg.Obs)
 	return links, err
 }

@@ -483,57 +483,39 @@ func TestMatchGroupsOracleDifferential(t *testing.T) {
 	}
 }
 
-// prunedSink records, at the close of every δ iteration, the cumulative
-// pruned count of the engine the iteration scored through.
-type prunedSink struct {
-	obs.NopSink
-	pruned func() int64
-	seen   []int64
-}
-
-func (s *prunedSink) IterationDone(obs.Iteration) {
-	s.seen = append(s.seen, s.pruned())
-}
-
-// TestObsSubgraphCacheAttribution: the pruned comparisons of the resident
-// Sim engine land in the snapshot of the δ iteration that made them, and
-// those of the remainder engine in the run totals only, so per-iteration
-// counts plus the remainder's equal the run totals and the engines' own
-// counters.
+// TestObsSubgraphCacheAttribution: the pruned comparisons of each δ
+// pre-match pass land in the snapshot of that iteration, and those of the
+// remainder pass in the run totals only, so per-iteration counts plus the
+// remainder's equal the run totals, and each equals a replay of its pass.
 func TestObsSubgraphCacheAttribution(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 7), 1861, 1871)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	sink := &prunedSink{}
-	cfg.Obs = obs.NewStats(sink)
-	var rs *runState
-	capture := func(r *runState, _ float64, _, _ []*census.Record, _ *PreMatchResult, _ []RecordLink) { rs = r }
-	sink.pruned = func() int64 { return rs.sim.eng.Pruned() }
-	if _, err := link(context.Background(), old, new, cfg, capture); err != nil {
+	cfg.Obs = obs.NewStats(nil)
+	replay := &pruneReplay{}
+	if _, err := link(context.Background(), old, new, cfg, replay.hook); err != nil {
 		t.Fatal(err)
 	}
 	rep := cfg.Obs.Report()
-	if len(rep.Iterations) != len(sink.seen) || len(rep.Iterations) == 0 {
-		t.Fatalf("%d iterations reported, %d seen", len(rep.Iterations), len(sink.seen))
+	if len(rep.Iterations) != len(replay.passes) || len(rep.Iterations) == 0 {
+		t.Fatalf("%d iterations reported, %d passes replayed", len(rep.Iterations), len(replay.passes))
 	}
-	var prev, iterSum int64
+	var iterSum int64
 	for i, it := range rep.Iterations {
-		if got, want := it.Counters[obs.PrunedComparisons], sink.seen[i]-prev; got != want {
-			t.Errorf("iteration %d (delta %v): %d pruned comparisons reported, engine pruned %d", i, it.Delta, got, want)
+		if got, want := it.Counters[obs.PrunedComparisons], replay.passes[i]; got != want {
+			t.Errorf("iteration %d (delta %v): %d pruned comparisons reported, its replay pruned %d", i, it.Delta, got, want)
 		}
-		prev = sink.seen[i]
 		iterSum += it.Counters[obs.PrunedComparisons]
 	}
 	if iterSum == 0 {
 		t.Fatal("no iteration pruned a comparison; the attribution is not exercised")
 	}
-	rem := rs.rem.eng.Pruned()
-	if got, want := iterSum+rem, rep.Counters[obs.PrunedComparisons]; got != want {
-		t.Errorf("iterations %d + remainder %d = %d, run totals %d", iterSum, rem, got, want)
+	if replay.remainder == 0 {
+		t.Fatal("the remainder pass pruned no comparison; its attribution is not exercised")
 	}
-	if sp := rs.sim.eng.Pruned(); sp != iterSum {
-		t.Errorf("Sim engine pruned %d comparisons, iterations report %d", sp, iterSum)
+	if got, want := iterSum+replay.remainder, rep.Counters[obs.PrunedComparisons]; got != want {
+		t.Errorf("iterations %d + remainder %d = %d, run totals %d", iterSum, replay.remainder, got, want)
 	}
 }

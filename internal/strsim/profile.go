@@ -1,21 +1,23 @@
 package strsim
 
-import "sort"
+import "slices"
 
 // Profile is a precompiled comparison form of one string value: the
 // normalised text, its rune expansion, and (for q-gram comparators) the
-// sorted padded q-gram multiset. Building a Profile once per distinct
-// dictionary value lets the iterative linkage loop compare value IDs without
-// re-normalising or re-tokenising strings on every candidate pair.
+// sorted padded q-gram multiset as packed integer keys. Building a Profile
+// once per distinct dictionary value lets the iterative linkage loop
+// compare value IDs without re-normalising or re-tokenising strings on
+// every candidate pair.
 type Profile struct {
 	// Norm is the normalised (lower-cased, trimmed) value.
 	Norm string
 	// Runes is Norm expanded to runes, shared by the edit-distance and
 	// Jaro comparators.
 	Runes []rune
-	// Grams is the sorted padded q-gram multiset of Norm; empty for
-	// comparators that do not use q-grams.
-	Grams []string
+	// Grams is the sorted padded q-gram multiset of Norm, each gram packed
+	// into one key (packGram); empty for comparators that do not use
+	// q-grams.
+	Grams []uint64
 }
 
 // Profiled pairs a profile builder with a profile-vs-profile comparator.
@@ -40,18 +42,57 @@ func buildBase(s string) Profile {
 	return Profile{Norm: n, Runes: []rune(n)}
 }
 
-// QGramProfiled returns the profile form of QGram(q): Build produces the
-// sorted padded q-gram multiset once, Compare runs a sorted-merge Dice.
+// A packed q-gram key holds runeBits bits per rune: a rune of a decoded Go
+// string is at most U+10FFFF, which fits in 21 bits, so a uint64 holds the
+// runes of a gram of up to maxPackedQ = 3 of them.
+const (
+	runeBits   = 21
+	maxPackedQ = 64 / runeBits
+)
+
+// packGram packs the runes of one q-gram into an integer key. Every rune
+// []rune yields from a string is in [0, U+10FFFF] (invalid bytes decode to
+// U+FFFD), so for len(g) <= maxPackedQ two grams of equal length get equal
+// keys exactly when they are equal as strings.
+func packGram(g []rune) uint64 {
+	var k uint64
+	for _, r := range g {
+		k = k<<runeBits | uint64(r)
+	}
+	return k
+}
+
+// packedQGrams returns the sorted packed keys of the padded q-grams of
+// runes: the keys of exactly the grams qgrams(string(runes), q) returns,
+// with q-1 pad runes 0 on each side where qgrams pads with "\x00".
+func packedQGrams(runes []rune, q int) []uint64 {
+	padded := make([]rune, len(runes)+2*(q-1))
+	copy(padded[q-1:], runes)
+	out := make([]uint64, len(padded)-q+1)
+	for i := range out {
+		out[i] = packGram(padded[i : i+q])
+	}
+	slices.Sort(out)
+	return out
+}
+
+// QGramProfiled returns the profile form of QGram(q): Build packs the
+// padded q-gram multiset into sorted integer keys once, Compare counts the
+// Dice overlap by an integer merge. For q > maxPackedQ, where a key could
+// not hold a whole gram, it scores through the string path instead
+// (FuncProfiled).
 func QGramProfiled(q int) *Profiled {
 	if q < 1 {
 		q = 2
+	}
+	if q > maxPackedQ {
+		return FuncProfiled("qgram", QGram(q))
 	}
 	return &Profiled{
 		Name: "qgram",
 		Build: func(s string) Profile {
 			p := buildBase(s)
-			p.Grams = qgrams(p.Norm, q)
-			sort.Strings(p.Grams)
+			p.Grams = packedQGrams(p.Runes, q)
 			return p
 		},
 		Compare: func(a, b *Profile) float64 {
@@ -73,10 +114,11 @@ func QGramProfiled(q int) *Profiled {
 // BigramProfiled is the profile form of Bigram (QGram(2)).
 var BigramProfiled = QGramProfiled(2)
 
-// sortedCommon counts the multiset intersection of two sorted slices. For
-// sorted inputs this equals the count-map intersection computed by QGram,
-// so the Dice numerators of the two paths are identical.
-func sortedCommon(a, b []string) int {
+// sortedCommon counts the multiset intersection of two sorted key slices.
+// Keys are equal exactly when their grams are, so for sorted inputs this
+// equals the count-map intersection computed by QGram and the Dice
+// numerators of the two paths are identical.
+func sortedCommon(a, b []uint64) int {
 	common := 0
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

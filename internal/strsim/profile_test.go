@@ -28,6 +28,16 @@ var profilePairs = [][2]string{
 	{"\x00odd", "odd"},
 	{"ab", "abc"},
 	{"x", "xyzzy"},
+	{"𝔖mith", "smith"},
+	{"𝔖mith", "𝔖myth"},
+	{"\U0010FFFF", "\U0010FFFFa"},
+	{"a\U0010FFFF", "\U0010FFFF"},
+	{"\xff\xfe", "\ufffd\ufffd"},
+	{"\xffab", "ab"},
+	// An inner NUL is the pad rune: the packed and the string path must
+	// agree that it collides with the padding.
+	{"a\x00b", "ab"},
+	{"a\x00", "a"},
 }
 
 // profiledEquivalents maps each Profiled comparator to the string Func it
@@ -45,6 +55,7 @@ func profiledEquivalents() []struct {
 		{"bigram", BigramProfiled, Bigram},
 		{"qgram3", QGramProfiled(3), QGram(3)},
 		{"qgram1", QGramProfiled(1), QGram(1)},
+		{"qgram4", QGramProfiled(4), QGram(4)},
 		{"exact", ExactProfiled, Exact},
 		{"jaro", JaroProfiled, Jaro},
 		{"jarowinkler", JaroWinklerProfiled, JaroWinkler},
@@ -96,19 +107,47 @@ func TestFuncProfiled(t *testing.T) {
 }
 
 func TestSortedCommonMatchesCountMap(t *testing.T) {
+	ab, bc, aa, bb, cc, dd := packGram([]rune("ab")), packGram([]rune("bc")),
+		packGram([]rune("aa")), packGram([]rune("bb")), packGram([]rune("cc")), packGram([]rune("dd"))
 	cases := []struct {
-		a, b []string
+		a, b []uint64
 		want int
 	}{
 		{nil, nil, 0},
-		{[]string{"ab"}, nil, 0},
-		{[]string{"ab", "ab", "bc"}, []string{"ab", "bc", "bc"}, 2},
-		{[]string{"aa", "aa", "aa"}, []string{"aa", "aa"}, 2},
-		{[]string{"aa", "bb"}, []string{"cc", "dd"}, 0},
+		{[]uint64{ab}, nil, 0},
+		{[]uint64{ab, ab, bc}, []uint64{ab, bc, bc}, 2},
+		{[]uint64{aa, aa, aa}, []uint64{aa, aa}, 2},
+		{[]uint64{aa, bb}, []uint64{cc, dd}, 0},
 	}
 	for _, c := range cases {
 		if got := sortedCommon(c.a, c.b); got != c.want {
 			t.Errorf("sortedCommon(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestPackGramInjective: every gram of up to maxPackedQ runes drawn from
+// the extremes of the rune range (the pad rune 0, the replacement
+// character U+FFFD that invalid bytes decode to, and U+10FFFF) gets its
+// own key.
+func TestPackGramInjective(t *testing.T) {
+	extremes := []rune{0, 1, 'a', 0xFFFD, 0x10FFFE, 0x10FFFF}
+	for q := 1; q <= maxPackedQ; q++ {
+		grams := 1
+		for range q {
+			grams *= len(extremes)
+		}
+		seen := make(map[uint64][]rune, grams)
+		for c := 0; c < grams; c++ {
+			g := make([]rune, q)
+			for i, d := 0, c; i < q; i, d = i+1, d/len(extremes) {
+				g[i] = extremes[d%len(extremes)]
+			}
+			k := packGram(g)
+			if prev, dup := seen[k]; dup {
+				t.Fatalf("q=%d: grams %U and %U share key %#x", q, prev, g, k)
+			}
+			seen[k] = g
 		}
 	}
 }
