@@ -32,8 +32,9 @@ bench:
 # and the LSH blocking schemes and the serving layer, failing when either is
 # slower than its committed baseline allows (1.5x per link, 2x for a link's
 # compile, prematch and subgraph_match stages, 5x p50 for serving), when a
-# link's record or group F-measure drops by more than one point, or when
-# the conditional-GET revalidation ratio drops below 0.9.
+# link's record or group precision, recall or F-measure drops by more than
+# one point, or when the conditional-GET revalidation ratio drops below
+# 0.9.
 bench-regress:
 	CENSUSLINK_BENCH_BASELINE=BENCH_prematch.json $(GO) test -run TestBenchTrajectory -v .
 	CENSUSLINK_SERVER_BENCH_BASELINE=$(CURDIR)/BENCH_server.json $(GO) test -count=1 -run TestServerBenchTrajectory -v ./cmd/loadgen

@@ -259,7 +259,8 @@ func BenchmarkLinkSeriesIncremental(b *testing.B) {
 
 // TestBenchTrajectory times one full link of a census pair under the
 // default and the LSH blocking schemes, with the record and group
-// F-measure of each against the synthetic truth, plus the LSH candidate
+// precision, recall and F-measure of each against the synthetic truth,
+// plus the LSH candidate
 // trade-off, the incremental series and the append-only evolution rows,
 // and writes a JSON report to the path named by the CENSUSLINK_BENCH_JSON
 // environment variable.
@@ -273,8 +274,8 @@ func BenchmarkLinkSeriesIncremental(b *testing.B) {
 // regression gate: it fails when either full link has become more than
 // 1.5x slower per op than the baseline, when its compile, prematch or
 // subgraph_match stage has become more than 2x slower, or when its record
-// or group F-measure has dropped by more than one point. The test is
-// skipped when neither variable is set.
+// or group precision, recall or F-measure has dropped by more than one
+// point. The test is skipped when neither variable is set.
 func TestBenchTrajectory(t *testing.T) {
 	path := os.Getenv("CENSUSLINK_BENCH_JSON")
 	basePath := os.Getenv("CENSUSLINK_BENCH_BASELINE")
@@ -299,7 +300,7 @@ func TestBenchTrajectory(t *testing.T) {
 		"scale":     benchScale(),
 	}
 	// Full-link rows: one LinkContext per op under each blocking scheme,
-	// and the quality of the links it returns.
+	// and the precision, recall and F-measure of the links it returns.
 	for _, scheme := range []struct {
 		name string
 		cfg  linkage.Config
@@ -317,6 +318,10 @@ func TestBenchTrajectory(t *testing.T) {
 		report[scheme.name+"_ns_op"] = r.NsPerOp()
 		report[scheme.name+"_record_f1"] = rec.F1
 		report[scheme.name+"_group_f1"] = grp.F1
+		report[scheme.name+"_record_precision"] = rec.Precision
+		report[scheme.name+"_record_recall"] = rec.Recall
+		report[scheme.name+"_group_precision"] = grp.Precision
+		report[scheme.name+"_group_recall"] = grp.Recall
 		t.Logf("%s %v/op, record F %.4f, group F %.4f", scheme.name, r.NsPerOp(), rec.F1, grp.F1)
 
 		// Stage rows: the same link observed, the per-op time of every
@@ -550,9 +555,9 @@ func TestBenchTrajectory(t *testing.T) {
 						row, now/then, now, then)
 				}
 			}
-			for _, f := range []string{"_record_f1", "_group_f1"} {
-				if now, then := report[scheme+f].(float64), base[scheme+f]; now < then-0.01 {
-					t.Errorf("%s%s dropped to %.4f from the committed %.4f (limit one point)", scheme, f, now, then)
+			for _, q := range qualityRows {
+				if now, then := report[scheme+q].(float64), base[scheme+q]; now < then-0.01 {
+					t.Errorf("%s%s dropped to %.4f from the committed %.4f (limit one point)", scheme, q, now, then)
 				}
 			}
 		}
@@ -563,17 +568,26 @@ func TestBenchTrajectory(t *testing.T) {
 // holds to 2x of the baseline under each blocking scheme.
 var gatedStages = []string{"compile", "prematch", "subgraph_match"}
 
+// qualityRows lists the link-quality row suffixes (against the synthetic
+// truth) the regression gate holds to within one point of the baseline
+// under each blocking scheme.
+var qualityRows = []string{
+	"_record_f1", "_record_precision", "_record_recall",
+	"_group_f1", "_group_precision", "_group_recall",
+}
+
 // stageRow names the report row of one stage's per-op time under a scheme.
 func stageRow(scheme, stage string) string { return scheme + "_stage_" + stage + "_ns" }
 
 // benchGated lists the BENCH_prematch.json rows the regression gate
 // compares against.
 var benchGated = func() []string {
-	rows := []string{
-		"link_default_ns_op", "link_default_record_f1", "link_default_group_f1",
-		"link_lsh_ns_op", "link_lsh_record_f1", "link_lsh_group_f1",
-	}
+	var rows []string
 	for _, scheme := range []string{"link_default", "link_lsh"} {
+		rows = append(rows, scheme+"_ns_op")
+		for _, q := range qualityRows {
+			rows = append(rows, scheme+q)
+		}
 		for _, stage := range gatedStages {
 			rows = append(rows, stageRow(scheme, stage))
 		}

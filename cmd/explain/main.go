@@ -208,7 +208,7 @@ func renderStats(path string, w io.Writer) error {
 
 	st := &report.Table{
 		Title:  "Stages",
-		Header: []string{"stage", "calls", "total", "avg"},
+		Header: []string{"stage", "calls", "total", "avg", "alloc"},
 	}
 	for _, name := range r.StageNames() {
 		s := r.Stages[name]
@@ -218,7 +218,8 @@ func renderStats(path string, w io.Writer) error {
 		}
 		st.AddRow(name, report.I(s.Calls),
 			s.TotalNS.Round(time.Microsecond).String(),
-			avg.Round(time.Microsecond).String())
+			avg.Round(time.Microsecond).String(),
+			fmt.Sprintf("%.1f MB", float64(s.AllocBytes)/(1<<20)))
 	}
 	fmt.Fprintln(w)
 	if err := st.Render(w); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,12 +103,20 @@ func TestRunRendersStats(t *testing.T) {
 	// The example converges after δ=0.65 (StopOnEmpty), so exactly those
 	// two iteration rows render.
 	// The compile stage's candidate-table counters render among the run
-	// totals, the byte count with its MB figure.
+	// totals, the byte count with its MB figure, and the stages table has
+	// an allocation column.
 	for _, want := range []string{"Iterations", "Stages", "Run totals", "0.70", "0.65",
 		"candidate_table_pairs", "candidate_table_bytes", " MB)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stats rendering missing %q:\n%s", want, out.String())
 		}
+	}
+	header := false
+	for _, line := range strings.Split(out.String(), "\n") {
+		header = header || slices.Equal(strings.Fields(line), []string{"stage", "calls", "total", "avg", "alloc"})
+	}
+	if !header {
+		t.Errorf("stages table has no alloc column:\n%s", out.String())
 	}
 }
 

@@ -2,10 +2,12 @@
 // pairwise record comparison space between two census datasets, avoiding the
 // full cross product R_i × R_{i+1}.
 //
-// A blocking Strategy maps each record to one or more blocking keys; records
-// from the two datasets that share a key become candidate pairs. Multiple
-// strategies are combined as a union (multi-pass blocking), and every
-// candidate pair is visited exactly once.
+// A blocking Strategy maps each record to one or more blocking keys; an
+// old record and a new one become a candidate pair when one of the old
+// record's probe keys equals one of the new record's index keys (for most
+// strategies the two key sets are the same). Multiple strategies are
+// combined as a union (multi-pass blocking), and every candidate pair is
+// visited exactly once.
 package block
 
 import (
@@ -41,8 +43,15 @@ type KeyFunc func(r *census.Record, year int, dst []Key) []Key
 type Strategy struct {
 	Name string
 	// Keys returns a key function for one goroutine. Every key function of
-	// a strategy returns the same keys for the same record and year.
+	// a strategy returns the same keys for the same record and year. An
+	// index files each record under its Keys.
 	Keys func() KeyFunc
+	// Probe, when set, returns the key function a query looks a record up
+	// with; nil means Keys. A pass whose blocks overlap (the birth-year
+	// bands) files each record under its own block only and probes every
+	// block it overlaps, so a record meets an indexed one at most once per
+	// block instead of once per shared neighbour.
+	Probe func() KeyFunc
 }
 
 // stateless wraps a cache-free key function as a Strategy.Keys factory.
@@ -111,25 +120,33 @@ func birthBand(r *census.Record, year, width int) (int, bool) {
 	return (year - r.Age) / width, true
 }
 
+// birthSpread is how many birth-year bands on either side of its own a
+// probe reaches: two records of a birth-year-guarded pass meet when their
+// bands differ by at most birthSpread.
+const birthSpread = 2
+
 // BirthYearBand blocks on the estimated birth year (census year minus age)
-// rounded into bands of the given width, emitting the band and its two
-// neighbours so that small age-recording errors still collide. Key: the
-// band in Lo.
+// rounded into bands of the given width. A record is indexed under its own
+// band and probes the bands within two of it, so small age-recording errors
+// still collide: two records meet when their bands differ by at most two
+// (modulo 2^64, as the band wraps in uint64), once. Key: the band in Lo.
 func BirthYearBand(width int) Strategy {
 	if width < 1 {
 		width = 5
 	}
-	return Strategy{
-		Name: "birthyear-band",
-		Keys: stateless(func(r *census.Record, year int, dst []Key) []Key {
+	keys := func(spread int) func() KeyFunc {
+		return stateless(func(r *census.Record, year int, dst []Key) []Key {
 			band, ok := birthBand(r, year, width)
 			if !ok {
 				return dst
 			}
-			return append(dst,
-				Key{Lo: uint64(band - 1)}, Key{Lo: uint64(band)}, Key{Lo: uint64(band + 1)})
-		}),
+			for d := -spread; d <= spread; d++ {
+				dst = append(dst, Key{Lo: uint64(band + d)})
+			}
+			return dst
+		})
 	}
+	return Strategy{Name: "birthyear-band", Keys: keys(0), Probe: keys(birthSpread)}
 }
 
 // DefaultStrategies is the multi-pass configuration used by the linkage
@@ -187,10 +204,12 @@ func (rk *RecordKeys) Append(r *census.Record, year int) {
 		rk.fns = keyFuncs(rk.strategies)
 	}
 	for si, f := range rk.fns {
+		had := len(rk.keys[si])
 		rk.keys[si] = f(r, year, rk.keys[si])
-		if rk.n == 0 {
-			// Most records emit as many keys as the first one does.
-			rk.keys[si] = slices.Grow(rk.keys[si], len(rk.keys[si])*max(rk.size-1, 0))
+		if had == 0 && len(rk.keys[si]) > 0 {
+			// Most records emit as many keys as the first one that emits
+			// any does.
+			rk.keys[si] = slices.Grow(rk.keys[si], len(rk.keys[si])*max(rk.size-rk.n-1, 0))
 		}
 		rk.end[si] = append(rk.end[si], int32(len(rk.keys[si])))
 	}
@@ -205,11 +224,24 @@ func (rk *RecordKeys) AppendEmpty() {
 	rk.n++
 }
 
-// keyFuncs returns one fresh key function per strategy.
+// keyFuncs returns one fresh index key function per strategy.
 func keyFuncs(strategies []Strategy) []KeyFunc {
 	fns := make([]KeyFunc, len(strategies))
 	for si, s := range strategies {
 		fns[si] = s.Keys()
+	}
+	return fns
+}
+
+// probeFuncs returns one fresh probe key function per strategy.
+func probeFuncs(strategies []Strategy) []KeyFunc {
+	fns := make([]KeyFunc, len(strategies))
+	for si, s := range strategies {
+		if s.Probe != nil {
+			fns[si] = s.Probe()
+		} else {
+			fns[si] = s.Keys()
+		}
 	}
 	return fns
 }
@@ -231,10 +263,12 @@ func newPostings(si int, parts []*RecordKeys) postings {
 	for _, p := range parts {
 		total += len(p.keys[si])
 	}
-	// About half the keys of the LSH passes are distinct; the table grows
-	// if more are.
+	// At most about three in four index keys of a pass are distinct: on
+	// the benchmark's synthetic pairs, 65-73% under the guarded surname LSH
+	// pass, 47-51% under the first-name one, 54-59% under the full-name
+	// pass and 8-15% under the Soundex passes. The table grows if more are.
 	var ids keyIDs
-	ids.init(total / 2)
+	ids.init(total - total/4)
 	occ := make([]int32, 0, total) // list id of every key occurrence
 	var count []int32
 	for _, p := range parts {
@@ -347,15 +381,32 @@ type Index struct {
 	recs       []*census.Record
 	strategies []Strategy
 	post       []postings   // one key space per strategy
-	generated  atomic.Int64 // raw key collisions across all Candidates calls
+	generated  atomic.Int64 // raw hits across all queries
 }
 
 // Generated returns the raw number of candidate-pair hits the index has
 // produced so far, before cross-strategy deduplication — the "blocking
-// pairs generated" figure of the run report. Distinct pairs actually handed
-// to comparison are counted by the caller; the difference measures how much
-// the multi-pass strategies overlap. Safe for concurrent queries.
+// pairs generated" figure of the run report. A hit is one probe key of a
+// queried record meeting one index key of an indexed record, so a pair
+// scores one hit per block it shares: per LSH band under the
+// birth-year-guarded passes, however many birth-year bands the two records
+// are apart. Distinct pairs actually handed to comparison are counted by
+// the caller; the difference measures how much the multi-pass strategies
+// and their blocks overlap. Safe for concurrent queries.
 func (ix *Index) Generated() int64 { return ix.generated.Load() }
+
+// Each runs fn(i) once for every i in [0, n), possibly concurrently, and
+// returns when every call has returned, or with the error that stopped it
+// (the calls it did not make then do not matter).
+type Each func(n int, fn func(i int)) error
+
+// serial is the Each that runs the calls in order on the calling goroutine.
+func serial(n int, fn func(i int)) error {
+	for i := range n {
+		fn(i)
+	}
+	return nil
+}
 
 // NewIndex indexes the given records (of the dataset with the given census
 // year) under every strategy, on the calling goroutine.
@@ -364,14 +415,17 @@ func NewIndex(recs []*census.Record, year int, strategies []Strategy) *Index {
 	for _, r := range recs {
 		rk.Append(r, year)
 	}
-	return NewIndexFromKeys(recs, strategies, rk)
+	ix, _ := NewIndexFromKeys(recs, strategies, serial, rk)
+	return ix
 }
 
 // NewIndexFromKeys indexes recs from their keys under strategies, given as
-// runs that together cover recs in order. It consumes the runs: each
-// strategy's keys are released once its postings are filled. It panics if
-// the runs do not cover recs exactly.
-func NewIndexFromKeys(recs []*census.Record, strategies []Strategy, parts ...*RecordKeys) *Index {
+// runs that together cover recs in order. Each strategy's postings are
+// built by one call through each, independently of the others' (so each
+// may run them concurrently), and an error from each is returned with no
+// index. It consumes the runs: each strategy's keys are released once its
+// postings are filled. It panics if the runs do not cover recs exactly.
+func NewIndexFromKeys(recs []*census.Record, strategies []Strategy, each Each, parts ...*RecordKeys) (*Index, error) {
 	n := 0
 	for _, p := range parts {
 		n += p.n
@@ -381,13 +435,16 @@ func NewIndexFromKeys(recs []*census.Record, strategies []Strategy, parts ...*Re
 		panic("block: key runs cover a different number of records than the index")
 	}
 	ix := &Index{recs: recs, strategies: strategies, post: make([]postings, len(strategies))}
-	for si := range strategies {
+	err := each(len(strategies), func(si int) {
 		ix.post[si] = newPostings(si, parts)
 		for _, p := range parts {
 			p.keys[si], p.end[si] = nil, nil
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return ix
+	return ix, nil
 }
 
 // Len returns the number of indexed records.
@@ -396,8 +453,8 @@ func (ix *Index) Len() int { return len(ix.recs) }
 // Scratch is reusable per-worker query state for CandidateIndices: an
 // epoch-stamp array for deduplication (bumping the epoch invalidates every
 // previous stamp in O(1), so no reset loop runs between calls), the key
-// buffer, and one key function per strategy of the index last queried, so
-// key caches serve every query of the worker.
+// buffer, and one probe key function per strategy of the index last
+// queried, so key caches serve every query of the worker.
 type Scratch struct {
 	stamp []int32
 	epoch int32
@@ -411,7 +468,7 @@ type Scratch struct {
 // epoch.
 func (sc *Scratch) reset(ix *Index) {
 	if sc.ix != ix {
-		sc.ix, sc.fns = ix, keyFuncs(ix.strategies)
+		sc.ix, sc.fns = ix, probeFuncs(ix.strategies)
 	}
 	if n := len(ix.recs); len(sc.stamp) < n {
 		sc.stamp = make([]int32, n)
@@ -428,7 +485,7 @@ func (sc *Scratch) reset(ix *Index) {
 }
 
 // CandidateIndices returns the positions of the distinct indexed records
-// sharing at least one blocking key with record o (whose dataset has the
+// whose keys meet at least one probe key of record o (whose dataset has the
 // given year), in ascending position order — the same order the pointer
 // API returns records in. The returned slice aliases the scratch buffer
 // and is only valid until the next call with the same Scratch.

@@ -328,3 +328,38 @@ func TestKeyIDsGrow(t *testing.T) {
 		t.Error("absent key found")
 	}
 }
+
+// TestRecordKeysPresize: a run sizes each strategy's key array once, from
+// the first record that emits keys under the strategy, so a leading record
+// without an age (no birth-year-guarded keys) or without a name (no keys
+// at all) does not leave the arrays to grow by doubling: the arrays are
+// not reallocated while the rest of the run is appended.
+func TestRecordKeysPresize(t *testing.T) {
+	const n = 200
+	recs := make([]*census.Record, n)
+	for i := range recs {
+		recs[i] = &census.Record{ID: itoa(i), FirstName: "ann", Surname: "ashworth", Sex: census.SexFemale, Age: 30}
+	}
+	recs[0].FirstName, recs[0].Surname = "", "" // no keys under any pass
+	recs[1].Age = census.AgeMissing             // full-name keys only
+	strategies := append(LSHStrategies(LSHConfig{}), BirthYearBand(5))
+	rk := NewRecordKeys(strategies, n)
+	for _, r := range recs[:3] {
+		rk.Append(r, 1871)
+	}
+	first := make([]*Key, len(strategies))
+	for si := range strategies {
+		if len(rk.keys[si]) == 0 {
+			t.Fatalf("%s: no keys after three records", strategies[si].Name)
+		}
+		first[si] = &rk.keys[si][0]
+	}
+	for _, r := range recs[3:] {
+		rk.Append(r, 1871)
+	}
+	for si, s := range strategies {
+		if &rk.keys[si][0] != first[si] {
+			t.Errorf("%s: key array of %d keys was reallocated after the third record", s.Name, len(rk.keys[si]))
+		}
+	}
+}

@@ -93,13 +93,22 @@ func permConsts(k int) []uint64 {
 // key function of the pass; the mutable state (signature buffer, band
 // cache) lives in each key function.
 type minhasher struct {
-	p      MinHashParams
-	consts []uint64
+	p MinHashParams
+	// mul[i] and add[i] are permutation i's constants a_i and b_i.
+	mul, add []uint64
 }
 
 func newMinhasher(p MinHashParams) *minhasher {
 	p = p.withDefaults()
-	return &minhasher{p: p, consts: permConsts(p.Hashes)}
+	h := &minhasher{p: p, mul: make([]uint64, p.Hashes), add: make([]uint64, p.Hashes)}
+	for i, c := range permConsts(p.Hashes) {
+		if i%2 == 0 {
+			h.mul[i/2] = c
+		} else {
+			h.add[i/2] = c
+		}
+	}
+	return h
 }
 
 // signature fills sig (length p.Hashes) with the MinHash signature of the
@@ -140,11 +149,9 @@ func (h *minhasher) signature(norm string, sig []uint64) bool {
 			g ^= uint64(c)
 			g *= prime64
 		}
-		for i := 0; i < h.p.Hashes; i++ {
-			v := h.consts[2*i]*g + h.consts[2*i+1]
-			if v < sig[i] {
-				sig[i] = v
-			}
+		mul, add := h.mul[:len(sig)], h.add[:len(sig)]
+		for i, m := range sig {
+			sig[i] = min(m, mul[i]*g+add[i])
 		}
 	}
 	return true
@@ -210,12 +217,15 @@ func (c *bandCache[V]) bands(v V, normalize func(V) string) []uint64 {
 // Key{Tag: b<<8 | sex, Lo: acc}, where acc is the band's accumulator and
 // sex is the record's sex byte if withSex is set and 0 otherwise. With a
 // birth-year width > 0 the pass is guarded: records without an age emit
-// nothing, and each band emits one key per birth-year band in {band-1,
-// band, band+1}, held in Hi. Each part has bits of its own, so two records
-// share a key exactly when they agree on the band index, its accumulator,
-// the sex byte and (guarded) a birth-year band.
+// nothing, and each band emits one key per birth-year band from by-spread
+// to by+spread, held in Hi, where by is the record's own birth-year band.
+// The index keys of a guarded pass use spread 0 and its probe keys
+// birthSpread. Each part has bits of its own, so a probe key meets an
+// index key exactly when the two records agree on the band index, its
+// accumulator, the sex byte and (guarded) their birth-year bands differ by
+// at most birthSpread; they meet once per such band.
 func lshPass[V comparable](h *minhasher, val func(*census.Record) V, norm func(V) string,
-	withSex bool, width int) func() KeyFunc {
+	withSex bool, width, spread int) func() KeyFunc {
 	return func() KeyFunc {
 		c := newBandCache[V](h)
 		return func(r *census.Record, year int, dst []Key) []Key {
@@ -232,12 +242,8 @@ func lshPass[V comparable](h *minhasher, val func(*census.Record) V, norm func(V
 			}
 			for b, acc := range c.bands(val(r), norm) {
 				k := Key{Tag: uint64(b)<<8 | sex, Lo: acc}
-				if width == 0 {
-					dst = append(dst, k)
-					continue
-				}
-				for _, band := range [3]int{by - 1, by, by + 1} {
-					k.Hi = uint64(band)
+				for d := -spread; d <= spread; d++ {
+					k.Hi = uint64(by + d)
 					dst = append(dst, k)
 				}
 			}
@@ -269,7 +275,7 @@ func SurnameMinHash(p MinHashParams) Strategy {
 	h := newMinhasher(p)
 	return Strategy{
 		Name: "surname-minhash(" + h.p.String() + ")",
-		Keys: lshPass(h, surname, strsim.Normalize, false, 0),
+		Keys: lshPass(h, surname, strsim.Normalize, false, 0, 0),
 	}
 }
 
@@ -281,7 +287,7 @@ func FirstNameMinHashSex(p MinHashParams) Strategy {
 	h := newMinhasher(p)
 	return Strategy{
 		Name: "firstname-minhash-sex(" + h.p.String() + ")",
-		Keys: lshPass(h, firstName, strsim.Normalize, true, 0),
+		Keys: lshPass(h, firstName, strsim.Normalize, true, 0, 0),
 	}
 }
 
@@ -294,7 +300,7 @@ func FullNameMinHash(p MinHashParams) Strategy {
 	h := newMinhasher(p)
 	return Strategy{
 		Name: "fullname-minhash(" + h.p.String() + ")",
-		Keys: lshPass(h, fullName, normFullName, false, 0),
+		Keys: lshPass(h, fullName, normFullName, false, 0, 0),
 	}
 }
 
@@ -320,9 +326,10 @@ type LSHConfig struct {
 	// birth-year guard).
 	FullName MinHashParams
 	// BirthYearWidth is the band width of the name passes' birth-year
-	// guard; bands are emitted with their two neighbours, so records
-	// collide when their estimated birth years differ by at most 2·width
-	// (zero value: 1).
+	// guard. A record is indexed under its own band and probes the bands
+	// within two of it, so records collide when their birth-year bands
+	// differ by at most two, as they always do when their estimated birth
+	// years differ by at most 2·width (zero value: 1).
 	BirthYearWidth int
 }
 
@@ -354,16 +361,25 @@ func (c LSHConfig) withDefaults() LSHConfig {
 
 // LSHStrategies is the MinHash/LSH multi-pass blocking configuration: the
 // birth-year-guarded surname and first-name+sex LSH passes plus the
-// full-name recovery pass (see LSHConfig for why). A guarded pass pairs
-// two records when they agree on a band and their birth-year bands differ
-// by at most two.
+// full-name recovery pass (see LSHConfig for why). A guarded pass indexes
+// each record under its own birth-year band and probes the bands within
+// two of the queried record's, so it pairs two records when they agree on
+// a name band and their birth-year bands differ by at most two.
 func LSHStrategies(c LSHConfig) []Strategy {
 	c = c.withDefaults()
 	h, w := newMinhasher(c.Name), c.BirthYearWidth
 	guard := "+by" + itoa(w)
 	return []Strategy{
-		{Name: SurnameMinHash(c.Name).Name + guard, Keys: lshPass(h, surname, strsim.Normalize, false, w)},
-		{Name: FirstNameMinHashSex(c.Name).Name + guard, Keys: lshPass(h, firstName, strsim.Normalize, true, w)},
+		{
+			Name:  SurnameMinHash(c.Name).Name + guard,
+			Keys:  lshPass(h, surname, strsim.Normalize, false, w, 0),
+			Probe: lshPass(h, surname, strsim.Normalize, false, w, birthSpread),
+		},
+		{
+			Name:  FirstNameMinHashSex(c.Name).Name + guard,
+			Keys:  lshPass(h, firstName, strsim.Normalize, true, w, 0),
+			Probe: lshPass(h, firstName, strsim.Normalize, true, w, birthSpread),
+		},
 		FullNameMinHash(c.FullName),
 	}
 }

@@ -38,14 +38,22 @@ func NewCache() *Cache {
 
 // BuildAll returns the enriched household graphs for d, building them on the
 // first call for d's content hash and reusing them afterwards. Concurrent
-// callers for the same dataset coalesce onto one build.
-func (c *Cache) BuildAll(d *census.Dataset) map[string]*Graph {
+// callers for the same dataset coalesce onto one build. If the build
+// panics, the panic propagates to its caller, the entry is dropped and the
+// callers waiting on it build the graphs themselves.
+func (c *Cache) BuildAll(d *census.Dataset) map[string]*Graph { return c.build(d, BuildAll) }
+
+// build is BuildAll with the builder of a missing entry given.
+func (c *Cache) build(d *census.Dataset, buildAll func(*census.Dataset) map[string]*Graph) map[string]*Graph {
 	key := d.ContentHash()
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
 		c.mu.Unlock()
 		<-e.done
+		if e.graphs == nil {
+			return buildAll(d)
+		}
 		return e.graphs
 	}
 	e := &cacheEntry{done: make(chan struct{})}
@@ -53,8 +61,15 @@ func (c *Cache) BuildAll(d *census.Dataset) map[string]*Graph {
 	c.misses++
 	c.mu.Unlock()
 
-	e.graphs = BuildAll(d)
-	close(e.done)
+	defer func() {
+		if e.graphs == nil {
+			c.mu.Lock()
+			delete(c.entries, key)
+			c.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.graphs = buildAll(d)
 	return e.graphs
 }
 

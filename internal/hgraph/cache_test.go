@@ -2,9 +2,11 @@ package hgraph
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"censuslink/internal/census"
 	"censuslink/internal/synth"
 )
 
@@ -83,3 +85,45 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func firstKeys(m map[string]*Graph) int { return len(m) }
+
+// TestCachePanickedBuild: a build that panics propagates the panic to its
+// caller and leaves no entry behind, so a caller that was waiting on it
+// builds the graphs itself instead of waiting forever, and the next call
+// builds afresh.
+func TestCachePanickedBuild(t *testing.T) {
+	series, err := synth.Generate(synth.TestConfig(0.01, 7))
+	if err != nil {
+		t.Fatalf("synth: %v", err)
+	}
+	d := series.Datasets[0]
+	c := NewCache()
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.build(d, func(*census.Dataset) map[string]*Graph {
+			close(started)
+			<-release
+			panic("enrichment crash")
+		})
+	}()
+	<-started
+	waiter := make(chan map[string]*Graph)
+	go func() { waiter <- c.BuildAll(d) }()
+	for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
+		runtime.Gosched() // until the second caller waits on the entry
+	}
+	close(release)
+	if r := <-panicked; r != "enrichment crash" {
+		t.Fatalf("builder's caller recovered %v, want the panic", r)
+	}
+	if got := <-waiter; len(got) != d.NumHouseholds() {
+		t.Fatalf("waiting caller got %d households, want %d", len(got), d.NumHouseholds())
+	}
+	if c.Len() != 0 {
+		t.Fatalf("cache holds %d entries after the failed build, want 0", c.Len())
+	}
+	if got := c.BuildAll(d); len(got) != d.NumHouseholds() || c.Len() != 1 {
+		t.Fatalf("rebuild: %d households, %d entries", len(got), c.Len())
+	}
+}

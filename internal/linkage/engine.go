@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,12 +26,40 @@ func (f SimFunc) CompareMatchers() []compare.Matcher {
 	return out
 }
 
-// Compile interns the two record lists against this SimFunc and returns a
-// scoring engine whose AggSim/SimVector are bit-for-bit equal to the
-// interpreted AggSim/SimVector on the same records.
+// Compile interns the two record lists against this SimFunc, the two
+// concurrently, and returns a scoring engine whose AggSim/SimVector are
+// bit-for-bit equal to the interpreted AggSim/SimVector on the same
+// records. A panic while interning is raised again on the calling
+// goroutine, as the *PipelineError that names it.
 func (f SimFunc) Compile(old, new []*census.Record) *compare.Engine {
+	eng, err := f.compile(context.Background(), old, new, 0)
+	if err != nil {
+		panic(err)
+	}
+	return eng
+}
+
+// compile is Compile on the chunk pool, one chunk per record list, for a
+// pass that observes ctx: cancellation and a chunk's failure are reported
+// as stage "compile".
+func (f SimFunc) compile(ctx context.Context, old, new []*census.Record, workers int) (*compare.Engine, error) {
 	ms := f.CompareMatchers()
-	return compare.NewEngine(compare.Compile(old, ms), compare.Compile(new, ms))
+	recs := [2][]*census.Record{old, new}
+	var cds [2]*compare.CompiledDataset
+	if err := runAll(ctx, "compile", 2, workers, func(i int) { cds[i] = compare.Compile(recs[i], ms) }); err != nil {
+		return nil, err
+	}
+	return compare.NewEngine(cds[0], cds[1]), nil
+}
+
+// compilesLike reports whether f compiles to the same engine as g: the
+// same attributes, weights and profile comparators, in the same order. A
+// matcher without a profile comparator scores through a wrapper of its own
+// Sim, so it never compiles like another.
+func (f SimFunc) compilesLike(g SimFunc) bool {
+	return slices.EqualFunc(f.Matchers, g.Matchers, func(a, b AttributeMatcher) bool {
+		return a.Attr == b.Attr && a.Weight == b.Weight && a.Prof != nil && a.Prof == b.Prof
+	})
 }
 
 // compiledPair is the per-year-pair comparison state: one scoring engine,
@@ -72,13 +101,15 @@ func allActive(n int) []bool {
 // compileTable is the blocking half of the compile stage: it indexes the
 // new records under strategies and queries the index once for every old
 // record, returning the candidate table whose row i holds old[i]'s
-// candidates. Both halves run on the chunk pool: the new records' keys are
-// computed per chunk and joined in record order, so every posting list
-// comes out as a serial build would make it, then the old records are
-// queried per chunk. The index is dropped on return. Each chunk observes
-// ctx every cancelCheckEvery records, and cancellation and worker panics
-// are reported as stage "compile". Under PanicSkip a failed chunk's
-// records get no keys or no candidates, so they are never compared.
+// candidates. All three steps run on the chunk pool: the new records' keys
+// are computed per chunk and joined in record order, so every posting list
+// comes out as a serial build would make it; each strategy's postings are
+// built in a chunk of their own; then the old records are queried per
+// chunk. The index is dropped on return. Each keying and query chunk
+// observes ctx every cancelCheckEvery records, and cancellation and worker
+// panics are reported as stage "compile". Under PanicSkip a failed keying
+// or query chunk's records get no keys or no candidates, so they are never
+// compared; a failed postings chunk fails the pass under either policy.
 func compileTable(ctx context.Context, old []*census.Record, oldYear int, new []*census.Record, newYear int,
 	strategies []block.Strategy, workers int, policy PanicPolicy, st *obs.Stats) (*block.CandidateTable, error) {
 	keys, err := compileChunks(ctx, new, workers, policy, st,
@@ -88,7 +119,12 @@ func compileTable(ctx context.Context, old []*census.Record, oldYear int, new []
 	if err != nil {
 		return nil, err
 	}
-	ix := block.NewIndexFromKeys(new, strategies, keys...)
+	ix, err := block.NewIndexFromKeys(new, strategies, func(n int, fn func(int)) error {
+		return runAll(ctx, "compile", n, workers, fn)
+	}, keys...)
+	if err != nil {
+		return nil, err
+	}
 	rows, err := compileChunks(ctx, old, workers, policy, st,
 		func(int) *queryChunk { return &queryChunk{tab: &block.CandidateTable{}} },
 		func(q *queryChunk, o *census.Record) { ix.AppendRow(q.tab, o, oldYear, &q.scratch) },
@@ -200,6 +236,17 @@ func perWorker(n, workers int) int {
 
 // chunkCount returns the number of chunks of size items that cover n items.
 func chunkCount(n, size int) int { return (n + size - 1) / size }
+
+// runAll runs fn(i) for every i in [0, n) on the chunk pool, one item per
+// chunk, for work a pass cannot drop: a failed item fails the pass under
+// PanicSkip too.
+func runAll(ctx context.Context, stage string, n, workers int, fn func(i int)) error {
+	_, err := runChunks(ctx, stage, 0, n, 1, workers, PanicFailFast, nil, func(ci, _, _ int) error {
+		fn(ci)
+		return nil
+	})
+	return err
+}
 
 // runChunks is the one worker pool of a link. It covers the item range
 // [0, n) with chunks of size items — chunk ci is [ci*size, min((ci+1)*size,

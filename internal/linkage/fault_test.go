@@ -9,12 +9,14 @@ package linkage_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"censuslink/internal/faultinject"
+	"censuslink/internal/hgraph"
 	"censuslink/internal/linkage"
 	"censuslink/internal/obs"
 	"censuslink/internal/paperexample"
@@ -138,22 +140,37 @@ func TestCompileChunkPanic(t *testing.T) {
 			t.Errorf("stage=%q chunk=%d panic=%v, want a compile chunk panic", pe.Stage, pe.Chunk, pe.Panic)
 		}
 	})
-	// With two workers the compile stage passes the fault point four
-	// times: two index chunks keying the new records ("skip" fails the
-	// first), then two table chunks querying the old ones. A skipped index chunk leaves its new
-	// records in no block, a skipped table chunk its old records without
-	// candidates; either way the link completes on a smaller candidate
-	// table.
+	// With two workers and the default passes the compile stage passes the
+	// fault point eight times, in four rounds of two chunks: keying the new
+	// records ("skip" fails the first), building the two strategies'
+	// postings, querying the old records into the table, and interning the
+	// old and the new records for the Sim engine, which the remainder pass
+	// shares. A skipped keying chunk leaves its new records in no block, a
+	// skipped table chunk its old records without candidates; either way
+	// the link completes on a smaller candidate table. A link cannot go on
+	// without a strategy's postings or a dataset's dictionaries, so a
+	// failure there fails it under PanicSkip too.
 	cleanCfg := faultConfig(2)
 	cleanCfg.Obs = obs.NewStats(nil)
-	if _, err := linkage.LinkContext(context.Background(), old, new, cleanCfg); err != nil {
+	var passes atomic.Int64
+	faultinject.Set("linkage.compile.chunk", func() error {
+		passes.Add(1)
+		return nil
+	})
+	_, err := linkage.LinkContext(context.Background(), old, new, cleanCfg)
+	faultinject.Reset()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := passes.Load(); got != 8 {
+		t.Fatalf("compile stage passed its fault point %d times, want 8", got)
 	}
 	cleanPairs := cleanCfg.Obs.Total(obs.CandidateTablePairs)
 	for _, c := range []struct {
-		name string
-		call uint64
-	}{{"skip", 1}, {"skip-table-chunk", 3}} {
+		name  string
+		call  uint64
+		drops bool
+	}{{"skip", 1, true}, {"skip-postings-chunk", 3, false}, {"skip-table-chunk", 5, true}, {"skip-dictionary-chunk", 7, false}} {
 		t.Run(c.name, func(t *testing.T) {
 			defer faultinject.Reset()
 			faultinject.Set("linkage.compile.chunk", faultinject.PanicOnCall(c.call, "chunk crash"))
@@ -161,7 +178,15 @@ func TestCompileChunkPanic(t *testing.T) {
 			cfg := faultConfig(2)
 			cfg.Panics = linkage.PanicSkip
 			cfg.Obs = stats
-			if _, err := linkage.LinkContext(context.Background(), old, new, cfg); err != nil {
+			_, err := linkage.LinkContext(context.Background(), old, new, cfg)
+			if !c.drops {
+				var pe *linkage.PipelineError
+				if !errors.As(err, &pe) || pe.Stage != "compile" || pe.Panic == nil {
+					t.Fatalf("error = %v, want a compile chunk panic under PanicSkip", err)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatalf("skip policy did not absorb the chunk panic: %v", err)
 			}
 			if got := stats.Total(obs.PanicsRecovered); got != 1 {
@@ -186,6 +211,57 @@ func TestCompileChunkPanic(t *testing.T) {
 			t.Fatalf("error = %v, want a compile-stage cancellation", err)
 		}
 	})
+}
+
+// TestBuildGraphsChunkPanic: build_graphs builds the two datasets'
+// household graphs in two chunks on the pool. A panic in either fails the
+// link with a build_graphs PipelineError naming the chunk, under PanicSkip
+// too, since a link cannot go on without a year's households; cancelling
+// from the fault point aborts the stage with a cancellation, with and
+// without a graph cache.
+func TestBuildGraphsChunkPanic(t *testing.T) {
+	skipWithoutInjection(t)
+	old, new := paperexample.Old(), paperexample.New()
+	for _, policy := range []linkage.PanicPolicy{linkage.PanicFailFast, linkage.PanicSkip} {
+		for call := uint64(1); call <= 2; call++ {
+			t.Run(fmt.Sprintf("%v/call%d", policy, call), func(t *testing.T) {
+				defer faultinject.Reset()
+				faultinject.Set("linkage.build_graphs.chunk", faultinject.PanicOnCall(call, "graph crash"))
+				cfg := faultConfig(2)
+				cfg.Panics = policy
+				cfg.GraphCache = hgraph.NewCache()
+				_, err := linkage.LinkContext(context.Background(), old, new, cfg)
+				var pe *linkage.PipelineError
+				if !errors.As(err, &pe) || pe.Stage != "build_graphs" || pe.Chunk < 0 || pe.Panic == nil {
+					t.Fatalf("error = %v, want a build_graphs chunk panic", err)
+				}
+				// The cache keeps no half-built entry: the same cache links
+				// the pair afterwards.
+				faultinject.Reset()
+				if _, err := linkage.LinkContext(context.Background(), old, new, cfg); err != nil {
+					t.Fatalf("link after the failed build: %v", err)
+				}
+			})
+		}
+	}
+	for _, cache := range []*hgraph.Cache{nil, hgraph.NewCache()} {
+		t.Run(fmt.Sprintf("cancel/cache=%t", cache != nil), func(t *testing.T) {
+			defer faultinject.Reset()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			faultinject.Set("linkage.build_graphs.chunk", func() error {
+				cancel()
+				return nil
+			})
+			cfg := faultConfig(2)
+			cfg.GraphCache = cache
+			_, err := linkage.LinkContext(ctx, old, new, cfg)
+			var pe *linkage.PipelineError
+			if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Stage != "build_graphs" {
+				t.Fatalf("error = %v, want a build_graphs cancellation", err)
+			}
+		})
+	}
 }
 
 // TestSubgraphPoolStops: inside subgraph_match the chunk pool runs one

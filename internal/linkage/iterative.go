@@ -419,7 +419,11 @@ func MatchRemaining(ctx context.Context, old, new []*census.Record, opts Remaind
 	if err != nil {
 		return nil, err
 	}
-	cp := &compiledPair{eng: opts.Sim.Compile(old, new), tab: tab, active: allActive(len(new))}
+	eng, err := opts.Sim.compile(ctx, old, new, 0)
+	if err != nil {
+		return nil, err
+	}
+	cp := &compiledPair{eng: eng, tab: tab, active: allActive(len(new))}
 	return matchRemainder(ctx, old, new, opts.Sim, opts.Match, cp, opts.Optimal, opts.Obs)
 }
 

@@ -10,6 +10,7 @@ package linkage
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -258,6 +259,55 @@ func TestLinkEngineDifferentialVariants(t *testing.T) {
 	}
 }
 
+// TestRemainderSharesSimCompile: when Sim_func_rem compiles like Sim_func
+// (DefaultConfig: ω2 at two thresholds) the remainder pass scores through
+// the Sim engine, so a link interns each dataset once. A remainder that
+// differs in its matchers (NameOnly), in one weight or in matcher order
+// compiles an engine of its own. Either way every pass equals the
+// interpreted oracle.
+func TestRemainderSharesSimCompile(t *testing.T) {
+	old, new, err := synth.GeneratePair(synth.TestConfig(0.03, 23), 1861, 1871)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reweighted := OmegaTwo(0.75)
+	reweighted.Matchers = slices.Clone(reweighted.Matchers)
+	reweighted.Matchers[3].Weight, reweighted.Matchers[4].Weight = 0.15, 0.05
+	reordered := OmegaTwo(0.75)
+	reordered.Matchers = slices.Clone(reordered.Matchers)
+	slices.Reverse(reordered.Matchers)
+	for _, c := range []struct {
+		name   string
+		rem    SimFunc
+		shared bool
+	}{
+		{"default", DefaultConfig().Remainder, true},
+		{"name-only", NameOnly(0.8), false},
+		{"reweighted", reweighted, false},
+		{"reordered", reordered, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Remainder = c.rem
+			oc := &oracleChecker{t: t}
+			passes := 0
+			if _, err := link(context.Background(), old, new, cfg, func(rs *runState, delta float64,
+				remOld, remNew []*census.Record, pre *PreMatchResult, rem []RecordLink) {
+				if shared := rs.rem.eng == rs.sim.eng; shared != c.shared {
+					t.Fatalf("remainder shares the Sim engine: %t, want %t", shared, c.shared)
+				}
+				passes++
+				oc.hook(rs, delta, remOld, remNew, pre, rem)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if passes < 2 || oc.remainders != 1 || oc.remainderLinks == 0 {
+				t.Fatalf("vacuous check: %d passes, %d remainder passes with %d links", passes, oc.remainders, oc.remainderLinks)
+			}
+		})
+	}
+}
+
 // TestLinkSeriesEngineDifferential: every pair of a multi-decade series run
 // equals an oracle-checked run of that pair.
 func TestLinkSeriesEngineDifferential(t *testing.T) {
@@ -442,21 +492,29 @@ func TestObsCompiledCacheCounters(t *testing.T) {
 	}
 }
 
-// countedKeys wraps a strategy so every call of its key functions adds
-// one to calls.
+// countedKeys wraps a strategy so every call of its index or probe key
+// functions adds one to calls.
 func countedKeys(s block.Strategy, calls *atomic.Int64) block.Strategy {
-	return block.Strategy{Name: s.Name, Keys: func() block.KeyFunc {
-		keys := s.Keys()
-		return func(r *census.Record, year int, dst []block.Key) []block.Key {
-			calls.Add(1)
-			return keys(r, year, dst)
+	count := func(factory func() block.KeyFunc) func() block.KeyFunc {
+		return func() block.KeyFunc {
+			keys := factory()
+			return func(r *census.Record, year int, dst []block.Key) []block.Key {
+				calls.Add(1)
+				return keys(r, year, dst)
+			}
 		}
-	}}
+	}
+	c := block.Strategy{Name: s.Name, Keys: count(s.Keys)}
+	if s.Probe != nil {
+		c.Probe = count(s.Probe)
+	}
+	return c
 }
 
 // TestLinkQueriesIndexOnce: the compile stage keys every new record once
-// to build the blocking index and every old record once to query it into
-// the candidate table, and no later pass keys a record again; so the
+// to build the blocking index and every old record once (with its probe
+// keys) to query it into the candidate table, and no later pass keys a
+// record again; so the
 // table's raw hit count is every raw hit the index produced over the link,
 // and it equals the first iteration's Blocked, for both blocking schemes.
 func TestLinkQueriesIndexOnce(t *testing.T) {

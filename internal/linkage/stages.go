@@ -30,7 +30,8 @@ type runState struct {
 	// groupBuf is the candidate_groups stage's buffer, reused across δ.
 	groupBuf []uint64
 	// sim scores pre-matching and the transitively linked vertex pairs of
-	// the subgraph stage; rem scores the remainder pass with Sim_func_rem.
+	// the subgraph stage; rem scores the remainder pass with Sim_func_rem,
+	// through sim's engine when the two compile alike.
 	// Both read the one candidate table, share the active-record mask the
 	// δ loop narrows and live for the whole call. sim also keeps every
 	// table entry's resumable score, so each pass continues a pair's
@@ -46,8 +47,10 @@ type runState struct {
 type runHook func(rs *runState, delta float64, remOld, remNew []*census.Record, pre *PreMatchResult, rem []RecordLink)
 
 // buildGraphs is the build_graphs stage: it enriches every household graph
-// of both datasets once and derives the group-match configuration from the
-// census interval.
+// of both datasets once, the two datasets in chunks of their own on the
+// pool, and derives the group-match configuration from the census
+// interval. A failed chunk fails the stage under either panic policy: a
+// link cannot go on without a year's households.
 func buildGraphs(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) (*runState, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, cancelErr("build_graphs", 0, err)
@@ -57,6 +60,13 @@ func buildGraphs(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) 
 	buildAll := hgraph.BuildAll
 	if cfg.GraphCache != nil {
 		buildAll = cfg.GraphCache.BuildAll
+	}
+	ds := [2]*census.Dataset{oldDS, newDS}
+	var hh [2]householdIndex
+	if err := runAll(ctx, "build_graphs", 2, cfg.Workers, func(i int) {
+		hh[i] = newHouseholdIndex(ds[i], buildAll(ds[i]))
+	}); err != nil {
+		return nil, err
 	}
 	return &runState{
 		cfg: cfg,
@@ -70,15 +80,18 @@ func buildGraphs(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) 
 			DirectVerticesOnly: cfg.DirectVerticesOnly,
 			VertexGuards:       cfg.VertexGuards,
 		},
-		oldHH: newHouseholdIndex(oldDS, buildAll(oldDS)),
-		newHH: newHouseholdIndex(newDS, buildAll(newDS)),
+		oldHH: hh[0],
+		newHH: hh[1],
 	}, nil
 }
 
-// compile is the compile stage: it interns both datasets against each
-// similarity function, and builds the blocking index once per year pair
-// and queries it once per old record into the candidate table every later
-// pass reads. The index itself does not outlive the stage.
+// compile is the compile stage: it builds the blocking index once per
+// year pair and queries it once per old record into the candidate table
+// every later pass reads, and interns both datasets against each
+// similarity function. The index itself does not outlive the stage. When
+// Sim_func_rem compiles like Sim_func (SimFunc.compilesLike), as in
+// DefaultConfig, the remainder pass scores through the Sim engine, which
+// is stateless, instead of interning the datasets a second time.
 func (rs *runState) compile(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return cancelErr("compile", 0, err)
@@ -91,9 +104,19 @@ func (rs *runState) compile(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	sim, err := rs.cfg.Sim.compile(ctx, oldRecs, newRecs, rs.cfg.Workers)
+	if err != nil {
+		return err
+	}
+	rem := sim
+	if !rs.cfg.Remainder.compilesLike(rs.cfg.Sim) {
+		if rem, err = rs.cfg.Remainder.compile(ctx, oldRecs, newRecs, rs.cfg.Workers); err != nil {
+			return err
+		}
+	}
 	active := make([]bool, len(newRecs))
-	rs.sim = newPreMatcher(&compiledPair{eng: rs.cfg.Sim.Compile(oldRecs, newRecs), tab: tab, active: active})
-	rs.rem = &compiledPair{eng: rs.cfg.Remainder.Compile(oldRecs, newRecs), tab: tab, active: active}
+	rs.sim = newPreMatcher(&compiledPair{eng: sim, tab: tab, active: active})
+	rs.rem = &compiledPair{eng: rem, tab: tab, active: active}
 	rs.cfg.Obs.Add(obs.CandidateTablePairs, tab.Pairs())
 	rs.cfg.Obs.Add(obs.CandidateTableBytes, rs.sim.bytes())
 	return nil

@@ -2,10 +2,13 @@ package linkage
 
 // The string-key blocking index the integer keys of package block replace,
 // kept as the oracle of the key differential: every strategy renders its
-// key as a string ("sn:A263", "by:368", "|Lsa:<hex>|by:368", ...), one
-// map[string][]int32 per strategy indexes the new records, and a query
-// counts every posting it visits. TestCandidateTableMatchesStringKeys and
-// FuzzBlockingKeys check that the integer keys block exactly as these do.
+// key as a string ("sn:A263", "by:368", "|Lsa:<hex>|by:368", ...), both
+// sides emit the same keys (a birth-year part emits its band and both
+// neighbours on either side), one map[string][]int32 per strategy indexes
+// the new records, and a query counts one raw hit per block a pair shares:
+// per key, or per name band where a birth-year part spreads one block over
+// three keys. TestCandidateTableMatchesStringKeys and FuzzBlockingKeys
+// check that the integer index and probe keys block exactly as these do.
 
 import (
 	"context"
@@ -21,10 +24,39 @@ import (
 	"censuslink/internal/synth"
 )
 
-// stringStrategy is a blocking pass keyed by strings.
+// stringStrategy is a blocking pass keyed by strings. A pass with
+// byBand set ends every key with a birth-year part: the whole key for the
+// birth-year pass, the part after the last "|" for a composite.
 type stringStrategy struct {
-	name string
-	keys func(r *census.Record, year int) []string
+	name   string
+	keys   func(r *census.Record, year int) []string
+	byBand bool
+}
+
+// block returns the block key k stands for: k itself, or k without its
+// birth-year part, which spreads one block over neighbouring bands.
+func (s stringStrategy) block(k string) string {
+	if !s.byBand {
+		return k
+	}
+	i := strings.LastIndex(k, "|")
+	if i < 0 {
+		return ""
+	}
+	return k[:i]
+}
+
+// blockHits counts the distinct blocks in which keys a and b of the
+// strategy meet: the raw hits the record with keys a scores against the
+// record with keys b.
+func (s stringStrategy) blockHits(a, b []string) int {
+	blocks := map[string]bool{}
+	for _, x := range a {
+		if slices.Contains(b, x) {
+			blocks[s.block(x)] = true
+		}
+	}
+	return len(blocks)
 }
 
 func strSurnameSoundex() stringStrategy {
@@ -34,7 +66,7 @@ func strSurnameSoundex() stringStrategy {
 			return nil
 		}
 		return []string{"sn:" + code}
-	}}
+	}, false}
 }
 
 func strFirstNameSoundexSex() stringStrategy {
@@ -44,7 +76,7 @@ func strFirstNameSoundexSex() stringStrategy {
 			return nil
 		}
 		return []string{"fn:" + code + ":" + r.Sex.String()}
-	}}
+	}, false}
 }
 
 func strBirthYearBand(width int) stringStrategy {
@@ -54,7 +86,7 @@ func strBirthYearBand(width int) stringStrategy {
 		}
 		band := (year - r.Age) / width
 		return []string{"by:" + fmt.Sprint(band-1), "by:" + fmt.Sprint(band), "by:" + fmt.Sprint(band+1)}
-	}}
+	}, true}
 }
 
 func strSurnameQGrams(q, minLen int) stringStrategy {
@@ -72,11 +104,12 @@ func strSurnameQGrams(q, minLen int) stringStrategy {
 			}
 		}
 		return keys
-	}}
+	}, false}
 }
 
 // strComposite keys a record by one key of every part, concatenated; a
-// part with no keys excludes the record.
+// part with no keys excludes the record. It spreads a block over the
+// birth-year bands when its last part does.
 func strComposite(name string, parts ...stringStrategy) stringStrategy {
 	return stringStrategy{name, func(r *census.Record, year int) []string {
 		combined := []string{""}
@@ -94,7 +127,7 @@ func strComposite(name string, parts ...stringStrategy) stringStrategy {
 			combined = next
 		}
 		return combined
-	}}
+	}, parts[len(parts)-1].byBand}
 }
 
 // strMinhasher is the MinHash signature and banding with hex-string band
@@ -170,13 +203,13 @@ func (h *strMinhasher) keys(norm, prefix, suffix string) []string {
 func strSurnameMinHash(h *strMinhasher) stringStrategy {
 	return stringStrategy{"surname-minhash", func(r *census.Record, _ int) []string {
 		return h.keys(strsim.Normalize(r.Surname), "Ls", "")
-	}}
+	}, false}
 }
 
 func strFirstNameMinHashSex(h *strMinhasher) stringStrategy {
 	return stringStrategy{"firstname-minhash-sex", func(r *census.Record, _ int) []string {
 		return h.keys(strsim.Normalize(r.FirstName), "Lf", ":"+r.Sex.String())
-	}}
+	}, false}
 }
 
 func strFullNameMinHash(h *strMinhasher) stringStrategy {
@@ -186,7 +219,7 @@ func strFullNameMinHash(h *strMinhasher) stringStrategy {
 			return nil
 		}
 		return h.keys(fn+"|"+sn, "Ln", "")
-	}}
+	}, false}
 }
 
 // strLSHStrategies is the default LSH scheme: birth-year-composed surname
@@ -237,15 +270,20 @@ func newStringIndex(recs []*census.Record, year int, strategies []stringStrategy
 }
 
 // query returns the distinct positions sharing a key with o, ascending,
-// and the raw hit count.
+// and the raw hit count: one per (strategy, position, block) it meets.
 func (ix *stringIndex) query(o *census.Record, oldYear int) ([]int32, int) {
 	seen := map[int32]bool{}
+	type hit struct {
+		si    int
+		n     int32
+		block string
+	}
+	hits := map[hit]bool{}
 	var out []int32
-	raw := 0
 	for si, s := range ix.strategies {
 		for _, k := range s.keys(o, oldYear) {
 			for _, n := range ix.byKey[si][k] {
-				raw++
+				hits[hit{si, n, s.block(k)}] = true
 				if !seen[n] {
 					seen[n] = true
 					out = append(out, n)
@@ -253,6 +291,7 @@ func (ix *stringIndex) query(o *census.Record, oldYear int) ([]int32, int) {
 			}
 		}
 	}
+	raw := len(hits)
 	ix.generated += raw
 	slices.Sort(out)
 	return out, raw
@@ -310,6 +349,92 @@ func TestCandidateTableMatchesStringKeys(t *testing.T) {
 	}
 }
 
+// symmetric returns strategies keyed as they were before probe keys: both
+// sides emit every block under the record's own birth-year band and both
+// its neighbours, and a query looks up the same keys it was indexed under.
+// The guarded LSH passes hold the band in Key.Hi, the birth-year pass in
+// Key.Lo.
+func symmetric(strategies []block.Strategy) []block.Strategy {
+	out := make([]block.Strategy, len(strategies))
+	for si, s := range strategies {
+		out[si] = block.Strategy{Name: s.Name, Keys: s.Keys}
+		if s.Probe == nil {
+			continue
+		}
+		band := func(k *block.Key) *uint64 { return &k.Hi }
+		if strings.HasPrefix(s.Name, "birthyear-band") {
+			band = func(k *block.Key) *uint64 { return &k.Lo }
+		}
+		out[si].Keys = func() block.KeyFunc {
+			own := s.Keys()
+			var buf []block.Key
+			return func(r *census.Record, year int, dst []block.Key) []block.Key {
+				buf = own(r, year, buf[:0])
+				for _, k := range buf {
+					by := *band(&k)
+					for _, d := range []uint64{by - 1, by, by + 1} {
+						*band(&k) = d
+						dst = append(dst, k)
+					}
+				}
+				return dst
+			}
+		}
+	}
+	return out
+}
+
+// TestCandidateTableMatchesSymmetricKeys: for every registered blocking
+// scheme on synthetic pairs of two scales and three seeds, the candidate
+// table built from index and probe keys holds exactly the rows of a table
+// built from the symmetric emission the probes replace, in order. Only
+// the raw hit counts may differ, and only downwards: a guarded pass now
+// counts a pair once per LSH band, where the symmetric keys met up to
+// three times.
+func TestCandidateTableMatchesSymmetricKeys(t *testing.T) {
+	for _, scale := range []float64{0.04, 0.1} {
+		for _, seed := range []int64{1871000, 1881000, 1891000} {
+			old, new, err := synth.GeneratePair(synth.TestConfig(scale, seed), 1871, 1881)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldRecs, newRecs := old.Records(), new.Records()
+			for _, scheme := range []string{"default", "high-recall", "lsh", "lsh+default"} {
+				t.Run(fmt.Sprintf("%s/%g/%d", scheme, scale, seed), func(t *testing.T) {
+					strategies, err := ParseBlocking(scheme)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tab, err := compileTable(context.Background(), oldRecs, old.Year, newRecs, new.Year,
+						strategies, 3, PanicFailFast, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sym := block.NewIndex(newRecs, new.Year, symmetric(strategies))
+					var want block.CandidateTable
+					var sc block.Scratch
+					raw, symRaw := 0, 0
+					for i, o := range oldRecs {
+						sym.AppendRow(&want, o, old.Year, &sc)
+						if !slices.Equal(tab.Row(i), want.Row(i)) {
+							t.Fatalf("row %d (%s): %v, symmetric keys %v", i, o.ID, tab.Row(i), want.Row(i))
+						}
+						if tab.Raw(i) > want.Raw(i) {
+							t.Fatalf("row %d (%s): raw %d, symmetric keys %d", i, o.ID, tab.Raw(i), want.Raw(i))
+						}
+						raw += tab.Raw(i)
+						symRaw += want.Raw(i)
+					}
+					guarded := strings.HasPrefix(scheme, "lsh")
+					if tab.Pairs() == 0 || guarded != (raw < symRaw) {
+						t.Errorf("%d pairs, raw %d, symmetric raw %d", tab.Pairs(), raw, symRaw)
+					}
+				})
+			}
+		}
+	}
+}
+
 // fuzzStrategies pairs every built-in strategy with its string-key form.
 func fuzzStrategies() ([]block.Strategy, []stringStrategy) {
 	lsh := block.LSHStrategies(block.DefaultLSHConfig())
@@ -322,7 +447,7 @@ func fuzzStrategies() ([]block.Strategy, []stringStrategy) {
 			lsh[0], lsh[1], lsh[2],
 		}, []stringStrategy{
 			strSurnameSoundex(), strFirstNameSoundexSex(), strBirthYearBand(5),
-			strSurnameQGrams(3, 4), {"cross-product", func(*census.Record, int) []string { return []string{"all"} }},
+			strSurnameQGrams(3, 4), {"cross-product", func(*census.Record, int) []string { return []string{"all"} }, false},
 			strSurnameMinHash(name), strFirstNameMinHashSex(name),
 			strLSH[0], strLSH[1], strLSH[2],
 		}
@@ -342,12 +467,14 @@ func collisions[K comparable](a, b []K) int {
 	return n
 }
 
-// FuzzBlockingKeys: for any two records, every built-in strategy gives
-// each as many integer keys as string keys, and the two records collide on
-// as many integer key pairs as string key pairs; so they share an integer
-// key exactly when they share a string key, with the same raw hit count.
-// The key functions are reused across inputs, so their caches are
-// exercised too.
+// FuzzBlockingKeys: for any two records, under every built-in strategy,
+// a record's index keys are as many as the blocks of its string keys and
+// its probe keys are distinct, and a probe key of either record meets an
+// index key of the other exactly as often as the symmetric string keys
+// meet in distinct blocks; so the two records are a candidate pair exactly
+// when they share a string key, with the raw hit count of the string
+// oracle. Ages cover the ends of int, where birth-year bands wrap. The key
+// functions are reused across inputs, so their caches are exercised too.
 func FuzzBlockingKeys(f *testing.F) {
 	f.Add("John", "Smith", byte('m'), 30, "Jon", "Smyth", byte('m'), 41, 10)
 	f.Add("Mary", "Ashworth", byte('f'), -1, "mary", "ASHWORTH ", byte('f'), 25, 10)
@@ -355,25 +482,42 @@ func FuzzBlockingKeys(f *testing.F) {
 	f.Add("", "", byte('m'), 40, " ", "\t", byte('m'), 40, 0)
 	f.Add("ß", "Øre", byte('f'), math.MaxInt, "ss", "ore", byte('f'), math.MinInt, -3)
 	f.Add("ann", "banana", byte('f'), 0, "anne", "bananas", byte('f'), 2, 1)
+	// Birth years math.MinInt and math.MaxInt: the bands are one apart
+	// modulo 2^64 (the by-1 of the first wraps to the second).
+	f.Add("ann", "ashworth", byte('f'), math.MinInt+1871, "ann", "ashworth", byte('f'), 1871-math.MaxInt, 0)
+	f.Add("ann", "ashworth", byte('f'), math.MaxInt, "ann", "ashworth", byte('f'), math.MaxInt, 0)
+	f.Add("ann", "ashworth", byte('f'), math.MinInt, "ann", "ashworth", byte('f'), math.MinInt, 2)
+	f.Add("ann", "ashworth", byte('f'), 30, "ann", "ashworth", byte('f'), 43, 10) // bands three apart
 	strategies, oracles := fuzzStrategies()
-	fns := make([]block.KeyFunc, len(strategies))
+	keys := make([]block.KeyFunc, len(strategies))
+	probes := make([]block.KeyFunc, len(strategies))
 	for si, s := range strategies {
-		fns[si] = s.Keys()
+		keys[si] = s.Keys()
+		probes[si] = s.Keys()
+		if s.Probe != nil {
+			probes[si] = s.Probe()
+		}
 	}
 	f.Fuzz(func(t *testing.T, fn1, sn1 string, sex1 byte, age1 int, fn2, sn2 string, sex2 byte, age2, gap int) {
 		a := &census.Record{ID: "a", FirstName: fn1, Surname: sn1, Sex: census.Sex(sex1), Age: age1}
 		b := &census.Record{ID: "b", FirstName: fn2, Surname: sn2, Sex: census.Sex(sex2), Age: age2}
 		for si, s := range strategies {
-			ka, kb := fns[si](a, 1871, nil), fns[si](b, 1871+gap, nil)
-			sa, sb := oracles[si].keys(a, 1871), oracles[si].keys(b, 1871+gap)
-			if len(ka) != len(sa) || len(kb) != len(sb) {
-				t.Fatalf("%s: %d and %d keys, string keys %d and %d", s.Name, len(ka), len(kb), len(sa), len(sb))
+			o := oracles[si]
+			ka, kb := keys[si](a, 1871, nil), keys[si](b, 1871+gap, nil)
+			pa, pb := probes[si](a, 1871, nil), probes[si](b, 1871+gap, nil)
+			sa, sb := o.keys(a, 1871), o.keys(b, 1871+gap)
+			if len(ka) != o.blockHits(sa, sa) || len(kb) != o.blockHits(sb, sb) {
+				t.Fatalf("%s: %d and %d index keys, %d and %d string blocks (%q, %q)",
+					s.Name, len(ka), len(kb), o.blockHits(sa, sa), o.blockHits(sb, sb), sa, sb)
 			}
-			if got, want := collisions(ka, kb), collisions(sa, sb); got != want {
-				t.Fatalf("%s: %d colliding key pairs, string keys %d (%q vs %q)", s.Name, got, want, sa, sb)
+			if collisions(pa, pa) != len(pa) || collisions(pb, pb) != len(pb) {
+				t.Fatalf("%s: repeated probe keys %v, %v", s.Name, pa, pb)
 			}
-			if got, want := collisions(ka, ka), collisions(sa, sa); got != want {
-				t.Fatalf("%s: a record's keys collide %d times among themselves, string keys %d (%q)", s.Name, got, want, sa)
+			if got, want := collisions(pa, kb), o.blockHits(sa, sb); got != want {
+				t.Fatalf("%s: a's probe keys meet b's index keys %d times, string blocks %d (%q vs %q)", s.Name, got, want, sa, sb)
+			}
+			if got, want := collisions(pb, ka), o.blockHits(sb, sa); got != want {
+				t.Fatalf("%s: b's probe keys meet a's index keys %d times, string blocks %d (%q vs %q)", s.Name, got, want, sb, sa)
 			}
 		}
 	})

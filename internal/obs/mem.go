@@ -3,6 +3,7 @@ package obs
 import (
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 )
@@ -44,6 +45,14 @@ func (s *Stats) SampleMem() {
 	if rss := ReadPeakRSS(); rss > 0 {
 		s.SetMax(PeakRSS, rss)
 	}
+}
+
+// heapAllocs returns the cumulative heap bytes the process has allocated
+// (runtime/metrics /gc/heap/allocs:bytes).
+func heapAllocs() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // ReadPeakRSS returns the process high-water resident set size in bytes

@@ -37,6 +37,44 @@ func TestStageTimerMonotonicity(t *testing.T) {
 	}
 }
 
+// sink keeps allocations reachable so the compiler cannot drop them.
+var sink [][]byte
+
+// TestStageAllocBytes: a stage records about the heap its calls allocate
+// (the runtime counts small objects a span at a time, so the figure may
+// lag by a few spans), an idle call adds little, and Merge and the JSON
+// report carry the figure.
+func TestStageAllocBytes(t *testing.T) {
+	s := NewStats(nil)
+	stop := s.Stage("work")
+	for range 256 {
+		sink = append(sink, make([]byte, 1<<14))
+	}
+	stop()
+	sink = nil
+	work := s.Report().Stages["work"].AllocBytes
+	if work < 3<<20 {
+		t.Fatalf("stage allocating 4 MiB recorded %d bytes", work)
+	}
+	s.Stage("idle")()
+	if idle := s.Report().Stages["idle"].AllocBytes; idle >= 1<<20 {
+		t.Errorf("idle stage recorded %d bytes", idle)
+	}
+	merged := NewStats(nil)
+	merged.Merge(s.Report())
+	merged.Merge(s.Report())
+	if got := merged.Report().Stages["work"].AllocBytes; got != 2*work {
+		t.Errorf("merged %d bytes, want %d", got, 2*work)
+	}
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, s.Report()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"alloc_bytes"`) {
+		t.Errorf("JSON report has no alloc_bytes: %s", buf.String())
+	}
+}
+
 // TestCounterAggregationAcrossIterations: counters land on the open
 // iteration snapshot and on the run totals; totals span all iterations
 // plus counts added outside any iteration (the remainder pass).

@@ -19,9 +19,9 @@ import (
 	"censuslink/internal/synth"
 )
 
-// districtScoped wraps a blocking strategy so its keys are scoped by the
-// record's synthetic district (the "d<N>_" ID prefix emitted by
-// synth.Config.Districts). Multi-district populations have no inter-district
+// districtScoped wraps a blocking strategy so its index and probe keys are
+// scoped by the record's synthetic district (the "d<N>_" ID prefix emitted
+// by synth.Config.Districts). Multi-district populations have no inter-district
 // migration, so scoping blocks by district loses no true matches while
 // keeping candidate pairs linear rather than quadratic in the district
 // count — the same role enumeration districts play in real census linkage.
@@ -32,10 +32,9 @@ import (
 // that does not fit, or is written with a leading zero (so two prefixes
 // would share a number), panics rather than merging districts.
 func districtScoped(inner block.Strategy) block.Strategy {
-	return block.Strategy{
-		Name: inner.Name + "-district",
-		Keys: func() block.KeyFunc {
-			keys := inner.Keys()
+	scoped := func(factory func() block.KeyFunc) func() block.KeyFunc {
+		return func() block.KeyFunc {
+			keys := factory()
 			return func(r *census.Record, year int, dst []block.Key) []block.Key {
 				first := len(dst)
 				dst = keys(r, year, dst)
@@ -52,8 +51,13 @@ func districtScoped(inner block.Strategy) block.Strategy {
 				}
 				return dst
 			}
-		},
+		}
 	}
+	s := block.Strategy{Name: inner.Name + "-district", Keys: scoped(inner.Keys)}
+	if inner.Probe != nil {
+		s.Probe = scoped(inner.Probe)
+	}
+	return s
 }
 
 // TestLink1M generates a multi-district pair of roughly a million records
