@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check bench bench-regress store-golden chaos report fuzz fuzz-smoke clean
+.PHONY: all build test vet check bench bench-regress store-golden chaos report fuzz fuzz-smoke loc clean
 
 all: build vet test
 
@@ -74,6 +74,11 @@ fuzz-smoke:
 	$(GO) test ./internal/census/ -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 5s
 	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 5s
 	$(GO) test ./internal/linkage/ -run FuzzBlockingKeys -fuzz FuzzBlockingKeys -fuzztime 5s
+
+# Non-test Go lines outside the benchmark module and its build directory:
+# the size figure ROADMAP tracks from round to round.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -exec cat {} + | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -142,7 +142,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	eng := sim.Compile(oldDS.Records(), newDS.Records())
-	sub := linkage.NewGroupMatcher(pre, eng, *delta, cfg).MatchGroups(graphOld, graphNew)
+	sub := linkage.NewGroupMatcher(pre, eng, cfg).MatchGroups(graphOld, graphNew)
 	if sub == nil {
 		fmt.Fprintln(stdout, "\nverdict: NO LINK (fewer than two compatible vertices, or no edge")
 		fmt.Fprintln(stdout, "with matching relationship type and similar age difference survived)")

@@ -16,7 +16,6 @@
 //   - internal/strsim      — string similarity functions
 //   - internal/block       — blocking / indexing
 //   - internal/cluster     — union-find clustering
-//   - internal/assign      — Hungarian optimal 1:1 assignment
 //   - internal/evolution   — evolution patterns and the evolution graph
 //   - internal/evaluate    — precision / recall / F-measure
 //   - internal/synth       — synthetic Rawtenstall-profile census generator

@@ -24,12 +24,9 @@ type AblationData struct {
 //   - one-shot         — no threshold relaxation (Table 5's baseline)
 //   - direct-vertices  — subgraph vertices restricted to directly compared
 //     pairs instead of the paper's cluster labels
-//   - vertex-guards    — extra sex/similarity guards on transitive vertices
 //   - no-remainder     — without the final Sim_func_rem pass
 //   - no-structure     — group selection by record similarity alone
 //     (α=1, β=0), ignoring edges and uniqueness
-//   - optimal-remainder — Hungarian assignment instead of greedy matching
-//     for the leftover records
 func (e *Env) Ablation() (*report.Table, *AblationData, error) {
 	old, new := e.evalPair()
 	variants := []struct {
@@ -39,10 +36,8 @@ func (e *Env) Ablation() (*report.Table, *AblationData, error) {
 		{"default", func(*linkage.Config) {}},
 		{"one-shot", func(c *linkage.Config) { c.DeltaHigh, c.DeltaLow, c.DeltaStep = 0.5, 0.5, 0 }},
 		{"direct-vertices", func(c *linkage.Config) { c.DirectVerticesOnly = true }},
-		{"vertex-guards", func(c *linkage.Config) { c.VertexGuards = true }},
 		{"no-remainder", func(c *linkage.Config) { c.Remainder = c.Remainder.WithDelta(1.0) }},
 		{"no-structure", func(c *linkage.Config) { c.Alpha, c.Beta = 1.0, 0.0 }},
-		{"optimal-remainder", func(c *linkage.Config) { c.OptimalRemainder = true }},
 	}
 	data := &AblationData{Results: make(map[string]Quality)}
 	t := &report.Table{

@@ -30,13 +30,9 @@ func (c Config) Fingerprint() string {
 	fmt.Fprintf(h, "delta %.9f %.9f %.9f\n", c.DeltaHigh, c.DeltaLow, c.DeltaStep)
 	fmt.Fprintf(h, "weights %.9f %.9f\n", c.Alpha, c.Beta)
 	fmt.Fprintf(h, "agetol %d\n", c.AgeTolerance)
-	fmt.Fprintf(h, "flags %t %t %t %t\n",
-		c.StopOnEmpty, c.DirectVerticesOnly, c.VertexGuards, c.OptimalRemainder)
-	if c.OptimalRemainder {
-		// The optimal remainder solves in record-ID order; snapshots
-		// solved in row order must not resolve.
-		fmt.Fprintf(h, "remainder-solve by-id\n")
-	}
+	// The two constant columns held switches that have since been removed;
+	// keeping them keeps every stored snapshot's address.
+	fmt.Fprintf(h, "flags %t %t false false\n", c.StopOnEmpty, c.DirectVerticesOnly)
 	for _, s := range c.Strategies {
 		fmt.Fprintf(h, "block %q\n", s.Name)
 	}

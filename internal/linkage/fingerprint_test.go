@@ -27,8 +27,6 @@ func TestFingerprintSeesOutputAffectingKnobs(t *testing.T) {
 		"remainder":        func(c *Config) { c.Remainder.Delta = 0.9 },
 		"stop-on-empty":    func(c *Config) { c.StopOnEmpty = !c.StopOnEmpty },
 		"direct-vertices":  func(c *Config) { c.DirectVerticesOnly = !c.DirectVerticesOnly },
-		"vertex-guards":    func(c *Config) { c.VertexGuards = !c.VertexGuards },
-		"optimal-remaind":  func(c *Config) { c.OptimalRemainder = !c.OptimalRemainder },
 		"blocking":         func(c *Config) { c.Strategies = c.Strategies[:1] },
 		"matcher-identity": func(c *Config) { c.Sim.Matchers[0].Name = "levenshtein" },
 	}
@@ -67,10 +65,11 @@ func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	}
 }
 
-// TestFingerprintPinned: the fingerprints of the default configuration and
-// of the same configuration with LSH blocking are the config third of every
-// stored snapshot's address, so they must not drift — snapshots written by
-// earlier builds still resolve.
+// TestFingerprintPinned: the fingerprints of the default configuration, of
+// the same configuration with LSH blocking and of the one with
+// DirectVerticesOnly are the config third of every stored snapshot's
+// address, so they must not drift — snapshots written by earlier builds
+// still resolve.
 func TestFingerprintPinned(t *testing.T) {
 	if got, want := DefaultConfig().Fingerprint(),
 		"eca717a9c092041c229985915238dc5a8a418aa1e5f869ecc86c0a57071432ea"; got != want {
@@ -85,5 +84,11 @@ func TestFingerprintPinned(t *testing.T) {
 	if got, want := cfg.Fingerprint(),
 		"f2260063441cefc8f76b84ada4eaf2ceffb7f4a70226466e1386b52fc282ea59"; got != want {
 		t.Errorf("lsh fingerprint %s, want %s", got, want)
+	}
+	cfg = DefaultConfig()
+	cfg.DirectVerticesOnly = true
+	if got, want := cfg.Fingerprint(),
+		"e006a61a902c60c36f1c6e3d29579dc77485e6b2df734470f04e5671ffd41c12"; got != want {
+		t.Errorf("direct-vertices fingerprint %s, want %s", got, want)
 	}
 }

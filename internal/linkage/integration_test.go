@@ -152,21 +152,3 @@ func TestPipelineSeedStability(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestVertexGuardsImprovePrecision: the opt-in guards must not lower record
-// precision.
-func TestVertexGuardsImprovePrecision(t *testing.T) {
-	old, new, res := linkedPair(t)
-	cfg := linkage.DefaultConfig()
-	cfg.VertexGuards = true
-	guarded, err := linkage.LinkContext(context.Background(), old, new, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := evaluate.TrueRecordMapping(old, new)
-	base := evaluate.RecordMetrics(res.RecordLinks, truth)
-	strict := evaluate.RecordMetrics(guarded.RecordLinks, truth)
-	if strict.Precision+0.02 < base.Precision {
-		t.Errorf("guards lowered precision: %.3f -> %.3f", base.Precision, strict.Precision)
-	}
-}

@@ -233,49 +233,46 @@ func shuffleDataset(t *testing.T, d *census.Dataset, rng *rand.Rand) *census.Dat
 // TestLinkInvariantUnderRowOrder: the row order of a census file carries
 // no meaning, so shuffling both years' households and records must give
 // the same record links, group links, sources and iterations, for both
-// blocking schemes and with the greedy and the optimal remainder pass.
+// blocking schemes.
 func TestLinkInvariantUnderRowOrder(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.04, 1871000), 1871, 1881)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, scheme := range []string{"default", "lsh"} {
-		for _, optimal := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/optimal=%t", scheme, optimal), func(t *testing.T) {
-				cfg := DefaultConfig()
-				if cfg.Strategies, err = ParseBlocking(scheme); err != nil {
-					t.Fatal(err)
-				}
-				cfg.OptimalRemainder = optimal
-				base, err := LinkContext(context.Background(), old, new, cfg)
+		t.Run(scheme, func(t *testing.T) {
+			cfg := DefaultConfig()
+			if cfg.Strategies, err = ParseBlocking(scheme); err != nil {
+				t.Fatal(err)
+			}
+			base, err := LinkContext(context.Background(), old, new, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base.RemainderRecordLinks == 0 || len(base.GroupLinks) == 0 {
+				t.Fatal("base run found no remainder or group links; the check would be vacuous")
+			}
+			rng := rand.New(rand.NewSource(1881000))
+			for shuffle := 0; shuffle < 2; shuffle++ {
+				got, err := LinkContext(context.Background(),
+					shuffleDataset(t, old, rng), shuffleDataset(t, new, rng), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if base.RemainderRecordLinks == 0 || len(base.GroupLinks) == 0 {
-					t.Fatal("base run found no remainder or group links; the check would be vacuous")
-				}
-				rng := rand.New(rand.NewSource(1881000))
-				for shuffle := 0; shuffle < 2; shuffle++ {
-					got, err := LinkContext(context.Background(),
-						shuffleDataset(t, old, rng), shuffleDataset(t, new, rng), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, cmp := range []struct {
-						name      string
-						got, want any
-					}{
-						{"record links", got.RecordLinks, base.RecordLinks},
-						{"group links", got.GroupLinks, base.GroupLinks},
-						{"sources", got.Sources, base.Sources},
-						{"iterations", got.Iterations, base.Iterations},
-					} {
-						if !reflect.DeepEqual(cmp.got, cmp.want) {
-							t.Errorf("shuffle %d: %s differ from the unshuffled run's", shuffle, cmp.name)
-						}
+				for _, cmp := range []struct {
+					name      string
+					got, want any
+				}{
+					{"record links", got.RecordLinks, base.RecordLinks},
+					{"group links", got.GroupLinks, base.GroupLinks},
+					{"sources", got.Sources, base.Sources},
+					{"iterations", got.Iterations, base.Iterations},
+				} {
+					if !reflect.DeepEqual(cmp.got, cmp.want) {
+						t.Errorf("shuffle %d: %s differ from the unshuffled run's", shuffle, cmp.name)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"censuslink/internal/assign"
 	"censuslink/internal/block"
 	"censuslink/internal/census"
 	"censuslink/internal/compare"
@@ -50,12 +49,6 @@ type Config struct {
 	// DirectVerticesOnly restricts subgraph vertices to directly compared
 	// pairs (ablation; the paper uses cluster labels, see MatchConfig).
 	DirectVerticesOnly bool
-	// VertexGuards enables extra vertex-level sanity guards beyond the
-	// paper (see MatchConfig.VertexGuards).
-	VertexGuards bool
-	// OptimalRemainder solves the leftover 1:1 matching optimally (maximum
-	// total similarity via the Hungarian algorithm) instead of greedily.
-	OptimalRemainder bool
 	// Panics selects what a pool-worker panic does to the run: abort with a
 	// typed *PipelineError naming the offending work item (PanicFailFast,
 	// the default), or skip the poisoned item, count it on the
@@ -118,8 +111,8 @@ func (c Config) Validate() error {
 				c.DeltaHigh, c.DeltaLow, c.DeltaStep, n, maxDeltaPasses)
 		}
 	}
-	if c.Alpha < 0 || c.Beta < 0 || c.Alpha+c.Beta > 1.0001 {
-		return fmt.Errorf("linkage: invalid group weights alpha=%.2f beta=%.2f", c.Alpha, c.Beta)
+	if !(c.Alpha >= 0 && c.Beta >= 0 && c.Alpha+c.Beta <= 1.0001) {
+		return fmt.Errorf("linkage: invalid group weights alpha=%v beta=%v", c.Alpha, c.Beta)
 	}
 	if c.AgeTolerance < 0 {
 		return fmt.Errorf("linkage: negative age tolerance %d", c.AgeTolerance)
@@ -388,8 +381,8 @@ func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook ru
 }
 
 // RemainderOptions configures one standalone leftover-matching pass (see
-// MatchRemaining). The zero value of every field is usable: year 0, a
-// greedy pass with no observability.
+// MatchRemaining). The zero value of every field is usable: year 0 and
+// no observability.
 type RemainderOptions struct {
 	// Sim is the attribute-only similarity function Sim_func_rem; its own
 	// Delta applies.
@@ -400,19 +393,15 @@ type RemainderOptions struct {
 	Match MatchConfig
 	// Strategies is the blocking configuration; it must not be empty.
 	Strategies []block.Strategy
-	// Optimal solves the 1:1 matching optimally (Hungarian) instead of
-	// greedily by descending similarity.
-	Optimal bool
 	// Obs, when non-nil, receives the pass's PrunedComparisons.
 	Obs *obs.Stats
 }
 
 // MatchRemaining links leftover records with the attribute-only similarity
 // function Sim_func_rem: blocked candidates above the threshold that are
-// age-consistent with the census interval, selected into a 1:1 mapping —
-// greedily by descending similarity, or optimally (maximum total similarity
-// via the Hungarian algorithm) with opts.Optimal. It is the single
-// standalone entry point of the remainder pass.
+// age-consistent with the census interval, selected greedily by descending
+// similarity into a 1:1 mapping. It is the single standalone entry point of
+// the remainder pass.
 func MatchRemaining(ctx context.Context, old, new []*census.Record, opts RemainderOptions) ([]RecordLink, error) {
 	tab, err := compileTable(ctx, old, opts.OldYear, new, opts.NewYear, opts.Strategies,
 		0, PanicFailFast, nil)
@@ -424,20 +413,19 @@ func MatchRemaining(ctx context.Context, old, new []*census.Record, opts Remaind
 		return nil, err
 	}
 	cp := &compiledPair{eng: eng, tab: tab, active: allActive(len(new))}
-	return matchRemainder(ctx, old, new, opts.Sim, opts.Match, cp, opts.Optimal, opts.Obs)
+	return matchRemainder(ctx, old, opts.Sim, opts.Match, cp, opts.Obs)
 }
 
 // matchRemainder is the remainder pass: after the remainder fault-injection
 // checkpoint it collects the blocked, age-consistent candidate links with
 // similarity at or above Sim_func_rem's δ — the candidate-table rows of the
 // old records filtered by cp's active mask, scored through the compiled
-// engine — and selects them into a 1:1 mapping, greedily or optimally. The
-// scan's pruned comparisons are added to obs.PrunedComparisons on st once.
-// The candidate scan observes ctx every few records and aborts with a typed
-// error; the assignment solve runs to completion (it is in-memory and brief
-// relative to the scan). With a background context it never fails.
-func matchRemainder(ctx context.Context, old, new []*census.Record,
-	f SimFunc, cfg MatchConfig, cp *compiledPair, optimal bool, st *obs.Stats) ([]RecordLink, error) {
+// engine — and selects them greedily into a 1:1 mapping. The scan's pruned
+// comparisons are added to obs.PrunedComparisons on st once. The candidate
+// scan observes ctx every few records and aborts with a typed error; with a
+// background context it never fails.
+func matchRemainder(ctx context.Context, old []*census.Record,
+	f SimFunc, cfg MatchConfig, cp *compiledPair, st *obs.Stats) ([]RecordLink, error) {
 	if err := faultinject.Hit("linkage.remainder"); err != nil {
 		return nil, &PipelineError{Stage: "remainder", Delta: f.Delta, Chunk: -1, Err: err}
 	}
@@ -470,9 +458,6 @@ func matchRemainder(ctx context.Context, old, new []*census.Record,
 		}
 	}
 	st.Add(obs.PrunedComparisons, pruned)
-	if optimal {
-		return optimalRemainder(cands, old, new), nil
-	}
 	return greedyRemainder(cands), nil
 }
 
@@ -501,47 +486,6 @@ func greedyRemainder(cands []RecordLink) []RecordLink {
 		usedOld[c.Old] = true
 		usedNew[c.New] = true
 		out = append(out, c)
-	}
-	return out
-}
-
-// optimalRemainder selects the 1:1 mapping of maximum total similarity over
-// the candidate links with the Hungarian algorithm (per connected candidate
-// component), sorted by record IDs. The solver breaks ties by element and
-// edge order, so it is given both record lists and the candidates sorted
-// by record ID: the mapping then does not depend on the datasets' row
-// order.
-func optimalRemainder(cands []RecordLink, old, new []*census.Record) []RecordLink {
-	byID := func(a, b *census.Record) int { return strings.Compare(a.ID, b.ID) }
-	old, new, cands = slices.Clone(old), slices.Clone(new), slices.Clone(cands)
-	slices.SortFunc(old, byID)
-	slices.SortFunc(new, byID)
-	sortLinks(cands)
-	oldIdx := make(map[string]int, len(old))
-	for i, r := range old {
-		oldIdx[r.ID] = i
-	}
-	newIdx := make(map[string]int, len(new))
-	for i, r := range new {
-		newIdx[r.ID] = i
-	}
-	edges := make([]assign.Edge, 0, len(cands))
-	for _, c := range cands {
-		edges = append(edges, assign.Edge{Left: oldIdx[c.Old], Right: newIdx[c.New], Weight: c.Sim})
-	}
-	match := assign.Max(len(old), len(new), edges)
-	sims := make(map[[2]int]float64, len(edges))
-	for _, e := range edges {
-		k := [2]int{e.Left, e.Right}
-		if e.Weight > sims[k] {
-			sims[k] = e.Weight
-		}
-	}
-	var out []RecordLink
-	for l, r := range match {
-		if r >= 0 {
-			out = append(out, RecordLink{Old: old[l].ID, New: new[r].ID, Sim: sims[[2]int{l, r}]})
-		}
 	}
 	return out
 }

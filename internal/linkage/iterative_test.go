@@ -12,12 +12,12 @@ import (
 )
 
 // matchRemainingT is the test shorthand for one remainder pass: background
-// context (errors impossible), greedy or Hungarian selection per optimal.
+// context (errors impossible).
 func matchRemainingT(old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	f SimFunc, cfg MatchConfig, strategies []block.Strategy, optimal bool) []RecordLink {
+	f SimFunc, cfg MatchConfig, strategies []block.Strategy) []RecordLink {
 	links, err := MatchRemaining(context.Background(), old, new, RemainderOptions{
 		Sim: f, OldYear: oldYear, NewYear: newYear,
-		Match: cfg, Strategies: strategies, Optimal: optimal,
+		Match: cfg, Strategies: strategies,
 	})
 	if err != nil {
 		panic(err)
@@ -269,21 +269,31 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	cases := []func(*Config){
-		func(c *Config) { c.DeltaHigh, c.DeltaLow = 0.4, 0.6 },
-		func(c *Config) { c.DeltaStep = 0 },
-		func(c *Config) { c.Alpha, c.Beta = 0.8, 0.5 },
-		func(c *Config) { c.Alpha = -0.1 },
-		func(c *Config) { c.AgeTolerance = -1 },
-		func(c *Config) { c.Strategies = nil },
-		func(c *Config) { c.Sim.Matchers = nil },
-		func(c *Config) { c.Remainder.Matchers = nil },
+	cases := map[string]func(*Config){
+		"inverted deltas":       func(c *Config) { c.DeltaHigh, c.DeltaLow = 0.4, 0.6 },
+		"zero step":             func(c *Config) { c.DeltaStep = 0 },
+		"weights above one":     func(c *Config) { c.Alpha, c.Beta = 0.8, 0.5 },
+		"negative alpha":        func(c *Config) { c.Alpha = -0.1 },
+		"negative tolerance":    func(c *Config) { c.AgeTolerance = -1 },
+		"no strategies":         func(c *Config) { c.Strategies = nil },
+		"no sim matchers":       func(c *Config) { c.Sim.Matchers = nil },
+		"no remainder matchers": func(c *Config) { c.Remainder.Matchers = nil },
 	}
-	for i, mutate := range cases {
+	// Non-finite values fail every range test, including those a NaN
+	// would slip through when written as "x < lo || x > hi".
+	for name, bad := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		cases["sim weight "+name] = func(c *Config) { c.Sim.Matchers[0].Weight = bad }
+		cases["remainder weight "+name] = func(c *Config) { c.Remainder.Matchers[0].Weight = bad }
+		cases["sim delta "+name] = func(c *Config) { c.Sim.Delta = bad }
+		cases["remainder delta "+name] = func(c *Config) { c.Remainder.Delta = bad }
+		cases["alpha "+name] = func(c *Config) { c.Alpha = bad }
+		cases["beta "+name] = func(c *Config) { c.Beta = bad }
+	}
+	for name, mutate := range cases {
 		c := DefaultConfig()
 		mutate(&c)
 		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+			t.Errorf("%s: invalid config accepted", name)
 		}
 	}
 }
@@ -349,7 +359,7 @@ func TestMatchRemainingGreedy(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
 	cfg := MatchConfig{AgeTolerance: 3, YearGap: 10}
 	links := matchRemainingT(old.Records(), old.Year, new.Records(), new.Year,
-		NameOnly(0.9), cfg, block.DefaultStrategies(), false)
+		NameOnly(0.9), cfg, block.DefaultStrategies())
 	got := map[string]string{}
 	for _, l := range links {
 		got[l.Old] = l.New
@@ -381,7 +391,7 @@ func TestMatchRemainingAgeWindow(t *testing.T) {
 	links := matchRemainingT(
 		[]*census.Record{old.Record("1871_4")}, old.Year,
 		[]*census.Record{new.Record("1881_11")}, new.Year,
-		NameOnly(0.9), cfg, block.DefaultStrategies(), false)
+		NameOnly(0.9), cfg, block.DefaultStrategies())
 	if len(links) != 0 {
 		t.Errorf("age-inconsistent remainder link accepted: %v", links)
 	}
@@ -428,58 +438,6 @@ func TestLinkProvenance(t *testing.T) {
 	}
 	if SourceSubgraph.String() != "subgraph" || SourceRemainder.String() != "remainder" {
 		t.Error("source kind names wrong")
-	}
-}
-
-// TestMatchRemainingOptimal: the Hungarian variant resolves the classic
-// greedy trap — two olds competing for two news where the greedy top pick
-// starves the other — and never totals less similarity than greedy.
-func TestMatchRemainingOptimal(t *testing.T) {
-	old, new := paperexample.Old(), paperexample.New()
-	cfg := MatchConfig{AgeTolerance: 3, YearGap: 10}
-	greedy := matchRemainingT(old.Records(), old.Year, new.Records(), new.Year,
-		NameOnly(0.6), cfg, block.DefaultStrategies(), false)
-	optimal := matchRemainingT(old.Records(), old.Year, new.Records(), new.Year,
-		NameOnly(0.6), cfg, block.DefaultStrategies(), true)
-	sum := func(links []RecordLink) float64 {
-		s := 0.0
-		for _, l := range links {
-			s += l.Sim
-		}
-		return s
-	}
-	if sum(optimal) < sum(greedy)-1e-9 {
-		t.Errorf("optimal total %.4f below greedy %.4f", sum(optimal), sum(greedy))
-	}
-	// Both stay 1:1.
-	seen := map[string]bool{}
-	for _, l := range optimal {
-		if seen[l.Old] || seen["n"+l.New] {
-			t.Fatalf("not 1:1: %v", l)
-		}
-		seen[l.Old] = true
-		seen["n"+l.New] = true
-	}
-}
-
-// TestLinkOptimalRemainderConfig: the pipeline accepts the option and still
-// reproduces the running example.
-func TestLinkOptimalRemainderConfig(t *testing.T) {
-	cfg := runningExampleConfig()
-	cfg.OptimalRemainder = true
-	old, new := paperexample.Old(), paperexample.New()
-	res, err := LinkContext(context.Background(), old, new, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]string{}
-	for _, l := range res.RecordLinks {
-		got[l.Old] = l.New
-	}
-	for o, n := range paperexample.TrueRecordMapping() {
-		if got[o] != n {
-			t.Errorf("link %s -> %s missing under optimal remainder", o, n)
-		}
 	}
 }
 

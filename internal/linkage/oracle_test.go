@@ -120,9 +120,9 @@ func preMatchOracle(old []*census.Record, oldYear int, new []*census.Record, new
 
 // remainderOracle is the interpreted remainder pass: blocked,
 // age-consistent candidates from a fresh index over new whose f.AggSim
-// reaches f's δ, selected 1:1 greedily or optimally.
+// reaches f's δ, selected 1:1 greedily.
 func remainderOracle(old []*census.Record, oldYear int, new []*census.Record, newYear int,
-	f SimFunc, match MatchConfig, strategies []block.Strategy, optimal bool) []RecordLink {
+	f SimFunc, match MatchConfig, strategies []block.Strategy) []RecordLink {
 	ix := block.NewIndex(new, newYear, strategies)
 	var cands []RecordLink
 	var scratch block.Scratch
@@ -135,9 +135,6 @@ func remainderOracle(old []*census.Record, oldYear int, new []*census.Record, ne
 				cands = append(cands, RecordLink{Old: o.ID, New: n.ID, Sim: s})
 			}
 		}
-	}
-	if optimal {
-		return optimalRemainder(cands, old, new)
 	}
 	return greedyRemainder(cands)
 }
@@ -156,7 +153,7 @@ func (c *oracleChecker) hook(rs *runState, delta float64, remOld, remNew []*cens
 	cfg := rs.cfg
 	if pre == nil {
 		want := remainderOracle(remOld, rs.old.Year, remNew, rs.new.Year,
-			cfg.Remainder, rs.match, cfg.Strategies, cfg.OptimalRemainder)
+			cfg.Remainder, rs.match, cfg.Strategies)
 		if !reflect.DeepEqual(rem, want) {
 			t.Fatalf("remainder: %d links, oracle %d (or they differ)", len(rem), len(want))
 		}
@@ -227,8 +224,8 @@ func TestLinkEngineDifferential(t *testing.T) {
 }
 
 // TestLinkEngineDifferentialVariants: identity must also hold under the
-// optimal remainder assignment, the one-shot schedule, ω1 matching, both
-// vertex ablations and LSH blocking.
+// one-shot schedule, ω1 matching, one worker, a clamped schedule, direct
+// vertices only and LSH blocking.
 func TestLinkEngineDifferentialVariants(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 41), 1861, 1871)
 	if err != nil {
@@ -239,14 +236,12 @@ func TestLinkEngineDifferentialVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := map[string]func(*Config){
-		"optimal-remainder": func(c *Config) { c.OptimalRemainder = true },
-		"one-shot":          func(c *Config) { c.DeltaHigh, c.DeltaLow, c.DeltaStep = 0.5, 0.5, 0 },
-		"omega1":            func(c *Config) { c.Sim = OmegaOne(0.7) },
-		"single-worker":     func(c *Config) { c.Workers = 1 },
+		"one-shot":      func(c *Config) { c.DeltaHigh, c.DeltaLow, c.DeltaStep = 0.5, 0.5, 0 },
+		"omega1":        func(c *Config) { c.Sim = OmegaOne(0.7) },
+		"single-worker": func(c *Config) { c.Workers = 1 },
 		// Non-multiple DeltaHigh-DeltaLow: the schedule clamps its last
 		// step to δ_low; the oracle must see the identical thresholds.
 		"clamped-schedule":     func(c *Config) { c.DeltaLow = 0.52 },
-		"vertex-guards":        func(c *Config) { c.VertexGuards = true },
 		"direct-vertices-only": func(c *Config) { c.DirectVerticesOnly = true },
 		"lsh":                  func(c *Config) { c.Strategies = lsh },
 	}
@@ -358,7 +353,7 @@ func TestPreMatchOracleDifferential(t *testing.T) {
 }
 
 // TestMatchRemainingOracleDifferential: the standalone remainder entry
-// point selects exactly the oracle's links, greedy and optimal.
+// point selects exactly the oracle's links.
 func TestMatchRemainingOracleDifferential(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.03, 23), 1871, 1881)
 	if err != nil {
@@ -366,22 +361,20 @@ func TestMatchRemainingOracleDifferential(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	match := MatchConfig{AgeTolerance: cfg.AgeTolerance, YearGap: new.Year - old.Year}
-	for _, optimal := range []bool{false, true} {
-		got, err := MatchRemaining(context.Background(), old.Records(), new.Records(), RemainderOptions{
-			Sim: cfg.Remainder, OldYear: old.Year, NewYear: new.Year, Match: match,
-			Strategies: cfg.Strategies, Optimal: optimal,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := remainderOracle(old.Records(), old.Year, new.Records(), new.Year,
-			cfg.Remainder, match, cfg.Strategies, optimal)
-		if len(want) == 0 {
-			t.Fatalf("optimal=%v: oracle found no links; the check would be vacuous", optimal)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("optimal=%v: MatchRemaining %d links, oracle %d (or they differ)", optimal, len(got), len(want))
-		}
+	got, err := MatchRemaining(context.Background(), old.Records(), new.Records(), RemainderOptions{
+		Sim: cfg.Remainder, OldYear: old.Year, NewYear: new.Year, Match: match,
+		Strategies: cfg.Strategies,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := remainderOracle(old.Records(), old.Year, new.Records(), new.Year,
+		cfg.Remainder, match, cfg.Strategies)
+	if len(want) == 0 {
+		t.Fatal("oracle found no links; the check would be vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("MatchRemaining %d links, oracle %d (or they differ)", len(got), len(want))
 	}
 }
 

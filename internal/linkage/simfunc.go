@@ -41,9 +41,11 @@ type SimFunc struct {
 	Delta float64
 }
 
-// Validate checks that the weights are positive and sum to 1 (within a
-// small tolerance) so that aggregated similarities stay in [0, 1], and
-// that the comparison engine can score the weighted matchers.
+// Validate checks that the weights are non-negative and sum to 1 (within a
+// small tolerance) so that aggregated similarities stay in [0, 1], that δ
+// lies in [0, 1], and that the comparison engine can score the weighted
+// matchers. Every range test is written so that NaN fails it, and an
+// infinite weight fails the sum test.
 func (f SimFunc) Validate() error {
 	if len(f.Matchers) == 0 {
 		return fmt.Errorf("linkage: SimFunc %q has no matchers", f.Name)
@@ -51,8 +53,8 @@ func (f SimFunc) Validate() error {
 	sum := 0.0
 	weighted := 0
 	for _, m := range f.Matchers {
-		if m.Weight < 0 {
-			return fmt.Errorf("linkage: SimFunc %q: negative weight for %v", f.Name, m.Attr)
+		if !(m.Weight >= 0) {
+			return fmt.Errorf("linkage: SimFunc %q: weight %v for %v is not non-negative", f.Name, m.Weight, m.Attr)
 		}
 		if m.Sim == nil {
 			return fmt.Errorf("linkage: SimFunc %q: nil similarity for %v", f.Name, m.Attr)
@@ -65,11 +67,11 @@ func (f SimFunc) Validate() error {
 	if weighted > compare.MaxWeightedMatchers {
 		return fmt.Errorf("linkage: SimFunc %q: %d weighted matchers, at most %d", f.Name, weighted, compare.MaxWeightedMatchers)
 	}
-	if sum < 0.999 || sum > 1.001 {
+	if !(sum >= 0.999 && sum <= 1.001) {
 		return fmt.Errorf("linkage: SimFunc %q: weights sum to %.4f, want 1", f.Name, sum)
 	}
-	if f.Delta < 0 || f.Delta > 1 {
-		return fmt.Errorf("linkage: SimFunc %q: delta %.3f outside [0,1]", f.Name, f.Delta)
+	if !(f.Delta >= 0 && f.Delta <= 1) {
+		return fmt.Errorf("linkage: SimFunc %q: delta %v outside [0,1]", f.Name, f.Delta)
 	}
 	return nil
 }

@@ -39,8 +39,6 @@ type ConfigSpec struct {
 	Workers            int         `json:"workers,omitempty"`
 	StopOnEmpty        bool        `json:"stop_on_empty"`
 	DirectVerticesOnly bool        `json:"direct_vertices_only,omitempty"`
-	VertexGuards       bool        `json:"vertex_guards,omitempty"`
-	OptimalRemainder   bool        `json:"optimal_remainder,omitempty"`
 	// Blocking selects the candidate-generation scheme: "default" (when
 	// empty), "high-recall", "lsh" or "lsh+default" (see ParseBlocking).
 	Blocking string `json:"blocking,omitempty"`
@@ -137,8 +135,6 @@ func (s ConfigSpec) Build() (Config, error) {
 		Workers:            s.Workers,
 		StopOnEmpty:        s.StopOnEmpty,
 		DirectVerticesOnly: s.DirectVerticesOnly,
-		VertexGuards:       s.VertexGuards,
-		OptimalRemainder:   s.OptimalRemainder,
 	}
 	cfg.Strategies, err = ParseBlocking(s.Blocking)
 	if err != nil {

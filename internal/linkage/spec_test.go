@@ -38,8 +38,7 @@ func TestDefaultConfigSpecBuilds(t *testing.T) {
 
 func TestConfigSpecRoundTrip(t *testing.T) {
 	spec := DefaultConfigSpec()
-	spec.OptimalRemainder = true
-	spec.VertexGuards = true
+	spec.DirectVerticesOnly = true
 	var buf bytes.Buffer
 	if err := WriteConfigSpec(&buf, spec); err != nil {
 		t.Fatal(err)
@@ -48,7 +47,7 @@ func TestConfigSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DeltaHigh != spec.DeltaHigh || !got.OptimalRemainder || !got.VertexGuards {
+	if got.DeltaHigh != spec.DeltaHigh || !got.DirectVerticesOnly {
 		t.Errorf("round trip lost fields: %+v", got)
 	}
 	if len(got.Sim.Matchers) != 5 || got.Sim.Matchers[0].Attribute != "first name" {
@@ -93,11 +92,13 @@ func TestConfigSpecErrors(t *testing.T) {
 	}
 }
 
-// TestConfigSpecRejectsRemovedFields: a config file still carrying the
-// removed "shards" or "engine" field fails to load with an error naming
-// the field, rather than silently running without it.
+// TestConfigSpecRejectsRemovedFields: a config file still carrying a
+// removed field ("shards", "engine", "vertex_guards" or
+// "optimal_remainder") fails to load with an error naming the field,
+// rather than silently running without it.
 func TestConfigSpecRejectsRemovedFields(t *testing.T) {
-	for _, field := range []string{`"shards": 4`, `"engine": "naive"`} {
+	for _, field := range []string{`"shards": 4`, `"engine": "naive"`,
+		`"vertex_guards": true`, `"optimal_remainder": true`} {
 		var buf bytes.Buffer
 		if err := WriteConfigSpec(&buf, DefaultConfigSpec()); err != nil {
 			t.Fatal(err)

@@ -78,7 +78,6 @@ func buildGraphs(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) 
 			Alpha:              cfg.Alpha,
 			Beta:               cfg.Beta,
 			DirectVerticesOnly: cfg.DirectVerticesOnly,
-			VertexGuards:       cfg.VertexGuards,
 		},
 		oldHH: hh[0],
 		newHH: hh[1],
@@ -154,7 +153,7 @@ func (rs *runState) candidateGroups(pre *PreMatchResult) []uint64 {
 // out in pair order.
 func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []uint64, pre *PreMatchResult) ([]*Subgraph, error) {
 	stop := rs.cfg.Obs.Stage("subgraph_match")
-	gm := NewGroupMatcher(pre, rs.sim.eng, delta, rs.match)
+	gm := NewGroupMatcher(pre, rs.sim.eng, rs.match)
 	slots := make([]*Subgraph, len(pairs))
 	_, err := runChunks(ctx, "subgraph_match", delta, len(pairs), 1, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs,
 		func(ci, _, _ int) error {
@@ -183,8 +182,7 @@ func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []ui
 func (rs *runState) remainder(ctx context.Context, remOld, remNew []*census.Record) ([]RecordLink, error) {
 	stop := rs.cfg.Obs.Stage("remainder")
 	rs.rem.setActive(remNew)
-	links, err := matchRemainder(ctx, remOld, remNew, rs.cfg.Remainder, rs.match,
-		rs.rem, rs.cfg.OptimalRemainder, rs.cfg.Obs)
+	links, err := matchRemainder(ctx, remOld, rs.cfg.Remainder, rs.match, rs.rem, rs.cfg.Obs)
 	stop()
 	return links, err
 }

@@ -57,12 +57,6 @@ type MatchConfig struct {
 	// labelled pair (the transitive closure of the match relation), which
 	// is the default; the restriction is a stricter ablation variant.
 	DirectVerticesOnly bool
-	// VertexGuards enables extra sanity guards on transitive vertex pairs
-	// (sex agreement and a similarity floor of δ/2) that go beyond the
-	// paper. The record-pair age window always applies: the paper's
-	// footnote 2 states that subgraph matching rejects pairs whose
-	// normalised age difference exceeds the tolerance.
-	VertexGuards bool
 }
 
 // rpSim converts an age-difference deviation into the relationship-property
@@ -104,9 +98,8 @@ func (c MatchConfig) AgeConsistent(o, n *census.Record) bool {
 // in O(1), allocates nothing, and is read-only afterwards, so the stage's
 // workers share it.
 type GroupMatcher struct {
-	eng   *compare.Engine
-	delta float64
-	cfg   MatchConfig
+	eng *compare.Engine
+	cfg MatchConfig
 	// oldLabel[i] and newLabel[j] are the cluster labels of old record i and
 	// new record j, or -1 for a record outside the pre-matching input.
 	oldLabel, newLabel []int32
@@ -117,20 +110,19 @@ type GroupMatcher struct {
 	links []CandidateLink
 }
 
-// NewGroupMatcher builds the position view of a pre-matching pass at
-// threshold delta. The engine must be compiled over the full record lists
-// of the two datasets the household graphs were built from, so that its
-// positions are the graphs' member positions (hgraph.Graph.Positions), and
-// pre must have been computed over the same lists. Pairs linked only
-// transitively are scored through it, bit-for-bit equal to SimFunc.AggSim.
-func NewGroupMatcher(pre *PreMatchResult, eng *compare.Engine, delta float64, cfg MatchConfig) *GroupMatcher {
+// NewGroupMatcher builds the position view of a pre-matching pass. The
+// engine must be compiled over the full record lists of the two datasets
+// the household graphs were built from, so that its positions are the
+// graphs' member positions (hgraph.Graph.Positions), and pre must have been
+// computed over the same lists. Pairs linked only transitively are scored
+// through it, bit-for-bit equal to SimFunc.AggSim.
+func NewGroupMatcher(pre *PreMatchResult, eng *compare.Engine, cfg MatchConfig) *GroupMatcher {
 	if len(pre.OldLabels) != len(eng.Old.Recs) || len(pre.NewLabels) != len(eng.New.Recs) {
 		panic(fmt.Sprintf("linkage: pre-matching over %d+%d records, engine over %d+%d",
 			len(pre.OldLabels), len(pre.NewLabels), len(eng.Old.Recs), len(eng.New.Recs)))
 	}
 	return &GroupMatcher{
 		eng:       eng,
-		delta:     delta,
 		cfg:       cfg,
 		oldLabel:  pre.OldLabels,
 		newLabel:  pre.NewLabels,
@@ -207,18 +199,7 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 			if m.cfg.DirectVerticesOnly {
 				continue
 			}
-			// The records sit in one cluster but were never compared
-			// directly. With VertexGuards on, chains of barely-similar
-			// records are cut: contradictory sex values and pairs below half
-			// of the direct threshold are rejected.
-			o, n := oldMembers[c.i], newMembers[c.j]
-			if m.cfg.VertexGuards && o.Sex != census.SexUnknown && n.Sex != census.SexUnknown && o.Sex != n.Sex {
-				continue
-			}
 			sim = m.eng.AggSim(int(oldPos[c.i]), int(newPos[c.j]))
-			if m.cfg.VertexGuards && sim < m.delta/2 {
-				continue
-			}
 		}
 		c.sim = sim
 		kept = append(kept, c)

@@ -41,15 +41,7 @@ func matchGroupsOracle(gOld, gNew *hgraph.Graph, pre *preMatchView, f SimFunc, c
 				if !okN || lo != ln {
 					continue
 				}
-				if cfg.VertexGuards {
-					if o.Sex != census.SexUnknown && n.Sex != census.SexUnknown && o.Sex != n.Sex {
-						continue
-					}
-				}
 				sim = f.AggSim(o, n)
-				if cfg.VertexGuards && sim < f.Delta/2 {
-					continue
-				}
 			}
 			if !cfg.AgeConsistent(o, n) {
 				continue
@@ -164,7 +156,7 @@ func matchGroupsOracle(gOld, gNew *hgraph.Graph, pre *preMatchView, f SimFunc, c
 func matchChecked(t *testing.T, old, new *census.Dataset, gOld, gNew *hgraph.Graph,
 	pre *PreMatchResult, f SimFunc, cfg MatchConfig) *Subgraph {
 	t.Helper()
-	gm := NewGroupMatcher(pre, f.Compile(old.Records(), new.Records()), f.Delta, cfg)
+	gm := NewGroupMatcher(pre, f.Compile(old.Records(), new.Records()), cfg)
 	got := gm.MatchGroups(gOld, gNew)
 	if want := matchGroupsOracle(gOld, gNew, viewOf(pre), f, cfg); !reflect.DeepEqual(got, want) {
 		t.Fatalf("(%s, %s): MatchGroups %+v, oracle %+v", gOld.HouseholdID, gNew.HouseholdID, got, want)
@@ -430,7 +422,7 @@ func (h *subgraphOracleHook) hook(rs *runState, delta float64, _, _ []*census.Re
 		return
 	}
 	f := rs.cfg.Sim.WithDelta(delta)
-	gm := NewGroupMatcher(pre, rs.sim.eng, delta, rs.match)
+	gm := NewGroupMatcher(pre, rs.sim.eng, rs.match)
 	view := viewOf(pre)
 	for _, k := range candidateGroupPairs(pre, rs.oldHH, rs.newHH, nil) {
 		gp := groupPair(k, rs.oldHH, rs.newHH)
@@ -448,7 +440,7 @@ func (h *subgraphOracleHook) hook(rs *runState, delta float64, _, _ []*census.Re
 }
 
 // TestMatchGroupsOracleDifferential: across ω1/ω2, three δ schedules and
-// both vertex ablations, every candidate group pair of every iteration gets
+// both vertex policies (cluster labels and direct pairs only), every candidate group pair of every iteration gets
 // the oracle's subgraph from the position-keyed, engine-scored matcher.
 func TestMatchGroupsOracleDifferential(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 29), 1861, 1871)
@@ -463,20 +455,18 @@ func TestMatchGroupsOracleDifferential(t *testing.T) {
 	}
 	for simName, sim := range sims {
 		for schedName, schedule := range schedules {
-			for _, guards := range []bool{false, true} {
-				for _, directOnly := range []bool{false, true} {
-					cfg := DefaultConfig()
-					cfg.Sim = sim
-					schedule(&cfg)
-					cfg.VertexGuards, cfg.DirectVerticesOnly = guards, directOnly
-					check := &subgraphOracleHook{t: t}
-					if _, err := link(context.Background(), old, new, cfg, check.hook); err != nil {
-						t.Fatal(err)
-					}
-					if check.subs == 0 {
-						t.Errorf("%s/%s guards=%v direct=%v: no subgraph among %d group pairs",
-							simName, schedName, guards, directOnly, check.checked)
-					}
+			for _, directOnly := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.Sim = sim
+				schedule(&cfg)
+				cfg.DirectVerticesOnly = directOnly
+				check := &subgraphOracleHook{t: t}
+				if _, err := link(context.Background(), old, new, cfg, check.hook); err != nil {
+					t.Fatal(err)
+				}
+				if check.subs == 0 {
+					t.Errorf("%s/%s direct=%v: no subgraph among %d group pairs",
+						simName, schedName, directOnly, check.checked)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a titled table with a header row.
@@ -22,16 +23,17 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Render writes the table with aligned columns.
+// Render writes the table with aligned columns. Widths count runes, so a
+// cell such as "µs" pads like any other two-character cell.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -47,7 +49,7 @@ func (t *Table) Render(w io.Writer) error {
 			}
 			b.WriteString(c)
 			if i < len(widths) && i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+				b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 			}
 		}
 		b.WriteByte('\n')

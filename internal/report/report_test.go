@@ -3,6 +3,7 @@ package report
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestTableRender(t *testing.T) {
@@ -35,6 +36,27 @@ func TestTableRender(t *testing.T) {
 	idx1 := strings.Index(lines[3], "1")
 	if idx1 < len("a-much-longer-name") {
 		t.Errorf("column not aligned: %q", lines[3])
+	}
+}
+
+// TestTableRenderMultibyte: a cell with a multi-byte rune ("µs") pads by
+// rune count, so the columns after it line up with the other rows'.
+func TestTableRenderMultibyte(t *testing.T) {
+	tab := &Table{Header: []string{"stage", "unit", "value"}}
+	tab.AddRow("compile", "µs", "12")
+	tab.AddRow("remainder", "ms", "3")
+	lines := strings.Split(strings.TrimRight(tab.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("lines = %d: %q", len(lines), lines)
+	}
+	col := func(line, cell string) int {
+		return utf8.RuneCountInString(line[:strings.Index(line, cell)])
+	}
+	want := col(lines[0], "value")
+	for _, c := range []struct{ line, cell string }{{lines[2], "12"}, {lines[3], "3"}} {
+		if got := col(c.line, c.cell); got != want {
+			t.Errorf("%q: value column at rune %d, header's at %d", c.line, got, want)
+		}
 	}
 }
 
