@@ -60,12 +60,14 @@ report:
 	$(GO) run ./cmd/benchall -scale 0.1 -seed 1871 -o experiments_scale010.txt
 
 # Short fuzzing session over the parsing/encoding surfaces, the
-# resumable-score kernel and the integer blocking keys.
+# resumable-score kernel, the integer blocking keys and the subgraph
+# stage's structural filter.
 fuzz:
 	$(GO) test ./internal/strsim/ -fuzz FuzzEncoders -fuzztime 20s
 	$(GO) test ./internal/census/ -fuzz FuzzReadCSV -fuzztime 20s
 	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 20s
 	$(GO) test ./internal/linkage/ -run FuzzBlockingKeys -fuzz FuzzBlockingKeys -fuzztime 20s
+	$(GO) test ./internal/linkage/ -run FuzzStructuralFilter -fuzz FuzzStructuralFilter -fuzztime 20s
 
 # Seconds-long fuzz pass for CI: enough to exercise the seed corpus plus a
 # little mutation without stalling the pipeline.
@@ -74,6 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/census/ -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 5s
 	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 5s
 	$(GO) test ./internal/linkage/ -run FuzzBlockingKeys -fuzz FuzzBlockingKeys -fuzztime 5s
+	$(GO) test ./internal/linkage/ -run FuzzStructuralFilter -fuzz FuzzStructuralFilter -fuzztime 5s
 
 # Non-test Go lines outside the benchmark module and its build directory:
 # the size figure ROADMAP tracks from round to round.

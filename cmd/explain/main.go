@@ -111,7 +111,7 @@ func run(args []string, stdout io.Writer) error {
 	graphNew := hgraph.Build(newDS, gNew)
 
 	fmt.Fprintf(stdout, "\n--- candidate vertex pairs (delta=%.2f) ---\n", *delta)
-	candidates := 0
+	candidates, consistent := 0, 0
 	sims := pre.Sims()
 	for _, o := range graphOld.Members() {
 		lo, okO := pre.OldLabel(o.ID)
@@ -126,6 +126,8 @@ func run(args []string, stdout io.Writer) error {
 			verdict := "ok"
 			if !cfg.AgeConsistent(o, n) {
 				verdict = "REJECTED: age gap inconsistent with the census interval"
+			} else {
+				consistent++
 			}
 			kind := "transitive"
 			if direct {
@@ -137,15 +139,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if candidates == 0 {
 		fmt.Fprintln(stdout, "  none: no member pair is similar at this threshold.")
-		fmt.Fprintln(stdout, "\nverdict: NO LINK (no shared similar records)")
+	}
+	if consistent < 2 {
+		fmt.Fprintln(stdout, "\nverdict: NO LINK (fewer than two label-sharing, age-consistent member pairs)")
 		return nil
 	}
 
 	eng := sim.Compile(oldDS.Records(), newDS.Records())
 	sub := linkage.NewGroupMatcher(pre, eng, cfg).MatchGroups(graphOld, graphNew)
 	if sub == nil {
-		fmt.Fprintln(stdout, "\nverdict: NO LINK (fewer than two compatible vertices, or no edge")
-		fmt.Fprintln(stdout, "with matching relationship type and similar age difference survived)")
+		fmt.Fprintln(stdout, "\nverdict: NO LINK (no compatible edge: no two chosen member pairs are joined")
+		fmt.Fprintln(stdout, "by edges of the same relationship type with similar age differences)")
 		return nil
 	}
 
@@ -183,7 +187,7 @@ func renderStats(path string, w io.Writer) error {
 	it := &report.Table{
 		Title: "Iterations",
 		Header: []string{"delta", "blocked", "compared", "links",
-			"labels", "group pairs", "subgraphs", "group links", "record links", "time"},
+			"labels", "group pairs", "candidates", "subgraphs", "group links", "record links", "time"},
 	}
 	for _, s := range r.Iterations {
 		it.AddRow(
@@ -193,6 +197,7 @@ func renderStats(path string, w io.Writer) error {
 			report.I(int(s.Count(obs.CandidateLinks))),
 			report.I(int(s.Count(obs.ClusterLabels))),
 			report.I(int(s.Count(obs.GroupPairs))),
+			report.I(int(s.Count(obs.SubgraphCandidates))),
 			report.I(int(s.Count(obs.Subgraphs))),
 			report.I(int(s.Count(obs.GroupLinks))),
 			report.I(int(s.Count(obs.RecordLinks))),
@@ -200,7 +205,7 @@ func renderStats(path string, w io.Writer) error {
 		)
 	}
 	if len(r.Iterations) == 0 {
-		it.AddRow("(none)", "", "", "", "", "", "", "", "", "")
+		it.AddRow("(none)", "", "", "", "", "", "", "", "", "", "")
 	}
 	if err := it.Render(w); err != nil {
 		return err

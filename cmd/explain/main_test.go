@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -60,7 +61,8 @@ func TestRunExplainsLinkedPair(t *testing.T) {
 }
 
 // TestRunExplainsNoLink: two unrelated households must get a NO LINK
-// verdict, not a subgraph.
+// verdict, not a subgraph, because they share fewer than two
+// label-sharing, age-consistent member pairs.
 func TestRunExplainsNoLink(t *testing.T) {
 	oldPath, newPath := writeExample(t)
 	var out strings.Builder
@@ -71,8 +73,56 @@ func TestRunExplainsNoLink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "NO LINK") {
-		t.Errorf("output missing NO LINK verdict:\n%s", out.String())
+	if !strings.Contains(out.String(), "NO LINK (fewer than two label-sharing, age-consistent member pairs)") {
+		t.Errorf("output missing the fewer-than-two NO LINK verdict:\n%s", out.String())
+	}
+}
+
+// TestRunExplainsNoCompatibleEdge: a couple found again with the wife
+// recorded as the head's daughter shares two label-sharing, age-consistent
+// member pairs but no edge of one relationship type, so the verdict names
+// the missing edge.
+func TestRunExplainsNoCompatibleEdge(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		year      int
+		age       int
+		roleOfAnn census.Role
+	}{{1871, 40, census.RoleWife}, {1881, 50, census.RoleDaughter}} {
+		d := census.NewDataset(c.year)
+		hh := fmt.Sprintf("%d_x", c.year)
+		for _, r := range []*census.Record{
+			{ID: fmt.Sprintf("%d_1", c.year), HouseholdID: hh, FirstName: "john", Surname: "holt",
+				Sex: census.SexMale, Age: c.age, Role: census.RoleHead},
+			{ID: fmt.Sprintf("%d_2", c.year), HouseholdID: hh, FirstName: "ann", Surname: "holt",
+				Sex: census.SexFemale, Age: c.age - 2, Role: c.roleOfAnn},
+		} {
+			if err := d.AddRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := os.Create(filepath.Join(dir, census.SeriesFileName(c.year)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := census.WriteCSV(f, d); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	err := run([]string{
+		"-old", filepath.Join(dir, census.SeriesFileName(1871)),
+		"-new", filepath.Join(dir, census.SeriesFileName(1881)),
+		"-old-household", "1871_x", "-new-household", "1881_x",
+	}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "NO LINK (no compatible edge") {
+		t.Errorf("output missing the no-compatible-edge NO LINK verdict:\n%s", out.String())
 	}
 }
 
@@ -105,8 +155,10 @@ func TestRunRendersStats(t *testing.T) {
 	// The compile stage's candidate-table counters render among the run
 	// totals, the byte count with its MB figure, and the stages table has
 	// an allocation column.
+	// The Iterations table shows the pairs that enter the subgraph stage
+	// beside the linked group pairs.
 	for _, want := range []string{"Iterations", "Stages", "Run totals", "0.70", "0.65",
-		"candidate_table_pairs", "candidate_table_bytes", " MB)"} {
+		"candidate_table_pairs", "candidate_table_bytes", " MB)", "group pairs  candidates"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stats rendering missing %q:\n%s", want, out.String())
 		}

@@ -213,6 +213,77 @@ func TestCompileChunkPanic(t *testing.T) {
 	})
 }
 
+// TestCandidateGroupsChunkPanic: candidate_groups runs in chunks of old
+// households on the pool. A panic or an injected failure in any chunk
+// fails the link with a candidate_groups PipelineError naming the chunk,
+// under PanicSkip too, since a dropped chunk would silently lose group
+// pairs; cancelling from the fault point aborts the stage with a
+// cancellation.
+func TestCandidateGroupsChunkPanic(t *testing.T) {
+	skipWithoutInjection(t)
+	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 29), 1861, 1871)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first pass has more than one chunk, so a failure in a later chunk
+	// is tested too.
+	var passes atomic.Int64
+	faultinject.Set("linkage.candidate_groups.chunk", func() error {
+		passes.Add(1)
+		return nil
+	})
+	clean, err := linkage.LinkContext(context.Background(), old, new, faultConfig(2))
+	faultinject.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPass := passes.Load() / int64(len(clean.Iterations))
+	if perPass < 2 {
+		t.Fatalf("candidate_groups passed its fault point %d times per pass, want at least 2", perPass)
+	}
+	errInjected := errors.New("injected candidate_groups failure")
+	for _, policy := range []linkage.PanicPolicy{linkage.PanicFailFast, linkage.PanicSkip} {
+		for _, call := range []uint64{1, uint64(perPass)} {
+			t.Run(fmt.Sprintf("%v/panic%d", policy, call), func(t *testing.T) {
+				defer faultinject.Reset()
+				faultinject.Set("linkage.candidate_groups.chunk", faultinject.PanicOnCall(call, "household crash"))
+				cfg := faultConfig(2)
+				cfg.Panics = policy
+				_, err := linkage.LinkContext(context.Background(), old, new, cfg)
+				var pe *linkage.PipelineError
+				if !errors.As(err, &pe) || pe.Stage != "candidate_groups" || pe.Chunk < 0 || pe.Panic == nil {
+					t.Fatalf("error = %v, want a candidate_groups chunk panic", err)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("%v/fail", policy), func(t *testing.T) {
+			defer faultinject.Reset()
+			faultinject.Set("linkage.candidate_groups.chunk", faultinject.FailOnCall(1, errInjected))
+			cfg := faultConfig(2)
+			cfg.Panics = policy
+			_, err := linkage.LinkContext(context.Background(), old, new, cfg)
+			var pe *linkage.PipelineError
+			if !errors.Is(err, errInjected) || !errors.As(err, &pe) || pe.Stage != "candidate_groups" {
+				t.Fatalf("error = %v, want the injected candidate_groups failure", err)
+			}
+		})
+	}
+	t.Run("cancel", func(t *testing.T) {
+		defer faultinject.Reset()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		faultinject.Set("linkage.candidate_groups.chunk", func() error {
+			cancel()
+			return nil
+		})
+		_, err := linkage.LinkContext(ctx, old, new, faultConfig(2))
+		var pe *linkage.PipelineError
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Stage != "candidate_groups" {
+			t.Fatalf("error = %v, want a candidate_groups cancellation", err)
+		}
+	})
+}
+
 // TestBuildGraphsChunkPanic: build_graphs builds the two datasets'
 // household graphs in two chunks on the pool. A panic in either fails the
 // link with a build_graphs PipelineError naming the chunk, under PanicSkip
@@ -267,23 +338,25 @@ func TestBuildGraphsChunkPanic(t *testing.T) {
 // TestSubgraphPoolStops: inside subgraph_match the chunk pool runs one
 // group pair per chunk. Cancelling from the first pair's fault point
 // aborts the stage with a cancellation once every worker has claimed at
-// most one checkpoint interval (64 pairs) more, far fewer than the pass's
-// thousands of group pairs. A fail-fast panic on the first pair stops a
-// one-worker pool at that pair.
+// most one checkpoint interval (64 pairs) more, far fewer than the
+// thousands of group pairs entering the pool in the first pass (the
+// subgraph_candidates counter). A fail-fast panic on the first pair stops
+// a one-worker pool at that pair.
 func TestSubgraphPoolStops(t *testing.T) {
 	skipWithoutInjection(t)
 	const workers, checkpoint = 4, 64
-	old, new, err := synth.GeneratePair(synth.TestConfig(0.04, 1871000), 1871, 1881)
+	old, new, err := synth.GeneratePair(synth.TestConfig(0.1, 1871000), 1871, 1881)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := linkage.LinkContext(context.Background(), old, new, faultConfig(workers))
-	if err != nil {
+	cleanCfg := faultConfig(workers)
+	cleanCfg.Obs = obs.NewStats(nil)
+	if _, err := linkage.LinkContext(context.Background(), old, new, cleanCfg); err != nil {
 		t.Fatal(err)
 	}
-	pairs := clean.Iterations[0].GroupPairs
+	pairs := cleanCfg.Obs.Report().Iterations[0].Count(obs.SubgraphCandidates)
 	if pairs < 4*workers*checkpoint {
-		t.Fatalf("%d group pairs in the first pass; too few to see the pool stop", pairs)
+		t.Fatalf("%d group pairs enter the pool in the first pass; too few to see the pool stop", pairs)
 	}
 
 	t.Run("cancel", func(t *testing.T) {

@@ -178,7 +178,7 @@ type IterationStats struct {
 	Delta          float64
 	ComparedPairs  int
 	CandidateLinks int // pre-matching links above δ
-	GroupPairs     int // candidate group pairs examined
+	GroupPairs     int // group pairs connected by a pre-matching link
 	NewGroupLinks  int
 	NewRecordLinks int
 	RemainingOld   int // unlinked old records after the round
@@ -231,8 +231,8 @@ type Result struct {
 
 // LinkContext runs the full iterative record and group linkage
 // (Algorithm 1) between two successive census datasets. The iteration loop,
-// the pre-matching chunk workers, the subgraph-match worker pool and the
-// remainder pass all observe ctx at checkpoints, so a deadline or SIGINT
+// the pre-matching and candidate-group chunk workers, the subgraph-match
+// worker pool and the remainder pass all observe ctx at checkpoints, so a deadline or SIGINT
 // aborts the run promptly with a *PipelineError wrapping ctx.Err()
 // (errors.Is sees context.Canceled / context.DeadlineExceeded) instead of
 // wedging the process. Worker panics are isolated per Config.Panics.
@@ -280,8 +280,13 @@ func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook ru
 		cfg.Obs.Add(obs.PairsCompared, pre.Compared)
 		cfg.Obs.Add(obs.CandidateLinks, len(pre.Links))
 		cfg.Obs.Add(obs.ClusterLabels, len(pre.LabelSize))
-		pairs := rs.candidateGroups(pre)
-		cfg.Obs.Add(obs.GroupPairs, len(pairs))
+		pairs, linked, err := rs.candidateGroups(ctx, delta, pre)
+		if err != nil {
+			cfg.Obs.EndIteration()
+			return nil, err
+		}
+		cfg.Obs.Add(obs.GroupPairs, linked)
+		cfg.Obs.Add(obs.SubgraphCandidates, len(pairs))
 		subs, err := rs.subgraphMatch(ctx, delta, pairs, pre)
 		if err != nil {
 			cfg.Obs.EndIteration()
@@ -323,7 +328,7 @@ func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook ru
 			Delta:          delta,
 			ComparedPairs:  pre.Compared,
 			CandidateLinks: len(pre.Links),
-			GroupPairs:     len(pairs),
+			GroupPairs:     linked,
 			NewGroupLinks:  newGroups,
 			NewRecordLinks: len(records),
 			RemainingOld:   len(remainingOld),

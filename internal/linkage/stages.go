@@ -27,8 +27,8 @@ type runState struct {
 	// and hold one household graph per household number (completeGroups of
 	// Algorithm 1).
 	oldHH, newHH householdIndex
-	// groupBuf is the candidate_groups stage's buffer, reused across δ.
-	groupBuf []uint64
+	// groups is the candidate_groups stage's state, reused across δ.
+	groups groupCandidates
 	// sim scores pre-matching and the transitively linked vertex pairs of
 	// the subgraph stage; rem scores the remainder pass with Sim_func_rem,
 	// through sim's engine when the two compile alike.
@@ -137,13 +137,14 @@ func (rs *runState) prematch(ctx context.Context, delta float64, remOld, remNew 
 	return pre, err
 }
 
-// candidateGroups is the candidate_groups stage. The returned pairs live
-// in the run's buffer until the next δ's call.
-func (rs *runState) candidateGroups(pre *PreMatchResult) []uint64 {
+// candidateGroups is the candidate_groups stage: the group pairs of the
+// pass that can hold a subgraph, and the number of group pairs its links
+// connect (groupCandidates.run). The returned pairs live in the run's
+// buffer until the next δ's call.
+func (rs *runState) candidateGroups(ctx context.Context, delta float64, pre *PreMatchResult) ([]uint64, int, error) {
 	stop := rs.cfg.Obs.Stage("candidate_groups")
 	defer stop()
-	rs.groupBuf = candidateGroupPairs(pre, rs.oldHH, rs.newHH, rs.groupBuf)
-	return rs.groupBuf
+	return rs.groups.run(ctx, delta, pre, &rs.oldHH, &rs.newHH, rs.match, rs.cfg.Workers)
 }
 
 // subgraphMatch is the subgraph_match stage: the position view of the pass,

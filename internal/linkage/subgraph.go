@@ -2,6 +2,7 @@ package linkage
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -79,10 +80,15 @@ func (c MatchConfig) rpSim(dOld, dNew int) (float64, bool) {
 // census interval (paper footnote 2): the person must have aged by YearGap
 // ± AgeTolerance years. Missing ages pass (no evidence against the pair).
 func (c MatchConfig) AgeConsistent(o, n *census.Record) bool {
-	if o.Age == census.AgeMissing || n.Age == census.AgeMissing {
+	return c.agesFit(o.Age, n.Age)
+}
+
+// agesFit is AgeConsistent on the two records' ages.
+func (c MatchConfig) agesFit(oldAge, newAge int) bool {
+	if oldAge == census.AgeMissing || newAge == census.AgeMissing {
 		return true
 	}
-	dev := (n.Age - o.Age) - c.YearGap
+	dev := (newAge - oldAge) - c.YearGap
 	if dev < 0 {
 		dev = -dev
 	}
@@ -148,23 +154,26 @@ func (m *GroupMatcher) directSim(oi, ni int32) (float64, bool) {
 }
 
 // vertexCand is a candidate vertex: member positions i in the old graph and
-// j in the new graph, and the record pair's similarity.
+// j in the new graph, its edge support (the number of other candidates it
+// shares a compatible edge with) and the record pair's similarity.
 type vertexCand struct {
-	i, j int
-	sim  float64
+	i, j    int
+	support int
+	sim     float64
 }
 
 // MatchGroups computes the common subgraph of one group pair (Section 3.3)
 // and its selection scores. It returns nil when the groups share no
-// structurally supported subgraph (fewer than two compatible vertices or no
-// compatible edge).
+// structurally supported subgraph (fewer than two label-sharing,
+// age-consistent member pairs, or no compatible edge).
 //
 // Vertex candidates are the record pairs with equal cluster labels that are
 // age-consistent with the census interval. Because one label can admit
 // conflicting pairs (duplicate names inside a household), a 1:1 assignment
 // is chosen greedily by (edge support, record similarity). Vertices left
 // without any compatible edge are dropped, following the reduction shown in
-// Fig. 4 of the paper.
+// Fig. 4 of the paper. Edge support is counted before any similarity is
+// looked up or scored, and only candidates with support are scored.
 func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 	oldMembers, newMembers := gOld.Members(), gNew.Members()
 	oldPos, newPos := gOld.Positions(), gNew.Positions()
@@ -189,24 +198,20 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 	if len(cands) < 2 {
 		return nil
 	}
-
-	// Directly compared pairs carry their pre-matching similarity; pairs
-	// linked only transitively are scored through the engine.
-	kept := cands[:0]
-	for _, c := range cands {
-		sim, direct := m.directSim(oldPos[c.i], newPos[c.j])
-		if !direct {
-			if m.cfg.DirectVerticesOnly {
-				continue
+	// Under DirectVerticesOnly only directly compared pairs are candidates,
+	// so their pre-matching similarities are looked up before edge support.
+	if m.cfg.DirectVerticesOnly {
+		kept := cands[:0]
+		for _, c := range cands {
+			if sim, direct := m.directSim(oldPos[c.i], newPos[c.j]); direct {
+				c.sim = sim
+				kept = append(kept, c)
 			}
-			sim = m.eng.AggSim(int(oldPos[c.i]), int(newPos[c.j]))
 		}
-		c.sim = sim
-		kept = append(kept, c)
-	}
-	cands = kept
-	if len(cands) < 2 {
-		return nil
+		cands = kept
+		if len(cands) < 2 {
+			return nil
+		}
 	}
 
 	// Edge compatibility between candidate vertex pairs.
@@ -221,42 +226,61 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 		}
 		return m.cfg.rpSim(dOld, dNew)
 	}
-	support := make([]int, len(cands))
 	for i := 0; i < len(cands); i++ {
 		for j := i + 1; j < len(cands); j++ {
 			if _, ok := compatible(cands[i], cands[j]); ok {
-				support[i]++
-				support[j]++
+				cands[i].support++
+				cands[j].support++
 			}
 		}
 	}
 
+	// A candidate without edge support would sort after every supported
+	// one below, and the Fig. 4 reduction drops it whether it is chosen or
+	// not, so it is dropped before scoring. Support is symmetric, so either
+	// no candidate or at least two remain. Directly compared pairs carry
+	// their pre-matching similarity; pairs linked only transitively are
+	// scored through the engine.
+	kept := cands[:0]
+	for _, c := range cands {
+		if c.support == 0 {
+			continue
+		}
+		if !m.cfg.DirectVerticesOnly {
+			sim, direct := m.directSim(oldPos[c.i], newPos[c.j])
+			if !direct {
+				sim = m.eng.AggSim(int(oldPos[c.i]), int(newPos[c.j]))
+			}
+			c.sim = sim
+		}
+		kept = append(kept, c)
+	}
+	cands = kept
+	if len(cands) == 0 {
+		return nil
+	}
+
 	// Greedy 1:1 assignment: highest edge support first, then similarity,
 	// then IDs for determinism.
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(i, j int) int {
-		if support[i] != support[j] {
-			return support[j] - support[i]
+	slices.SortFunc(cands, func(a, b vertexCand) int {
+		if a.support != b.support {
+			return b.support - a.support
 		}
-		if a, b := cands[i].sim, cands[j].sim; a != b {
-			if a > b {
+		if a.sim != b.sim {
+			if a.sim > b.sim {
 				return -1
 			}
 			return 1
 		}
-		if c := strings.Compare(oldMembers[cands[i].i].ID, oldMembers[cands[j].i].ID); c != 0 {
+		if c := strings.Compare(oldMembers[a.i].ID, oldMembers[b.i].ID); c != 0 {
 			return c
 		}
-		return strings.Compare(newMembers[cands[i].j].ID, newMembers[cands[j].j].ID)
+		return strings.Compare(newMembers[a.j].ID, newMembers[b.j].ID)
 	})
 	usedOld := make([]bool, len(oldMembers))
 	usedNew := make([]bool, len(newMembers))
 	var chosen []vertexCand
-	for _, k := range order {
-		c := cands[k]
+	for _, c := range cands {
 		if usedOld[c.i] || usedNew[c.j] {
 			continue
 		}
@@ -342,21 +366,157 @@ type GroupPair struct {
 	Old, New string
 }
 
-// candidateGroupPairs derives the distinct group pairs connected by at
-// least one pre-matching record link (Section 3.3: subgraph matching is
-// only applied to pairs of groups sharing a similar record), as packed
-// (old household number, new household number) pairs in ascending order.
-// It writes them into buf's storage and returns the slice, so a caller
-// that passes the previous result back reuses one buffer across δ passes.
-// pre must have been computed over the full record lists indexed by oldHH
-// and newHH.
-func candidateGroupPairs(pre *PreMatchResult, oldHH, newHH householdIndex, buf []uint64) []uint64 {
-	buf = buf[:0]
-	for _, l := range pre.Links {
-		buf = append(buf, packPair(oldHH.of[l.Old], newHH.of[l.New]))
+// groupCandidates is the candidate_groups stage of one link (Section 3.3):
+// subgraph matching is only applied to pairs of groups sharing a similar
+// record, and of those only to the pairs with at least two label-sharing,
+// age-consistent member pairs, the first test of MatchGroups, so every
+// pair it drops would match to nil. Its buffers are refilled by every δ
+// pass.
+type groupCandidates struct {
+	// linkStart[p]:linkStart[p+1] index the pass's links of old position p
+	// in PreMatchResult.Links, which are sorted by old position.
+	linkStart []int32
+	// old and new hold the members of each side's households that carry a
+	// label in the pass.
+	old, new labelledMembers
+	// chunks[ci] is chunk ci's output and scratch.
+	chunks []groupChunk
+	// pairs is the concatenated output of the chunks.
+	pairs []uint64
+}
+
+// labelledMembers lays out, household by household, the members of one
+// side that carry a cluster label in a pass: members of household h are
+// at m[start[h]:start[h+1]].
+type labelledMembers struct {
+	start []int32
+	m     []labelledMember
+}
+
+// labelledMember is one member's label in the pass, dataset position and
+// age.
+type labelledMember struct {
+	label, pos int32
+	age        int
+}
+
+// fill refills lm from the pass's position-keyed labels and the household
+// graphs of hx.
+func (lm *labelledMembers) fill(labels []int32, hx *householdIndex) {
+	lm.start = append(lm.start[:0], 0)
+	lm.m = lm.m[:0]
+	for _, g := range hx.graphs {
+		members := g.Members()
+		for k, p := range g.Positions() {
+			if l := labels[p]; l >= 0 {
+				lm.m = append(lm.m, labelledMember{label: l, pos: p, age: members[k].Age})
+			}
+		}
+		lm.start = append(lm.start, int32(len(lm.m)))
 	}
-	slices.Sort(buf)
-	return slices.Compact(buf)
+}
+
+// of returns household h's labelled members.
+func (lm *labelledMembers) of(h int32) []labelledMember { return lm.m[lm.start[h]:lm.start[h+1]] }
+
+// groupChunk is one chunk of old households' share of the stage: its kept
+// pairs, the number of distinct group pairs its households are linked to,
+// and the new-household scratch of one old household.
+type groupChunk struct {
+	pairs  []uint64
+	linked int
+	hns    []int32
+}
+
+// run derives the candidate group pairs of one pre-matching pass on the
+// chunk pool, in chunks of old households: it collects the new households
+// each old household's records are directly linked to and keeps the pairs
+// that can hold a subgraph. The pairs come out packed as (old household
+// number, new household number) in ascending order; the second result is
+// the number of distinct group pairs the pass's links connect, kept or
+// not. pre must have been computed over the full record lists indexed by
+// oldHH and newHH. Every chunk passes the fault point
+// "linkage.candidate_groups.chunk"; a failed chunk fails the pass under
+// either panic policy, because a dropped chunk would silently lose group
+// pairs. The returned slice is reused by the next call.
+func (gc *groupCandidates) run(ctx context.Context, delta float64, pre *PreMatchResult, oldHH, newHH *householdIndex,
+	match MatchConfig, workers int) ([]uint64, int, error) {
+	links := pre.Links
+	gc.linkStart = slices.Grow(gc.linkStart[:0], len(pre.OldLabels)+1)
+	k := 0
+	for p := range len(pre.OldLabels) + 1 {
+		for k < len(links) && int(links[k].Old) < p {
+			k++
+		}
+		gc.linkStart = append(gc.linkStart, int32(k))
+	}
+	// Every linked record carries a label, so the links of a household are
+	// those of its labelled members.
+	gc.old.fill(pre.OldLabels, oldHH)
+	gc.new.fill(pre.NewLabels, newHH)
+
+	// Four chunks per worker even out the households' uneven link counts.
+	n := len(oldHH.ids)
+	size := perWorker(n, 4*poolSize(workers))
+	chunks := chunkCount(n, size)
+	for len(gc.chunks) < chunks {
+		gc.chunks = append(gc.chunks, groupChunk{})
+	}
+	_, err := runChunks(ctx, "candidate_groups", delta, n, size, workers, PanicFailFast, nil,
+		func(ci, lo, hi int) error {
+			c := &gc.chunks[ci]
+			c.pairs, c.linked = c.pairs[:0], 0
+			for ho := int32(lo); ho < int32(hi); ho++ {
+				olds := gc.old.of(ho)
+				hns := c.hns[:0]
+				for _, o := range olds {
+					for _, l := range links[gc.linkStart[o.pos]:gc.linkStart[o.pos+1]] {
+						// A record's links ascend by new position, so its
+						// links into one household are mostly adjacent.
+						if hn := newHH.of[l.New]; len(hns) == 0 || hns[len(hns)-1] != hn {
+							hns = append(hns, hn)
+						}
+					}
+				}
+				slices.Sort(hns)
+				hns = slices.Compact(hns)
+				c.linked += len(hns)
+				for _, hn := range hns {
+					if sharedPairs(olds, gc.new.of(hn), match) {
+						c.pairs = append(c.pairs, packPair(ho, hn))
+					}
+				}
+				c.hns = hns
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, 0, err
+	}
+	gc.pairs = gc.pairs[:0]
+	linked := 0
+	for _, c := range gc.chunks[:chunks] {
+		gc.pairs = append(gc.pairs, c.pairs...)
+		linked += c.linked
+	}
+	return gc.pairs, linked, nil
+}
+
+// sharedPairs reports whether two households' labelled members form at
+// least two pairs that share a cluster label and fit the age window: the
+// pairs MatchGroups takes as vertex candidates.
+func sharedPairs(olds, news []labelledMember, match MatchConfig) bool {
+	shared := 0
+	for _, o := range olds {
+		for _, n := range news {
+			if o.label == n.label && match.agesFit(o.age, n.age) {
+				if shared++; shared == 2 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // packPair packs an (old, new) household-number pair into one sortable

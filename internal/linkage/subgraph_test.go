@@ -2,8 +2,10 @@ package linkage
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -347,27 +349,71 @@ func TestSubgraphDuplicateNamesOneToOne(t *testing.T) {
 	}
 }
 
+// candidateGroupPairs is the pair-list oracle of the candidate_groups
+// stage: every distinct group pair connected by at least one pre-matching
+// record link, packed and in ascending order, with no structural filter.
+func candidateGroupPairs(pre *PreMatchResult, oldHH, newHH householdIndex) []uint64 {
+	var out []uint64
+	for _, l := range pre.Links {
+		out = append(out, packPair(oldHH.of[l.Old], newHH.of[l.New]))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// sharedMemberPairs counts by brute force, through record IDs, the member
+// pairs of two groups that share a cluster label of the pass and fit the
+// age window.
+func sharedMemberPairs(gOld, gNew *hgraph.Graph, pre *preMatchView, cfg MatchConfig) int {
+	n := 0
+	for _, o := range gOld.Members() {
+		lo, ok := pre.Labels[recordKey{ID: o.ID}]
+		if !ok {
+			continue
+		}
+		for _, m := range gNew.Members() {
+			if ln, ok := pre.Labels[recordKey{New: true, ID: m.ID}]; ok && ln == lo && cfg.AgeConsistent(o, m) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestCandidateGroupPairs: on the running example the pass's links
+// connect four group pairs, and the candidate_groups stage keeps the
+// three whose households share two label-sharing, age-consistent members;
+// 1871_b and 1881_c share only Steve.
 func TestCandidateGroupPairs(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
 	pre := figure3PreMatch(1)
-	oldHH, newHH := newHouseholdIndex(old, nil), newHouseholdIndex(new, nil)
-	var pairs []GroupPair
-	for _, k := range candidateGroupPairs(pre, oldHH, newHH, nil) {
-		pairs = append(pairs, groupPair(k, oldHH, newHH))
-	}
-	want := map[GroupPair]bool{
-		{Old: "1871_a", New: "1881_a"}: true,
-		{Old: "1871_a", New: "1881_d"}: true,
-		{Old: "1871_b", New: "1881_b"}: true,
-		{Old: "1871_b", New: "1881_c"}: true, // via Steve
-	}
-	if len(pairs) != len(want) {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	for _, p := range pairs {
-		if !want[p] {
-			t.Errorf("unexpected group pair %v", p)
+	oldHH, newHH := newHouseholdIndex(old, hgraph.BuildAll(old)), newHouseholdIndex(new, hgraph.BuildAll(new))
+	names := func(keys []uint64) []GroupPair {
+		var out []GroupPair
+		for _, k := range keys {
+			out = append(out, groupPair(k, oldHH, newHH))
 		}
+		return out
+	}
+	all := []GroupPair{
+		{Old: "1871_a", New: "1881_a"},
+		{Old: "1871_a", New: "1881_d"},
+		{Old: "1871_b", New: "1881_b"},
+		{Old: "1871_b", New: "1881_c"}, // via Steve
+	}
+	if got := names(candidateGroupPairs(pre, oldHH, newHH)); !reflect.DeepEqual(got, all) {
+		t.Fatalf("linked group pairs = %v, want %v", got, all)
+	}
+	var gc groupCandidates
+	kept, linked, err := gc.run(context.Background(), 1, pre, &oldHH, &newHH, paperMatchConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if linked != len(all) {
+		t.Errorf("linked = %d, want %d", linked, len(all))
+	}
+	if got := names(kept); !reflect.DeepEqual(got, all[:3]) {
+		t.Errorf("kept group pairs = %v, want %v", got, all[:3])
 	}
 }
 
@@ -408,40 +454,86 @@ func TestAgeConsistent(t *testing.T) {
 	}
 }
 
-// subgraphOracleHook is a run hook that, before the subgraph stage of every
-// δ iteration, matches each candidate group pair the stage is about to
-// match with both GroupMatcher.MatchGroups and the string-keyed oracle and
-// requires deep-equal subgraphs (nil for nil).
+// checkGroupStage checks the output of the candidate_groups stage for one
+// pass against the pair-list oracle and matches every linked group pair
+// with both GroupMatcher.MatchGroups and the string-keyed oracle. The
+// stage's kept pairs must be oracle pairs in the oracle's order, include
+// every pair the oracle matches to a subgraph, and each hold at least two
+// label-sharing, age-consistent member pairs by a brute-force count, and
+// linked must count the oracle's pairs; the subgraphs of the kept pairs
+// must deep-equal the oracle's non-nil subgraphs, in order. It returns the
+// number of subgraphs.
+func checkGroupStage(t testing.TB, pre *PreMatchResult, oldHH, newHH householdIndex, gm *GroupMatcher,
+	f SimFunc, cfg MatchConfig, kept []uint64, linked int) int {
+	t.Helper()
+	view := viewOf(pre)
+	all := candidateGroupPairs(pre, oldHH, newHH)
+	if linked != len(all) {
+		t.Fatalf("stage counts %d linked group pairs, oracle %d", linked, len(all))
+	}
+	var got, want []*Subgraph
+	next := 0 // index of the next kept pair to meet in the oracle's list
+	for _, k := range all {
+		gp := groupPair(k, oldHH, newHH)
+		ho, hn := unpackPair(k)
+		gOld, gNew := oldHH.graphs[ho], newHH.graphs[hn]
+		sub := gm.MatchGroups(gOld, gNew)
+		oracle := matchGroupsOracle(gOld, gNew, view, f, cfg)
+		if !reflect.DeepEqual(sub, oracle) {
+			t.Fatalf("%v: MatchGroups %+v, oracle %+v", gp, sub, oracle)
+		}
+		if oracle != nil {
+			want = append(want, oracle)
+		}
+		if next < len(kept) && kept[next] == k {
+			next++
+			if n := sharedMemberPairs(gOld, gNew, view, cfg); n < 2 {
+				t.Fatalf("%v: kept with %d label-sharing, age-consistent member pairs", gp, n)
+			}
+			if sub != nil {
+				got = append(got, sub)
+			}
+		} else if oracle != nil {
+			t.Fatalf("%v: dropped, but the oracle matches a subgraph", gp)
+		}
+	}
+	if next != len(kept) {
+		t.Fatalf("kept pair %d of %d is not an oracle pair in oracle order", next, len(kept))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("subgraphs of the kept pairs differ from the oracle's")
+	}
+	return len(want)
+}
+
+// subgraphOracleHook is a run hook that checks the candidate_groups and
+// subgraph stages of every δ iteration with checkGroupStage, before the
+// executor runs them.
 type subgraphOracleHook struct {
-	t             *testing.T
-	checked, subs int
+	t                  *testing.T
+	linked, kept, subs int
 }
 
 func (h *subgraphOracleHook) hook(rs *runState, delta float64, _, _ []*census.Record, pre *PreMatchResult, _ []RecordLink) {
 	if pre == nil {
 		return
 	}
-	f := rs.cfg.Sim.WithDelta(delta)
-	gm := NewGroupMatcher(pre, rs.sim.eng, rs.match)
-	view := viewOf(pre)
-	for _, k := range candidateGroupPairs(pre, rs.oldHH, rs.newHH, nil) {
-		gp := groupPair(k, rs.oldHH, rs.newHH)
-		ho, hn := unpackPair(k)
-		gOld, gNew := rs.oldHH.graphs[ho], rs.newHH.graphs[hn]
-		got := gm.MatchGroups(gOld, gNew)
-		if want := matchGroupsOracle(gOld, gNew, view, f, rs.match); !reflect.DeepEqual(got, want) {
-			h.t.Fatalf("delta=%v %v: MatchGroups %+v, oracle %+v", delta, gp, got, want)
-		}
-		h.checked++
-		if got != nil {
-			h.subs++
-		}
+	kept, linked, err := rs.candidateGroups(context.Background(), delta, pre)
+	if err != nil {
+		h.t.Fatal(err)
 	}
+	gm := NewGroupMatcher(pre, rs.sim.eng, rs.match)
+	h.subs += checkGroupStage(h.t, pre, rs.oldHH, rs.newHH, gm, rs.cfg.Sim.WithDelta(delta), rs.match, kept, linked)
+	h.linked += linked
+	h.kept += len(kept)
 }
 
-// TestMatchGroupsOracleDifferential: across ω1/ω2, three δ schedules and
-// both vertex policies (cluster labels and direct pairs only), every candidate group pair of every iteration gets
-// the oracle's subgraph from the position-keyed, engine-scored matcher.
+// TestMatchGroupsOracleDifferential: across ω1/ω2, three δ schedules, both
+// vertex policies (cluster labels and direct pairs only) and the default
+// and LSH blocking schemes, the candidate_groups stage keeps a subset of
+// the linked group pairs that loses no subgraph, and every linked group
+// pair of every iteration gets the oracle's subgraph from the
+// position-keyed, engine-scored matcher.
 func TestMatchGroupsOracleDifferential(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 29), 1861, 1871)
 	if err != nil {
@@ -456,17 +548,22 @@ func TestMatchGroupsOracleDifferential(t *testing.T) {
 	for simName, sim := range sims {
 		for schedName, schedule := range schedules {
 			for _, directOnly := range []bool{false, true} {
-				cfg := DefaultConfig()
-				cfg.Sim = sim
-				schedule(&cfg)
-				cfg.DirectVerticesOnly = directOnly
-				check := &subgraphOracleHook{t: t}
-				if _, err := link(context.Background(), old, new, cfg, check.hook); err != nil {
-					t.Fatal(err)
-				}
-				if check.subs == 0 {
-					t.Errorf("%s/%s direct=%v: no subgraph among %d group pairs",
-						simName, schedName, directOnly, check.checked)
+				for _, scheme := range []string{"default", "lsh"} {
+					cfg := DefaultConfig()
+					cfg.Sim = sim
+					schedule(&cfg)
+					cfg.DirectVerticesOnly = directOnly
+					if cfg.Strategies, err = ParseBlocking(scheme); err != nil {
+						t.Fatal(err)
+					}
+					check := &subgraphOracleHook{t: t}
+					if _, err := link(context.Background(), old, new, cfg, check.hook); err != nil {
+						t.Fatal(err)
+					}
+					if check.subs == 0 || check.kept >= check.linked {
+						t.Errorf("%s/%s/%s direct=%v: %d subgraphs from %d kept of %d linked group pairs; the filter is not exercised",
+							simName, schedName, scheme, directOnly, check.subs, check.kept, check.linked)
+					}
 				}
 			}
 		}
@@ -508,4 +605,76 @@ func TestObsSubgraphCacheAttribution(t *testing.T) {
 	if got, want := iterSum+replay.remainder, rep.Counters[obs.PrunedComparisons]; got != want {
 		t.Errorf("iterations %d + remainder %d = %d, run totals %d", iterSum, replay.remainder, got, want)
 	}
+}
+
+// fuzzCensus builds an old (1871) and a new (1881) dataset from data, two
+// bytes per record. The first byte picks the side (bit 0), one of four
+// households (bits 1-2), one of four first names (bits 3-4; every record
+// is a Holt, so names repeat within households) and one of eight roles
+// (bits 5-7). The second picks the age: missing when divisible by five,
+// else 20-28 in 1871 and 26-34 in 1881, so a pair's age gap ranges over
+// -2..14 years around the ten-year interval.
+func fuzzCensus(t *testing.T, data []byte) (old, new *census.Dataset) {
+	t.Helper()
+	names := [...]string{"ann", "john", "mary", "thomas"}
+	roles := [...]census.Role{census.RoleHead, census.RoleWife, census.RoleSon, census.RoleDaughter,
+		census.RoleFather, census.RoleBrother, census.RoleServant, census.RoleLodger}
+	old, new = census.NewDataset(1871), census.NewDataset(1881)
+	for i := 0; i+1 < len(data) && i < 48; i += 2 {
+		b, a := data[i], data[i+1]
+		d, side, base := old, "o", 20
+		if b&1 == 1 {
+			d, side, base = new, "n", 26
+		}
+		age := census.AgeMissing
+		if a%5 != 0 {
+			age = base + int(a%9)
+		}
+		r := &census.Record{
+			ID:          fmt.Sprintf("%s%d", side, i/2),
+			HouseholdID: fmt.Sprintf("%sh%d", side, b>>1&3),
+			FirstName:   names[b>>3&3],
+			Surname:     "holt",
+			Age:         age,
+			Role:        roles[b>>5],
+		}
+		if err := d.AddRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return old, new
+}
+
+// FuzzStructuralFilter: on small households with duplicate names (one
+// label admitting several member pairs), missing ages and ages outside
+// the census-interval window, under both vertex policies, the
+// candidate_groups stage keeps a subset of the linked group pairs that
+// loses no subgraph, and MatchGroups agrees with the oracle on every
+// linked pair (checkGroupStage).
+func FuzzStructuralFilter(f *testing.F) {
+	// A John/Thomas household found again in 1881, and a second 1881
+	// household with only a John, which shares one member pair.
+	f.Add([]byte{0x08, 1, 0x58, 2, 0x09, 3, 0x59, 4, 0x0b, 3}, false)
+	// Duplicate Thomases in both years: one pair inside the age window,
+	// one outside, and a missing 1881 age.
+	f.Add([]byte{0x08, 1, 0x58, 2, 0x58, 7, 0x09, 3, 0x59, 6, 0x59, 5}, false)
+	f.Add([]byte{0x08, 1, 0x58, 2, 0x58, 7, 0x09, 3, 0x59, 6, 0x59, 5}, true)
+	// Members spread over several households on both sides.
+	f.Add([]byte{0x00, 3, 0x2a, 6, 0x52, 3, 0x01, 3, 0x2b, 6, 0x53, 2, 0x7c, 9, 0x7d, 9, 0x04, 1, 0x07, 1}, false)
+	cross := []block.Strategy{block.CrossProduct()}
+	f.Fuzz(func(t *testing.T, data []byte, directOnly bool) {
+		old, new := fuzzCensus(t, data)
+		sim := NameOnly(1.0)
+		cfg := paperMatchConfig()
+		cfg.DirectVerticesOnly = directOnly
+		pre := preMatchT(old.Records(), old.Year, new.Records(), new.Year, sim, cross, 1)
+		oldHH, newHH := newHouseholdIndex(old, hgraph.BuildAll(old)), newHouseholdIndex(new, hgraph.BuildAll(new))
+		var gc groupCandidates
+		kept, linked, err := gc.run(context.Background(), sim.Delta, pre, &oldHH, &newHH, cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm := NewGroupMatcher(pre, sim.Compile(old.Records(), new.Records()), cfg)
+		checkGroupStage(t, pre, oldHH, newHH, gm, sim, cfg, kept, linked)
+	})
 }
