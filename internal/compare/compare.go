@@ -12,6 +12,13 @@
 // interpreted string path (linkage.SimFunc): profiles share the same
 // rune-level cores as the string functions, and aggregation follows the
 // same matcher order with the same skip-zero-weight rule.
+//
+// The engine itself is stateless. Values also repeat across record pairs,
+// so a caller scoring many pairs on one goroutine passes ResumeAtLeast a
+// SimCache: a fixed-size, direct-mapped table of the similarities of the
+// value pairs that goroutine has compared, which returns the exact float64
+// the comparator returned. A nil cache scores straight through the
+// comparators on the same loop.
 package compare
 
 import (
@@ -131,7 +138,8 @@ const pruneEps = 1e-9
 // concurrent use, and it is designed to live across all δ-iterations of a
 // LinkContext call; callers that keep each pair's resumable score
 // (ResumeAtLeast) continue at a relaxed threshold where the higher one
-// stopped.
+// stopped, and callers that score many pairs give each worker a SimCache
+// of its own.
 type Engine struct {
 	Old *CompiledDataset
 	New *CompiledDataset
@@ -141,6 +149,9 @@ type Engine struct {
 	// scored lists the matchers with non-zero weight in matcher order; a
 	// resumable score's next index counts into it.
 	scored []int
+	// cacheable reports whether every dictionary's value IDs fit a
+	// SimCache key; when not, ResumeAtLeast scores without the cache.
+	cacheable bool
 }
 
 // Verdict is the outcome of scoring a pair against a threshold δ.
@@ -150,7 +161,8 @@ const (
 	// Below: every weighted matcher was added and the sum is under δ.
 	Below Verdict = iota
 	// Pruned: the remaining-weight upper bound proved the pair under δ
-	// before every weighted matcher was added.
+	// while at least one weighted matcher was still to be added; a pair
+	// with every weighted matcher added is Below, never Pruned.
 	Pruned
 	// Accepted: the sum reached δ; it is bit-for-bit AggSim.
 	Accepted
@@ -184,14 +196,19 @@ func NewEngine(old, new *CompiledDataset) *Engine {
 	if len(e.scored) > MaxWeightedMatchers {
 		panic(fmt.Sprintf("compare: %d weighted matchers, at most %d can resume", len(e.scored), MaxWeightedMatchers))
 	}
+	e.cacheable = true
+	for mi := range old.matchers {
+		if len(old.profiles[mi]) > 1<<vidBits || len(new.profiles[mi]) > 1<<vidBits {
+			e.cacheable = false
+		}
+	}
 	return e
 }
 
-// attrSim returns the matcher-mi similarity of the pair, compared on the
-// two interned value profiles.
-func (e *Engine) attrSim(mi, oi, ni int) float64 {
-	a, b := &e.Old.profiles[mi][e.Old.ids[mi][oi]], &e.New.profiles[mi][e.New.ids[mi][ni]]
-	return e.Old.matchers[mi].Prof.Compare(a, b)
+// compareValues returns the matcher-mi similarity of old value ov and new
+// value nv, compared on their interned profiles.
+func (e *Engine) compareValues(mi int, ov, nv int32) float64 {
+	return e.Old.matchers[mi].Prof.Compare(&e.Old.profiles[mi][ov], &e.New.profiles[mi][nv])
 }
 
 // AggSim returns the weighted aggregated similarity of old record oi and
@@ -201,7 +218,7 @@ func (e *Engine) attrSim(mi, oi, ni int) float64 {
 func (e *Engine) AggSim(oi, ni int) float64 {
 	var s float64
 	var k uint8
-	e.ResumeAtLeast(oi, ni, math.Inf(-1), &s, &k)
+	e.ResumeAtLeast(oi, ni, math.Inf(-1), &s, &k, nil)
 	return s
 }
 
@@ -215,7 +232,7 @@ func (e *Engine) AggSim(oi, ni int) float64 {
 func (e *Engine) AggSimAtLeast(oi, ni int, delta float64) (float64, Verdict) {
 	var s float64
 	var k uint8
-	v := e.ResumeAtLeast(oi, ni, delta, &s, &k)
+	v := e.ResumeAtLeast(oi, ni, delta, &s, &k, nil)
 	return s, v
 }
 
@@ -229,25 +246,44 @@ const MaxWeightedMatchers = 255
 // never scored, and are updated in place. AggSimAtLeast is this call from
 // zero state.
 //
-// If the stored upper bound *sum + suffixW (the weight still to come)
-// proves the pair below delta, it returns Pruned without comparing an
-// attribute. Otherwise it adds the remaining matchers in matcher order,
-// stopping early with Pruned once the upper bound falls below delta, and
-// returns Accepted or Below after the last one. The caller counts the
-// Pruned verdicts it reports. Because matchers are added in the same order
-// whatever the thresholds, *sum after an accepting call is bit-for-bit
-// AggSim, and the pairs accepted at each delta are exactly those a fresh
-// score accepts. Over a non-increasing threshold sequence the partial sum of a
-// rejected pair is also the one a fresh score returns.
-func (e *Engine) ResumeAtLeast(oi, ni int, delta float64, sum *float64, next *uint8) Verdict {
-	s, k := *sum, int(*next)
-	if k > 0 && s+e.suffixW[e.scored[k-1]] < delta-pruneEps {
+// If the pair is not fully scored and the stored upper bound *sum +
+// suffixW (the weight still to come) proves it below delta, it returns
+// Pruned without comparing an attribute. Otherwise it adds the remaining
+// matchers in matcher order, stopping early with Pruned once the upper
+// bound falls below delta while a matcher is still to come, and returns
+// Accepted or Below once every weighted matcher is in. The caller counts
+// the Pruned verdicts it reports. Because matchers are added in the same
+// order whatever the thresholds, *sum after an accepting call is
+// bit-for-bit AggSim, and the pairs accepted at each delta are exactly
+// those a fresh score accepts. Over a non-increasing threshold sequence
+// the partial sum of a rejected pair is also the one a fresh score
+// returns.
+//
+// Attribute similarities come from c, a cache of e's (NewSimCache), or
+// straight from the comparators when c is nil; either way the sums are
+// the same, bit for bit.
+func (e *Engine) ResumeAtLeast(oi, ni int, delta float64, sum *float64, next *uint8, c *SimCache) Verdict {
+	if c != nil && c.eng != e {
+		panic("compare: SimCache used with an engine that did not make it")
+	}
+	if !e.cacheable {
+		c = nil
+	}
+	s, k, n := *sum, int(*next), len(e.scored)
+	if k > 0 && k < n && s+e.suffixW[e.scored[k-1]] < delta-pruneEps {
 		return Pruned
 	}
-	for ; k < len(e.scored); k++ {
+	for ; k < n; k++ {
 		mi := e.scored[k]
-		s += e.Old.matchers[mi].Weight * e.attrSim(mi, oi, ni)
-		if s+e.suffixW[mi] < delta-pruneEps {
+		ov, nv := e.Old.ids[mi][oi], e.New.ids[mi][ni]
+		var a float64
+		if c != nil {
+			a = c.sim(k, mi, ov, nv)
+		} else {
+			a = e.compareValues(mi, ov, nv)
+		}
+		s += e.Old.matchers[mi].Weight * a
+		if k+1 < n && s+e.suffixW[mi] < delta-pruneEps {
 			*sum, *next = s, uint8(k+1)
 			return Pruned
 		}
@@ -264,7 +300,7 @@ func (e *Engine) ResumeAtLeast(oi, ni int, delta float64, sum *float64, next *ui
 func (e *Engine) SimVector(oi, ni int) []float64 {
 	out := make([]float64, len(e.suffixW))
 	for mi := range out {
-		out[mi] = e.attrSim(mi, oi, ni)
+		out[mi] = e.compareValues(mi, e.Old.ids[mi][oi], e.New.ids[mi][ni])
 	}
 	return out
 }

@@ -58,7 +58,7 @@ func checkResume(t *testing.T, resumed, fresh *Engine, oi, ni int, deltas []floa
 		if i > 0 && delta > deltas[i-1] {
 			descending = false
 		}
-		v := resumed.ResumeAtLeast(oi, ni, delta, &sum, &next)
+		v := resumed.ResumeAtLeast(oi, ni, delta, &sum, &next, nil)
 		want, wantV := fresh.AggSimAtLeast(oi, ni, delta)
 		if v == Pruned {
 			pr++
@@ -135,7 +135,7 @@ func TestResumeAtLeastBoundary(t *testing.T) {
 	for oi := range resumed.Old.Recs {
 		for ni := range resumed.New.Recs {
 			sum, next := 0.0, uint8(0)
-			if resumed.ResumeAtLeast(oi, ni, 0.95, &sum, &next) == Accepted || int(next) == len(resumed.scored) {
+			if resumed.ResumeAtLeast(oi, ni, 0.95, &sum, &next, nil) == Accepted || int(next) == len(resumed.scored) {
 				continue
 			}
 			bound := sum + resumed.suffixW[resumed.scored[next-1]]
@@ -169,9 +169,70 @@ func boundaryDelta(bound float64) (float64, bool) {
 	return 0, false
 }
 
+// TestResumeAtLeastVerdicts pins the verdict to how far scoring got: a
+// pair with every weighted matcher in is Accepted or Below, also when its
+// sum misses δ by more than pruneEps, and Pruned means a weighted matcher
+// was still to come. Both hold for a fresh score and for a resumed one: a
+// fully scored pair asked again at a δ above its sum is Below from its
+// stored sum, and a pair cut short asked again at a higher δ stays Pruned. Neither
+// call of a resumed pair changes its state.
+func TestResumeAtLeastVerdicts(t *testing.T) {
+	_, e, _ := resumeEngines(40, 37)
+	n := uint8(len(e.scored))
+	var below, pruned int
+	for oi := range e.Old.Recs {
+		for ni := range e.New.Recs {
+			for _, delta := range []float64{0.3, 0.5, 0.7, 0.9} {
+				sum, next := 0.0, uint8(0)
+				v := e.ResumeAtLeast(oi, ni, delta, &sum, &next, nil)
+				if (v == Pruned) != (next < n) {
+					t.Fatalf("pair (%d, %d) at %v: verdict %v after %d of %d matchers", oi, ni, delta, v, next, n)
+				}
+				switch {
+				case v == Below && sum < delta-pruneEps:
+					below++
+				case v == Pruned:
+					pruned++
+				}
+				wantV := Pruned
+				if next == n {
+					wantV = Below
+				}
+				s, k, higher := sum, next, max(delta, sum)+0.25
+				if got := e.ResumeAtLeast(oi, ni, higher, &s, &k, nil); got != wantV || s != sum || k != next {
+					t.Fatalf("pair (%d, %d) resumed at %v: verdict %v with state (%v, %d), want %v with (%v, %d)",
+						oi, ni, higher, got, s, k, wantV, sum, next)
+				}
+			}
+		}
+	}
+	if below == 0 || pruned == 0 {
+		t.Fatalf("%d fully scored pairs below δ − pruneEps, %d pruned; both cases must occur", below, pruned)
+	}
+}
+
+// checkCached scores pair (oi, ni) at every delta in turn twice, each with
+// its own resumable state: straight through the comparators and through
+// the cache c of e. Each call must give the same verdict, the same sum bit
+// for bit and the same next index.
+func checkCached(t *testing.T, e *Engine, c *SimCache, oi, ni int, deltas []float64) {
+	t.Helper()
+	sum, next := 0.0, uint8(0)
+	csum, cnext := 0.0, uint8(0)
+	for _, delta := range deltas {
+		v := e.ResumeAtLeast(oi, ni, delta, &sum, &next, nil)
+		cv := e.ResumeAtLeast(oi, ni, delta, &csum, &cnext, c)
+		if cv != v || math.Float64bits(csum) != math.Float64bits(sum) || cnext != next {
+			t.Fatalf("pair (%d, %d) deltas %v: at %v cached (%v, %v, %d), uncached (%v, %v, %d)",
+				oi, ni, deltas, delta, cv, csum, cnext, v, sum, next)
+		}
+	}
+}
+
 // FuzzResumeAtLeast drives checkResume with fuzzer-chosen record pairs and
 // threshold sequences (each byte b is the threshold b/200, so sequences
-// reach above 1).
+// reach above 1), and checkCached through one 8-slot cache kept across
+// inputs, so its lookups collide and evict.
 func FuzzResumeAtLeast(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{140, 130, 120, 110, 100})
 	f.Add(uint8(3), uint8(7), []byte{60, 100, 140, 180, 200})
@@ -179,11 +240,14 @@ func FuzzResumeAtLeast(f *testing.F) {
 	f.Add(uint8(11), uint8(2), []byte{120, 190, 80, 150, 150, 40, 220})
 	f.Add(uint8(39), uint8(36), []byte{255, 0})
 	resumed, fresh, _ := resumeEngines(40, 37)
+	c := fresh.newSimCache(3)
 	f.Fuzz(func(t *testing.T, oi, ni uint8, seq []byte) {
 		deltas := make([]float64, len(seq))
 		for i, b := range seq {
 			deltas[i] = float64(b) / 200
 		}
-		checkResume(t, resumed, fresh, int(oi)%len(resumed.Old.Recs), int(ni)%len(resumed.New.Recs), deltas)
+		o, n := int(oi)%len(resumed.Old.Recs), int(ni)%len(resumed.New.Recs)
+		checkResume(t, resumed, fresh, o, n, deltas)
+		checkCached(t, fresh, c, o, n, deltas)
 	})
 }

@@ -398,7 +398,8 @@ type RemainderOptions struct {
 	Match MatchConfig
 	// Strategies is the blocking configuration; it must not be empty.
 	Strategies []block.Strategy
-	// Obs, when non-nil, receives the pass's PrunedComparisons.
+	// Obs, when non-nil, receives the pass's PrunedComparisons,
+	// SimCacheHits and SimCacheMisses.
 	Obs *obs.Stats
 }
 
@@ -418,24 +419,27 @@ func MatchRemaining(ctx context.Context, old, new []*census.Record, opts Remaind
 		return nil, err
 	}
 	cp := &compiledPair{eng: eng, tab: tab, active: allActive(len(new))}
-	return matchRemainder(ctx, old, opts.Sim, opts.Match, cp, opts.Obs)
+	return matchRemainder(ctx, old, opts.Sim, opts.Match, cp, eng.NewSimCache(), opts.Obs)
 }
 
 // matchRemainder is the remainder pass: after the remainder fault-injection
 // checkpoint it collects the blocked, age-consistent candidate links with
 // similarity at or above Sim_func_rem's δ — the candidate-table rows of the
 // old records filtered by cp's active mask, scored through the compiled
-// engine — and selects them greedily into a 1:1 mapping. The scan's pruned
-// comparisons are added to obs.PrunedComparisons on st once. The candidate
-// scan observes ctx every few records and aborts with a typed error; with a
-// background context it never fails.
+// engine through c, a similarity cache of cp's engine — and selects them
+// greedily into a 1:1 mapping. The scan's pruned comparisons and c's hits
+// and misses are added to obs.PrunedComparisons, obs.SimCacheHits and
+// obs.SimCacheMisses on st once. The candidate scan observes ctx every few
+// records and aborts with a typed error; with a background context it
+// never fails.
 func matchRemainder(ctx context.Context, old []*census.Record,
-	f SimFunc, cfg MatchConfig, cp *compiledPair, st *obs.Stats) ([]RecordLink, error) {
+	f SimFunc, cfg MatchConfig, cp *compiledPair, c *compare.SimCache, st *obs.Stats) ([]RecordLink, error) {
 	if err := faultinject.Hit("linkage.remainder"); err != nil {
 		return nil, &PipelineError{Stage: "remainder", Delta: f.Delta, Chunk: -1, Err: err}
 	}
 	var cands []RecordLink
 	pruned := 0
+	c.Hits, c.Misses = 0, 0
 	for i, o := range old {
 		if i%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -454,7 +458,9 @@ func matchRemainder(ctx context.Context, old []*census.Record,
 			if !cfg.AgeConsistent(o, n) {
 				continue
 			}
-			switch s, v := cp.eng.AggSimAtLeast(oi, int(ni), f.Delta); v {
+			var s float64
+			var next uint8
+			switch cp.eng.ResumeAtLeast(oi, int(ni), f.Delta, &s, &next, c) {
 			case compare.Accepted:
 				cands = append(cands, RecordLink{Old: o.ID, New: n.ID, Sim: s})
 			case compare.Pruned:
@@ -463,6 +469,8 @@ func matchRemainder(ctx context.Context, old []*census.Record,
 		}
 	}
 	st.Add(obs.PrunedComparisons, pruned)
+	st.Add(obs.SimCacheHits, c.Hits)
+	st.Add(obs.SimCacheMisses, c.Misses)
 	return greedyRemainder(cands), nil
 }
 

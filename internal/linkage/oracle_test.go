@@ -381,13 +381,16 @@ func TestMatchRemainingOracleDifferential(t *testing.T) {
 // pruneReplay recounts the pruned comparisons of a link from its run hook:
 // it replays every δ pass on its own resumable scores for the candidate
 // table's entries, and the remainder pass from zero state, through the
-// run's stateless engines. passes[i] is the count of the i-th δ pass and
-// remainder that of the remainder pass.
+// run's stateless engines without a similarity cache. passes[i] is the
+// count of the i-th δ pass and remainder that of the remainder pass;
+// compared and remainderCompared count the attribute comparisons the
+// same passes make.
 type pruneReplay struct {
-	sum       []float64
-	next      []uint8
-	passes    []int64
-	remainder int64
+	sum               []float64
+	next              []uint8
+	passes, compared  []int64
+	remainder         int64
+	remainderCompared int64
 }
 
 func (p *pruneReplay) hook(rs *runState, delta float64, remOld, remNew []*census.Record, pre *PreMatchResult, _ []RecordLink) {
@@ -404,7 +407,7 @@ func (p *pruneReplay) hook(rs *runState, delta float64, remOld, remNew []*census
 			active[j] = true
 		}
 	}
-	var pruned int64
+	var pruned, compared int64
 	for _, o := range remOld {
 		oi, ok := cp.eng.Old.Pos(o.ID)
 		if !ok {
@@ -415,21 +418,27 @@ func (p *pruneReplay) hook(rs *runState, delta float64, remOld, remNew []*census
 			switch {
 			case !active[ni]:
 			case pre != nil:
-				if cp.eng.ResumeAtLeast(oi, int(ni), delta, &p.sum[e], &p.next[e]) == compare.Pruned {
+				before := p.next[e]
+				if cp.eng.ResumeAtLeast(oi, int(ni), delta, &p.sum[e], &p.next[e], nil) == compare.Pruned {
 					pruned++
 				}
+				compared += int64(p.next[e] - before)
 			case rs.match.AgeConsistent(o, cp.eng.New.Recs[ni]):
-				if _, v := cp.eng.AggSimAtLeast(oi, int(ni), delta); v == compare.Pruned {
+				var s float64
+				var k uint8
+				if cp.eng.ResumeAtLeast(oi, int(ni), delta, &s, &k, nil) == compare.Pruned {
 					pruned++
 				}
+				compared += int64(k)
 			}
 			e++
 		}
 	}
 	if pre != nil {
 		p.passes = append(p.passes, pruned)
+		p.compared = append(p.compared, compared)
 	} else {
-		p.remainder = pruned
+		p.remainder, p.remainderCompared = pruned, compared
 	}
 }
 

@@ -116,8 +116,9 @@ type PreMatchOptions struct {
 	Workers int
 	// Panics selects the worker panic policy (fail-fast by default).
 	Panics PanicPolicy
-	// Obs, when non-nil, receives the pass's PrunedComparisons and, under
-	// PanicSkip, the PanicsRecovered counter.
+	// Obs, when non-nil, receives the pass's PrunedComparisons,
+	// SimCacheHits and SimCacheMisses and, under PanicSkip, the
+	// PanicsRecovered counter.
 	Obs *obs.Stats
 }
 
@@ -171,6 +172,10 @@ type preMatcher struct {
 	// pass, so the δ passes of one link reuse it instead of growing a new
 	// one each time.
 	links [][]CandidateLink
+	// caches[ci] is chunk ci's attribute-similarity cache, kept for the
+	// whole link like its link buffer, so a relaxed pass starts warm.
+	// The remainder pass reuses caches[0] when it scores through eng.
+	caches []*compare.SimCache
 }
 
 // newPreMatcher allocates the per-entry score state of cp's table and
@@ -212,9 +217,11 @@ func (pm *preMatcher) bytes() int {
 // isolation and cooperative cancellation (runChunks, stage "prematch"),
 // resuming every active entry's score through
 // compare.Engine.ResumeAtLeast, so accepted pairs carry similarities
-// bit-for-bit equal to SimFunc.AggSim. Each chunk counts its own compared,
-// blocked and pruned pairs, and the pass adds the pruned total to
-// obs.PrunedComparisons once. Under PanicSkip a failed chunk contributes
+// bit-for-bit equal to SimFunc.AggSim. Chunk ci scores through its own
+// similarity cache (preMatcher.caches). Each chunk counts its own compared,
+// blocked and pruned pairs and its cache's hits and misses, and the pass
+// adds the totals to obs.PrunedComparisons, obs.SimCacheHits and
+// obs.SimCacheMisses once. Under PanicSkip a failed chunk contributes
 // no comparisons and is counted on obs.PanicsRecovered; the surviving
 // chunks still merge deterministically because results are slotted by
 // chunk index. The links are then clustered with a position-keyed
@@ -225,17 +232,20 @@ func (pm *preMatcher) bytes() int {
 func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float64,
 	workers int, policy PanicPolicy, st *obs.Stats) (*PreMatchResult, error) {
 	type chunkResult struct {
-		compared, blocked, pruned int
+		compared, blocked, pruned, hits, misses int
 	}
 	size := perWorker(len(oldPos), workers)
 	chunks := chunkCount(len(oldPos), size)
 	results := make([]chunkResult, chunks)
 	for len(pm.links) < chunks {
 		pm.links = append(pm.links, nil)
+		pm.caches = append(pm.caches, pm.eng.NewSimCache())
 	}
 	skipped, err := runChunks(ctx, "prematch", delta, len(oldPos), size, workers, policy, st, func(ci, lo, hi int) error {
 		res := &results[ci]
 		links := pm.links[ci][:0]
+		c := pm.caches[ci]
+		c.Hits, c.Misses = 0, 0
 		for j := lo; j < hi; j++ {
 			if (j-lo)%cancelCheckEvery == 0 {
 				if e := ctx.Err(); e != nil {
@@ -248,7 +258,7 @@ func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float6
 			for _, ni := range pm.tab.Row(oi) {
 				if pm.active[ni] {
 					res.compared++
-					switch pm.eng.ResumeAtLeast(oi, int(ni), delta, &pm.sum[e], &pm.next[e]) {
+					switch pm.eng.ResumeAtLeast(oi, int(ni), delta, &pm.sum[e], &pm.next[e], c) {
 					case compare.Accepted:
 						links = append(links, CandidateLink{Old: int32(oi), New: ni, Sim: pm.sum[e]})
 					case compare.Pruned:
@@ -259,13 +269,14 @@ func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float6
 			}
 		}
 		pm.links[ci] = links
+		res.hits, res.misses = c.Hits, c.Misses
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := &PreMatchResult{old: pm.eng.Old, new: pm.eng.New}
-	n, pruned := 0, 0
+	n, pruned, hits, misses := 0, 0, 0, 0
 	for ci, res := range results {
 		if skipped[ci] {
 			continue
@@ -273,6 +284,8 @@ func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float6
 		out.Compared += res.compared
 		out.Blocked += res.blocked
 		pruned += res.pruned
+		hits += res.hits
+		misses += res.misses
 		n += len(pm.links[ci])
 	}
 	out.Links = make([]CandidateLink, 0, n)
@@ -282,6 +295,8 @@ func (pm *preMatcher) preMatch(ctx context.Context, oldPos []int32, delta float6
 		}
 	}
 	st.Add(obs.PrunedComparisons, pruned)
+	st.Add(obs.SimCacheHits, hits)
+	st.Add(obs.SimCacheMisses, misses)
 	pm.cluster(out, oldPos)
 	return out, nil
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 
 	"censuslink/internal/census"
+	"censuslink/internal/compare"
 	"censuslink/internal/hgraph"
 	"censuslink/internal/obs"
 )
@@ -35,7 +36,8 @@ type runState struct {
 	// Both read the one candidate table, share the active-record mask the
 	// δ loop narrows and live for the whole call. sim also keeps every
 	// table entry's resumable score, so each pass continues a pair's
-	// scoring where the previous pass stopped.
+	// scoring where the previous pass stopped, and one similarity cache
+	// per pre-match chunk.
 	sim *preMatcher
 	rem *compiledPair
 }
@@ -179,11 +181,19 @@ func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []ui
 }
 
 // remainder is the remainder stage: the attribute-only pass (line 17 of
-// Algorithm 1) over the records no iteration linked.
+// Algorithm 1) over the records no iteration linked. When it scores
+// through the Sim engine it reuses the first pre-match chunk's similarity
+// cache, warm from the δ passes; otherwise it makes one for its engine.
 func (rs *runState) remainder(ctx context.Context, remOld, remNew []*census.Record) ([]RecordLink, error) {
 	stop := rs.cfg.Obs.Stage("remainder")
 	rs.rem.setActive(remNew)
-	links, err := matchRemainder(ctx, remOld, rs.cfg.Remainder, rs.match, rs.rem, rs.cfg.Obs)
+	var c *compare.SimCache
+	if rs.rem.eng == rs.sim.eng && len(rs.sim.caches) > 0 {
+		c = rs.sim.caches[0]
+	} else {
+		c = rs.rem.eng.NewSimCache()
+	}
+	links, err := matchRemainder(ctx, remOld, rs.cfg.Remainder, rs.match, rs.rem, c, rs.cfg.Obs)
 	stop()
 	return links, err
 }
