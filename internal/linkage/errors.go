@@ -13,11 +13,11 @@ const (
 	// PanicFailFast aborts the run on the first worker panic, surfacing it
 	// as a *PipelineError that names the offending work item. The default.
 	PanicFailFast PanicPolicy = iota
-	// PanicSkip absorbs worker panics: the offending group pair (or record
-	// chunk) contributes nothing, the panic is counted on the
-	// obs.PanicsRecovered counter, and the run completes on the remaining
-	// work. Use for dirty data where one poisoned household must not sink a
-	// multi-hour run.
+	// PanicSkip absorbs worker panics: the offending chunk contributes
+	// nothing (a subgraph_match chunk drops the group pairs of its old
+	// households), the panic is counted on the obs.PanicsRecovered
+	// counter, and the run completes on the remaining work. Use for dirty
+	// data where one poisoned household must not sink a multi-hour run.
 	PanicSkip
 )
 
@@ -42,11 +42,11 @@ type PipelineError struct {
 	// Delta is the pre-matching threshold in effect, or 0 outside the
 	// iteration loop.
 	Delta float64
-	// Group is the offending candidate group pair for failures inside
-	// subgraph matching; both fields are empty otherwise.
+	// Group is the group pair a subgraph_match worker was matching when
+	// it failed; both fields are empty otherwise.
 	Group GroupPair
-	// Chunk is the offending pre-matching record chunk index, or -1 when
-	// the failure is not chunk-scoped.
+	// Chunk is the offending chunk index of the stage's pool, or -1 when
+	// the failure is not chunk-scoped or Group names it.
 	Chunk int
 	// Panic is the recovered panic value for worker crashes, nil for
 	// cancellations.
@@ -70,7 +70,7 @@ func (e *PipelineError) Error() string {
 	case e.Group != (GroupPair{}):
 		item = fmt.Sprintf(" on group pair %s->%s", e.Group.Old, e.Group.New)
 	case e.Chunk >= 0:
-		item = fmt.Sprintf(" on record chunk %d", e.Chunk)
+		item = fmt.Sprintf(" on chunk %d", e.Chunk)
 	}
 	if e.Panic != nil {
 		return fmt.Sprintf("linkage: panic in %s worker%s: %v", loc, item, e.Panic)

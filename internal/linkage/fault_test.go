@@ -20,7 +20,6 @@ import (
 	"censuslink/internal/linkage"
 	"censuslink/internal/obs"
 	"censuslink/internal/paperexample"
-	"censuslink/internal/synth"
 )
 
 func faultConfig(workers int) linkage.Config {
@@ -36,13 +35,17 @@ func skipWithoutInjection(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicFailFast: a panic at the fault point of the first
+// subgraph_match chunk, before any group pair is matched, fails the link
+// with a PipelineError that names the stage and the chunk of old
+// households and carries the panic value and stack.
 func TestWorkerPanicFailFast(t *testing.T) {
 	skipWithoutInjection(t)
 	defer faultinject.Reset()
 	faultinject.Set("linkage.subgraph_match.chunk", faultinject.PanicOnCall(1, "poisoned household"))
 
 	old, new := paperexample.Old(), paperexample.New()
-	_, err := linkage.LinkContext(context.Background(), old, new, faultConfig(2))
+	_, err := linkage.LinkContext(context.Background(), old, new, faultConfig(1))
 	if err == nil {
 		t.Fatal("injected worker panic did not fail the run")
 	}
@@ -50,33 +53,42 @@ func TestWorkerPanicFailFast(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("error type = %T, want *PipelineError (%v)", err, err)
 	}
+	if pe.Stage != "subgraph_match" || pe.Chunk != 0 || pe.Group != (linkage.GroupPair{}) {
+		t.Errorf("stage=%q chunk=%d group=%+v, want subgraph_match chunk 0 and no group pair", pe.Stage, pe.Chunk, pe.Group)
+	}
 	if pe.Panic == nil {
 		t.Errorf("PipelineError.Panic = nil, want the recovered value")
 	}
 	if len(pe.Stack) == 0 {
 		t.Errorf("PipelineError.Stack empty, want the worker stack trace")
 	}
-	if pe.Group.Old == "" || pe.Group.New == "" {
-		t.Errorf("PipelineError.Group = %+v, want the offending group pair", pe.Group)
-	}
 	if pe.Canceled() {
 		t.Errorf("panic reported as cancellation: %v", err)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "group pair") || !strings.Contains(msg, "poisoned household") {
-		t.Errorf("error message %q does not name the group pair and panic value", msg)
+	if msg := err.Error(); !strings.Contains(msg, "chunk 0") || !strings.Contains(msg, "poisoned household") {
+		t.Errorf("error message %q does not name the chunk and panic value", msg)
 	}
 }
 
+// TestWorkerPanicSkipCompletes: under PanicSkip the same panic is counted
+// once and the link completes without the group pairs of the skipped
+// chunk: the running example's first old household is the first of two
+// chunks, and two of the first pass's four group pairs are its.
 func TestWorkerPanicSkipCompletes(t *testing.T) {
 	skipWithoutInjection(t)
+	old, new := paperexample.Old(), paperexample.New()
+	cleanCfg := faultConfig(2)
+	cleanCfg.Obs = obs.NewStats(nil)
+	if _, err := linkage.LinkContext(context.Background(), old, new, cleanCfg); err != nil {
+		t.Fatal(err)
+	}
+
 	defer faultinject.Reset()
 	faultinject.Set("linkage.subgraph_match.chunk", faultinject.PanicOnCall(1, "poisoned household"))
-
 	stats := obs.NewStats(nil)
 	cfg := faultConfig(2)
 	cfg.Panics = linkage.PanicSkip
 	cfg.Obs = stats
-	old, new := paperexample.Old(), paperexample.New()
 	res, err := linkage.LinkContext(context.Background(), old, new, cfg)
 	if err != nil {
 		t.Fatalf("skip policy did not absorb the panic: %v", err)
@@ -86,6 +98,13 @@ func TestWorkerPanicSkipCompletes(t *testing.T) {
 	}
 	if got := stats.Total(obs.PanicsRecovered); got != 1 {
 		t.Errorf("panics_recovered = %d, want 1", got)
+	}
+	clean, skipped := cleanCfg.Obs.Report().Iterations[0], stats.Report().Iterations[0]
+	if c, s := clean.Count(obs.GroupPairs), skipped.Count(obs.GroupPairs); c != 4 || s != 2 {
+		t.Errorf("first pass group_pairs = %d clean, %d with a skipped chunk, want 4 and 2", c, s)
+	}
+	if c, s := clean.Count(obs.Subgraphs), skipped.Count(obs.Subgraphs); s >= c {
+		t.Errorf("first pass subgraphs = %d clean, %d with a skipped chunk, want fewer", c, s)
 	}
 }
 
@@ -213,77 +232,6 @@ func TestCompileChunkPanic(t *testing.T) {
 	})
 }
 
-// TestCandidateGroupsChunkPanic: candidate_groups runs in chunks of old
-// households on the pool. A panic or an injected failure in any chunk
-// fails the link with a candidate_groups PipelineError naming the chunk,
-// under PanicSkip too, since a dropped chunk would silently lose group
-// pairs; cancelling from the fault point aborts the stage with a
-// cancellation.
-func TestCandidateGroupsChunkPanic(t *testing.T) {
-	skipWithoutInjection(t)
-	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 29), 1861, 1871)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first pass has more than one chunk, so a failure in a later chunk
-	// is tested too.
-	var passes atomic.Int64
-	faultinject.Set("linkage.candidate_groups.chunk", func() error {
-		passes.Add(1)
-		return nil
-	})
-	clean, err := linkage.LinkContext(context.Background(), old, new, faultConfig(2))
-	faultinject.Reset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	perPass := passes.Load() / int64(len(clean.Iterations))
-	if perPass < 2 {
-		t.Fatalf("candidate_groups passed its fault point %d times per pass, want at least 2", perPass)
-	}
-	errInjected := errors.New("injected candidate_groups failure")
-	for _, policy := range []linkage.PanicPolicy{linkage.PanicFailFast, linkage.PanicSkip} {
-		for _, call := range []uint64{1, uint64(perPass)} {
-			t.Run(fmt.Sprintf("%v/panic%d", policy, call), func(t *testing.T) {
-				defer faultinject.Reset()
-				faultinject.Set("linkage.candidate_groups.chunk", faultinject.PanicOnCall(call, "household crash"))
-				cfg := faultConfig(2)
-				cfg.Panics = policy
-				_, err := linkage.LinkContext(context.Background(), old, new, cfg)
-				var pe *linkage.PipelineError
-				if !errors.As(err, &pe) || pe.Stage != "candidate_groups" || pe.Chunk < 0 || pe.Panic == nil {
-					t.Fatalf("error = %v, want a candidate_groups chunk panic", err)
-				}
-			})
-		}
-		t.Run(fmt.Sprintf("%v/fail", policy), func(t *testing.T) {
-			defer faultinject.Reset()
-			faultinject.Set("linkage.candidate_groups.chunk", faultinject.FailOnCall(1, errInjected))
-			cfg := faultConfig(2)
-			cfg.Panics = policy
-			_, err := linkage.LinkContext(context.Background(), old, new, cfg)
-			var pe *linkage.PipelineError
-			if !errors.Is(err, errInjected) || !errors.As(err, &pe) || pe.Stage != "candidate_groups" {
-				t.Fatalf("error = %v, want the injected candidate_groups failure", err)
-			}
-		})
-	}
-	t.Run("cancel", func(t *testing.T) {
-		defer faultinject.Reset()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		faultinject.Set("linkage.candidate_groups.chunk", func() error {
-			cancel()
-			return nil
-		})
-		_, err := linkage.LinkContext(ctx, old, new, faultConfig(2))
-		var pe *linkage.PipelineError
-		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Stage != "candidate_groups" {
-			t.Fatalf("error = %v, want a candidate_groups cancellation", err)
-		}
-	})
-}
-
 // TestBuildGraphsChunkPanic: build_graphs builds the two datasets'
 // household graphs in two chunks on the pool. A panic in either fails the
 // link with a build_graphs PipelineError naming the chunk, under PanicSkip
@@ -333,81 +281,6 @@ func TestBuildGraphsChunkPanic(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSubgraphPoolStops: inside subgraph_match the chunk pool runs one
-// group pair per chunk. Cancelling from the first pair's fault point
-// aborts the stage with a cancellation once every worker has claimed at
-// most one checkpoint interval (64 pairs) more, far fewer than the
-// thousands of group pairs entering the pool in the first pass (the
-// subgraph_candidates counter). A fail-fast panic on the first pair stops
-// a one-worker pool at that pair.
-func TestSubgraphPoolStops(t *testing.T) {
-	skipWithoutInjection(t)
-	const workers, checkpoint = 4, 64
-	old, new, err := synth.GeneratePair(synth.TestConfig(0.1, 1871000), 1871, 1881)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanCfg := faultConfig(workers)
-	cleanCfg.Obs = obs.NewStats(nil)
-	if _, err := linkage.LinkContext(context.Background(), old, new, cleanCfg); err != nil {
-		t.Fatal(err)
-	}
-	pairs := cleanCfg.Obs.Report().Iterations[0].Count(obs.SubgraphCandidates)
-	if pairs < 4*workers*checkpoint {
-		t.Fatalf("%d group pairs enter the pool in the first pass; too few to see the pool stop", pairs)
-	}
-
-	t.Run("cancel", func(t *testing.T) {
-		defer faultinject.Reset()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		// after counts the pairs claimed once cancel has returned; the
-		// scheduler may delay the cancelling worker, so pairs matched
-		// before that do not count.
-		var hits, after atomic.Int64
-		var cancelled atomic.Bool
-		faultinject.Set("linkage.subgraph_match.chunk", func() error {
-			if hits.Add(1) == 1 {
-				cancel()
-				cancelled.Store(true)
-			} else if cancelled.Load() {
-				after.Add(1)
-			}
-			return nil
-		})
-		res, err := linkage.LinkContext(ctx, old, new, faultConfig(workers))
-		if res != nil {
-			t.Error("cancelled run returned a partial result")
-		}
-		var pe *linkage.PipelineError
-		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Stage != "subgraph_match" {
-			t.Fatalf("error = %v, want a subgraph_match cancellation", err)
-		}
-		if got := after.Load(); got > workers*checkpoint {
-			t.Errorf("pool matched %d of %d group pairs after the cancel, want at most %d",
-				got, pairs, workers*checkpoint)
-		}
-	})
-	t.Run("fail-fast", func(t *testing.T) {
-		defer faultinject.Reset()
-		var hits atomic.Int64
-		faultinject.Set("linkage.subgraph_match.chunk", func() error {
-			if hits.Add(1) == 1 {
-				panic("poisoned household")
-			}
-			return nil
-		})
-		_, err := linkage.LinkContext(context.Background(), old, new, faultConfig(1))
-		var pe *linkage.PipelineError
-		if !errors.As(err, &pe) || pe.Stage != "subgraph_match" || pe.Group.Old == "" || pe.Panic == nil {
-			t.Fatalf("error = %v, want a subgraph_match panic naming its group pair", err)
-		}
-		if got := hits.Load(); got != 1 {
-			t.Errorf("pool matched %d of %d group pairs, want it to stop at the poisoned one", got, pairs)
-		}
-	})
 }
 
 // TestCancellationMidIteration cancels the context from inside a pre-matching

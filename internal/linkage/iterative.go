@@ -53,7 +53,8 @@ type Config struct {
 	// typed *PipelineError naming the offending work item (PanicFailFast,
 	// the default), or skip the poisoned item, count it on the
 	// obs.PanicsRecovered counter and complete on the remaining work
-	// (PanicSkip).
+	// (PanicSkip). A skipped subgraph_match chunk drops that chunk's group
+	// pairs.
 	Panics PanicPolicy
 	// Obs, when non-nil, collects stage timings and per-iteration counters
 	// for the run (see internal/obs). Nil disables observability; the
@@ -231,9 +232,9 @@ type Result struct {
 
 // LinkContext runs the full iterative record and group linkage
 // (Algorithm 1) between two successive census datasets. The iteration loop,
-// the pre-matching and candidate-group chunk workers, the subgraph-match
-// worker pool and the remainder pass all observe ctx at checkpoints, so a deadline or SIGINT
-// aborts the run promptly with a *PipelineError wrapping ctx.Err()
+// the pre-matching and subgraph-matching chunk workers and the remainder
+// pass all observe ctx at checkpoints, so a deadline or SIGINT aborts the
+// run promptly with a *PipelineError wrapping ctx.Err()
 // (errors.Is sees context.Canceled / context.DeadlineExceeded) instead of
 // wedging the process. Worker panics are isolated per Config.Panics.
 //
@@ -280,18 +281,13 @@ func link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config, hook ru
 		cfg.Obs.Add(obs.PairsCompared, pre.Compared)
 		cfg.Obs.Add(obs.CandidateLinks, len(pre.Links))
 		cfg.Obs.Add(obs.ClusterLabels, len(pre.LabelSize))
-		pairs, linked, err := rs.candidateGroups(ctx, delta, pre)
+		subs, linked, candidates, err := rs.subgraphMatch(ctx, delta, pre)
 		if err != nil {
 			cfg.Obs.EndIteration()
 			return nil, err
 		}
 		cfg.Obs.Add(obs.GroupPairs, linked)
-		cfg.Obs.Add(obs.SubgraphCandidates, len(pairs))
-		subs, err := rs.subgraphMatch(ctx, delta, pairs, pre)
-		if err != nil {
-			cfg.Obs.EndIteration()
-			return nil, err
-		}
+		cfg.Obs.Add(obs.SubgraphCandidates, candidates)
 		cfg.Obs.Add(obs.Subgraphs, len(subs))
 		stop := cfg.Obs.Stage("selection")
 		accepted := SelectGroupLinks(subs)

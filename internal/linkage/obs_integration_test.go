@@ -74,11 +74,15 @@ func TestObsReportMatchesResult(t *testing.T) {
 	if got, want := got64(rep, obs.RecordLinks)+got64(rep, obs.RemainderLinks), int64(len(res.RecordLinks)); got != want {
 		t.Errorf("total record links %d != len(RecordLinks) %d", got, want)
 	}
-	for _, stage := range []string{"build_graphs", "prematch", "candidate_groups", "subgraph_match", "selection", "remainder"} {
+	stages := []string{"build_graphs", "compile", "prematch", "subgraph_match", "selection", "remainder"}
+	for _, stage := range stages {
 		st, ok := rep.Stages[stage]
 		if !ok || st.Calls == 0 {
 			t.Errorf("stage %q missing from report", stage)
 		}
+	}
+	if got := rep.StageNames(); len(got) != len(stages) {
+		t.Errorf("report stages %v, want %v", got, stages)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Stages of Algorithm 1 (DESIGN.md §14). One LinkContext call builds one
 // runState, and the executor in iterative.go drives the stages over it in
 // order: build_graphs and compile once, then per δ prematch →
-// candidate_groups → subgraph_match → selection, and finally the remainder
-// pass. Each stage is a plain function or runState method timed under its
-// obs stage name.
+// subgraph_match → selection, and finally the remainder pass. Each stage
+// is a plain function or runState method timed under its obs stage name.
 package linkage
 
 import (
@@ -28,8 +27,9 @@ type runState struct {
 	// and hold one household graph per household number (completeGroups of
 	// Algorithm 1).
 	oldHH, newHH householdIndex
-	// groups is the candidate_groups stage's state, reused across δ.
-	groups groupCandidates
+	// groups is the subgraph_match stage's link offsets and per-chunk
+	// buffers, reused across δ.
+	groups groupStage
 	// sim scores pre-matching and the transitively linked vertex pairs of
 	// the subgraph stage; rem scores the remainder pass with Sim_func_rem,
 	// through sim's engine when the two compile alike.
@@ -139,45 +139,16 @@ func (rs *runState) prematch(ctx context.Context, delta float64, remOld, remNew 
 	return pre, err
 }
 
-// candidateGroups is the candidate_groups stage: the group pairs of the
-// pass that can hold a subgraph, and the number of group pairs its links
-// connect (groupCandidates.run). The returned pairs live in the run's
-// buffer until the next δ's call.
-func (rs *runState) candidateGroups(ctx context.Context, delta float64, pre *PreMatchResult) ([]uint64, int, error) {
-	stop := rs.cfg.Obs.Stage("candidate_groups")
-	defer stop()
-	return rs.groups.run(ctx, delta, pre, &rs.oldHH, &rs.newHH, rs.match, rs.cfg.Workers)
-}
-
-// subgraphMatch is the subgraph_match stage: the position view of the pass,
-// then MatchGroups over every candidate group pair on the chunk pool, one
-// pair per chunk. A failure names its group pair in PipelineError.Group,
-// and under PanicSkip only the poisoned pair is dropped. Subgraphs come
-// out in pair order.
-func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pairs []uint64, pre *PreMatchResult) ([]*Subgraph, error) {
+// subgraphMatch is the subgraph_match stage: the position view of the
+// pass, then every group pair its links connect matched on the chunk pool
+// in chunks of old households (groupStage.run). It returns the subgraphs
+// in ascending pair order, the number of linked group pairs and the number
+// that passed the matcher's first test.
+func (rs *runState) subgraphMatch(ctx context.Context, delta float64, pre *PreMatchResult) ([]*Subgraph, int, int, error) {
 	stop := rs.cfg.Obs.Stage("subgraph_match")
+	defer stop()
 	gm := NewGroupMatcher(pre, rs.sim.eng, rs.match)
-	slots := make([]*Subgraph, len(pairs))
-	_, err := runChunks(ctx, "subgraph_match", delta, len(pairs), 1, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs,
-		func(ci, _, _ int) error {
-			ho, hn := unpackPair(pairs[ci])
-			slots[ci] = gm.MatchGroups(rs.oldHH.graphs[ho], rs.newHH.graphs[hn])
-			return nil
-		})
-	stop()
-	if err != nil {
-		if pe, ok := err.(*PipelineError); ok && pe.Chunk >= 0 {
-			pe.Group, pe.Chunk = groupPair(pairs[pe.Chunk], rs.oldHH, rs.newHH), -1
-		}
-		return nil, err
-	}
-	subs := slots[:0]
-	for _, s := range slots {
-		if s != nil {
-			subs = append(subs, s)
-		}
-	}
-	return subs, nil
+	return rs.groups.run(ctx, delta, gm, &rs.oldHH, &rs.newHH, rs.cfg.Workers, rs.cfg.Panics, rs.cfg.Obs)
 }
 
 // remainder is the remainder stage: the attribute-only pass (line 17 of

@@ -10,6 +10,7 @@ import (
 	"censuslink/internal/census"
 	"censuslink/internal/compare"
 	"censuslink/internal/hgraph"
+	"censuslink/internal/obs"
 )
 
 // VertexPair is one vertex of a matched subgraph: a pair of equally
@@ -175,6 +176,44 @@ type vertexCand struct {
 // Fig. 4 of the paper. Edge support is counted before any similarity is
 // looked up or scored, and only candidates with support are scored.
 func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
+	sub, _ := m.match(gOld, m.labelled(gOld, nil), gNew, &matchScratch{})
+	return sub
+}
+
+// labelledOld is a member of an old group that carries a cluster label in
+// the pass: its member index, label and age.
+type labelledOld struct {
+	i, label int32
+	age      int
+}
+
+// labelled appends to dst the members of gOld that carry a label in the
+// pass.
+func (m *GroupMatcher) labelled(gOld *hgraph.Graph, dst []labelledOld) []labelledOld {
+	members := gOld.Members()
+	for i, p := range gOld.Positions() {
+		if l := m.oldLabel[p]; l >= 0 {
+			dst = append(dst, labelledOld{i: int32(i), label: l, age: members[i].Age})
+		}
+	}
+	return dst
+}
+
+// matchScratch holds the per-pair buffers of the matcher, which one chunk
+// of the subgraph stage reuses for all its group pairs.
+type matchScratch struct {
+	cands, chosen []vertexCand
+	degree        []int
+	edges         []SubEdge
+}
+
+// match is MatchGroups through the buffers of s, given olds, the
+// labelled members of gOld (labelled), which the pairs of one old group
+// share. candidate reports whether the group pair passed the first test,
+// at least two label-sharing, age-consistent member pairs
+// (obs.SubgraphCandidates); a pair that fails it allocates nothing once s
+// has grown.
+func (m *GroupMatcher) match(gOld *hgraph.Graph, olds []labelledOld, gNew *hgraph.Graph, s *matchScratch) (sub *Subgraph, candidate bool) {
 	oldMembers, newMembers := gOld.Members(), gNew.Members()
 	oldPos, newPos := gOld.Positions(), gNew.Positions()
 
@@ -183,20 +222,21 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 	// clusters the transitive closure of its links, so every vertex
 	// candidate is among these. With fewer than two the group pair has no
 	// subgraph, and nothing is scored.
-	var cands []vertexCand
-	for i, o := range oldMembers {
-		lo := m.oldLabel[oldPos[i]]
-		if lo < 0 {
+	cands := s.cands[:0]
+	for j, p := range newPos {
+		ln := m.newLabel[p]
+		if ln < 0 {
 			continue
 		}
-		for j, n := range newMembers {
-			if m.newLabel[newPos[j]] == lo && m.cfg.AgeConsistent(o, n) {
-				cands = append(cands, vertexCand{i: i, j: j})
+		for _, o := range olds {
+			if o.label == ln && m.cfg.agesFit(o.age, newMembers[j].Age) {
+				cands = append(cands, vertexCand{i: int(o.i), j: j})
 			}
 		}
 	}
+	s.cands = cands
 	if len(cands) < 2 {
-		return nil
+		return nil, false
 	}
 	// Under DirectVerticesOnly only directly compared pairs are candidates,
 	// so their pre-matching similarities are looked up before edge support.
@@ -210,7 +250,7 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 		}
 		cands = kept
 		if len(cands) < 2 {
-			return nil
+			return nil, true
 		}
 	}
 
@@ -257,7 +297,7 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 	}
 	cands = kept
 	if len(cands) == 0 {
-		return nil
+		return nil, true
 	}
 
 	// Greedy 1:1 assignment: highest edge support first, then similarity,
@@ -277,25 +317,22 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 		}
 		return strings.Compare(newMembers[a.j].ID, newMembers[b.j].ID)
 	})
-	usedOld := make([]bool, len(oldMembers))
-	usedNew := make([]bool, len(newMembers))
-	var chosen []vertexCand
+	chosen := s.chosen[:0]
 	for _, c := range cands {
-		if usedOld[c.i] || usedNew[c.j] {
-			continue
+		if !slices.ContainsFunc(chosen, func(d vertexCand) bool { return d.i == c.i || d.j == c.j }) {
+			chosen = append(chosen, c)
 		}
-		usedOld[c.i] = true
-		usedNew[c.j] = true
-		chosen = append(chosen, c)
 	}
+	s.chosen = chosen
 	// Restore member order for deterministic output.
 	slices.SortFunc(chosen, func(a, b vertexCand) int {
 		return strings.Compare(oldMembers[a.i].ID, oldMembers[b.i].ID)
 	})
 
 	// Final edges among the chosen vertices.
-	var edges []SubEdge
-	degree := make([]int, len(chosen))
+	edges := s.edges[:0]
+	degree := append(s.degree[:0], make([]int, len(chosen))...)
+	s.degree = degree
 	for i := 0; i < len(chosen); i++ {
 		for j := i + 1; j < len(chosen); j++ {
 			if rp, ok := compatible(chosen[i], chosen[j]); ok {
@@ -305,36 +342,37 @@ func (m *GroupMatcher) MatchGroups(gOld, gNew *hgraph.Graph) *Subgraph {
 			}
 		}
 	}
+	s.edges = edges
 	if len(edges) == 0 {
-		return nil
+		return nil, true
 	}
 
-	// Drop vertices without edge support (Fig. 4 reduction) and remap edges.
-	remap := make([]int, len(chosen))
+	// Drop vertices without edge support (Fig. 4 reduction) and remap
+	// edges; degree[i] becomes chosen vertex i's index among the vertices.
 	var vertices []VertexPair
 	labelSum := 0
 	for i, c := range chosen {
-		if degree[i] > 0 {
-			remap[i] = len(vertices)
-			vertices = append(vertices, VertexPair{Old: oldMembers[c.i], New: newMembers[c.j], Sim: c.sim})
-			labelSum += int(m.labelSize[m.oldLabel[oldPos[c.i]]])
-		} else {
-			remap[i] = -1
+		if degree[i] == 0 {
+			continue
 		}
+		degree[i] = len(vertices)
+		vertices = append(vertices, VertexPair{Old: oldMembers[c.i], New: newMembers[c.j], Sim: c.sim})
+		labelSum += int(m.labelSize[m.oldLabel[oldPos[c.i]]])
 	}
+	edges = slices.Clone(edges)
 	for i := range edges {
-		edges[i].I = remap[edges[i].I]
-		edges[i].J = remap[edges[i].J]
+		edges[i].I = degree[edges[i].I]
+		edges[i].J = degree[edges[i].J]
 	}
 
-	sub := &Subgraph{
+	sub = &Subgraph{
 		OldGroup: gOld.HouseholdID,
 		NewGroup: gNew.HouseholdID,
 		Vertices: vertices,
 		Edges:    edges,
 	}
 	sub.score(gOld, gNew, labelSum, m.cfg)
-	return sub
+	return sub, true
 }
 
 // score fills in avg_sim (Eq. 5), e_sim (Eq. 6), unique (Eq. 7) and the
@@ -366,111 +404,75 @@ type GroupPair struct {
 	Old, New string
 }
 
-// groupCandidates is the candidate_groups stage of one link (Section 3.3):
-// subgraph matching is only applied to pairs of groups sharing a similar
-// record, and of those only to the pairs with at least two label-sharing,
-// age-consistent member pairs, the first test of MatchGroups, so every
-// pair it drops would match to nil. Its buffers are refilled by every δ
-// pass.
-type groupCandidates struct {
+// groupStage is the subgraph_match stage's state, reused across δ.
+type groupStage struct {
 	// linkStart[p]:linkStart[p+1] index the pass's links of old position p
-	// in PreMatchResult.Links, which are sorted by old position.
+	// in GroupMatcher.links, which are sorted by old position.
 	linkStart []int32
-	// old and new hold the members of each side's households that carry a
-	// label in the pass.
-	old, new labelledMembers
 	// chunks[ci] is chunk ci's output and scratch.
 	chunks []groupChunk
-	// pairs is the concatenated output of the chunks.
-	pairs []uint64
 }
 
-// labelledMembers lays out, household by household, the members of one
-// side that carry a cluster label in a pass: members of household h are
-// at m[start[h]:start[h+1]].
-type labelledMembers struct {
-	start []int32
-	m     []labelledMember
-}
-
-// labelledMember is one member's label in the pass, dataset position and
-// age.
-type labelledMember struct {
-	label, pos int32
-	age        int
-}
-
-// fill refills lm from the pass's position-keyed labels and the household
-// graphs of hx.
-func (lm *labelledMembers) fill(labels []int32, hx *householdIndex) {
-	lm.start = append(lm.start[:0], 0)
-	lm.m = lm.m[:0]
-	for _, g := range hx.graphs {
-		members := g.Members()
-		for k, p := range g.Positions() {
-			if l := labels[p]; l >= 0 {
-				lm.m = append(lm.m, labelledMember{label: l, pos: p, age: members[k].Age})
-			}
-		}
-		lm.start = append(lm.start, int32(len(lm.m)))
-	}
-}
-
-// of returns household h's labelled members.
-func (lm *labelledMembers) of(h int32) []labelledMember { return lm.m[lm.start[h]:lm.start[h+1]] }
-
-// groupChunk is one chunk of old households' share of the stage: its kept
-// pairs, the number of distinct group pairs its households are linked to,
-// and the new-household scratch of one old household.
+// groupChunk is one chunk of old households' share of the stage: its
+// subgraphs and pair counts, the group pair it is matching (hn < 0
+// between pairs), the new-household list of one old household and the
+// matcher's buffers.
 type groupChunk struct {
-	pairs  []uint64
-	linked int
-	hns    []int32
+	subs               []*Subgraph
+	linked, candidates int
+	ho, hn             int32
+	hns                []int32
+	olds               []labelledOld
+	scratch            matchScratch
 }
 
-// run derives the candidate group pairs of one pre-matching pass on the
-// chunk pool, in chunks of old households: it collects the new households
-// each old household's records are directly linked to and keeps the pairs
-// that can hold a subgraph. The pairs come out packed as (old household
-// number, new household number) in ascending order; the second result is
-// the number of distinct group pairs the pass's links connect, kept or
-// not. pre must have been computed over the full record lists indexed by
-// oldHH and newHH. Every chunk passes the fault point
-// "linkage.candidate_groups.chunk"; a failed chunk fails the pass under
-// either panic policy, because a dropped chunk would silently lose group
-// pairs. The returned slice is reused by the next call.
-func (gc *groupCandidates) run(ctx context.Context, delta float64, pre *PreMatchResult, oldHH, newHH *householdIndex,
-	match MatchConfig, workers int) ([]uint64, int, error) {
-	links := pre.Links
-	gc.linkStart = slices.Grow(gc.linkStart[:0], len(pre.OldLabels)+1)
+// run matches the group pairs of one pre-matching pass (Section 3.3) on
+// the chunk pool, in chunks of old households: for each old household it
+// collects the new households its records are directly linked to and
+// matches each pair with gm. The subgraphs come out in ascending (old,
+// new) household-number order. linked counts the distinct group pairs the
+// pass's links connect, and candidates those that passed the matcher's
+// first test. gm's pass must have been computed over the full record
+// lists indexed by oldHH and newHH. Each chunk observes ctx every
+// cancelCheckEvery households. A failure inside a pair's match names the
+// pair in PipelineError.Group; under PanicSkip a failed chunk's group
+// pairs contribute no subgraph and no count.
+func (gs *groupStage) run(ctx context.Context, delta float64, gm *GroupMatcher, oldHH, newHH *householdIndex,
+	workers int, policy PanicPolicy, st *obs.Stats) (subs []*Subgraph, linked, candidates int, err error) {
+	links := gm.links
+	gs.linkStart = slices.Grow(gs.linkStart[:0], len(gm.oldLabel)+1)
 	k := 0
-	for p := range len(pre.OldLabels) + 1 {
+	for p := range len(gm.oldLabel) + 1 {
 		for k < len(links) && int(links[k].Old) < p {
 			k++
 		}
-		gc.linkStart = append(gc.linkStart, int32(k))
+		gs.linkStart = append(gs.linkStart, int32(k))
 	}
-	// Every linked record carries a label, so the links of a household are
-	// those of its labelled members.
-	gc.old.fill(pre.OldLabels, oldHH)
-	gc.new.fill(pre.NewLabels, newHH)
 
 	// Four chunks per worker even out the households' uneven link counts.
 	n := len(oldHH.ids)
 	size := perWorker(n, 4*poolSize(workers))
 	chunks := chunkCount(n, size)
-	for len(gc.chunks) < chunks {
-		gc.chunks = append(gc.chunks, groupChunk{})
+	for len(gs.chunks) < chunks {
+		gs.chunks = append(gs.chunks, groupChunk{})
 	}
-	_, err := runChunks(ctx, "candidate_groups", delta, n, size, workers, PanicFailFast, nil,
+	for ci := range gs.chunks[:chunks] {
+		gs.chunks[ci].hn = -1
+	}
+	skipped, err := runChunks(ctx, "subgraph_match", delta, n, size, workers, policy, st,
 		func(ci, lo, hi int) error {
-			c := &gc.chunks[ci]
-			c.pairs, c.linked = c.pairs[:0], 0
+			c := &gs.chunks[ci]
+			c.subs, c.linked, c.candidates = c.subs[:0], 0, 0
 			for ho := int32(lo); ho < int32(hi); ho++ {
-				olds := gc.old.of(ho)
+				if (int(ho)-lo)%cancelCheckEvery == 0 {
+					if err := ctx.Err(); err != nil {
+						return cancelErr("subgraph_match", delta, err)
+					}
+				}
+				gOld := oldHH.graphs[ho]
 				hns := c.hns[:0]
-				for _, o := range olds {
-					for _, l := range links[gc.linkStart[o.pos]:gc.linkStart[o.pos+1]] {
+				for _, p := range gOld.Positions() {
+					for _, l := range links[gs.linkStart[p]:gs.linkStart[p+1]] {
 						// A record's links ascend by new position, so its
 						// links into one household are mostly adjacent.
 						if hn := newHH.of[l.New]; len(hns) == 0 || hns[len(hns)-1] != hn {
@@ -480,50 +482,41 @@ func (gc *groupCandidates) run(ctx context.Context, delta float64, pre *PreMatch
 				}
 				slices.Sort(hns)
 				hns = slices.Compact(hns)
+				c.hns = hns
 				c.linked += len(hns)
+				c.olds = gm.labelled(gOld, c.olds[:0])
 				for _, hn := range hns {
-					if sharedPairs(olds, gc.new.of(hn), match) {
-						c.pairs = append(c.pairs, packPair(ho, hn))
+					c.ho, c.hn = ho, hn
+					sub, candidate := gm.match(gOld, c.olds, newHH.graphs[hn], &c.scratch)
+					if candidate {
+						c.candidates++
+					}
+					if sub != nil {
+						c.subs = append(c.subs, sub)
 					}
 				}
-				c.hns = hns
+				c.hn = -1
 			}
 			return nil
 		})
 	if err != nil {
-		return nil, 0, err
-	}
-	gc.pairs = gc.pairs[:0]
-	linked := 0
-	for _, c := range gc.chunks[:chunks] {
-		gc.pairs = append(gc.pairs, c.pairs...)
-		linked += c.linked
-	}
-	return gc.pairs, linked, nil
-}
-
-// sharedPairs reports whether two households' labelled members form at
-// least two pairs that share a cluster label and fit the age window: the
-// pairs MatchGroups takes as vertex candidates.
-func sharedPairs(olds, news []labelledMember, match MatchConfig) bool {
-	shared := 0
-	for _, o := range olds {
-		for _, n := range news {
-			if o.label == n.label && match.agesFit(o.age, n.age) {
-				if shared++; shared == 2 {
-					return true
-				}
+		if pe, ok := err.(*PipelineError); ok && pe.Chunk >= 0 {
+			if c := &gs.chunks[pe.Chunk]; c.hn >= 0 {
+				pe.Group, pe.Chunk = GroupPair{Old: oldHH.ids[c.ho], New: newHH.ids[c.hn]}, -1
 			}
 		}
+		return nil, 0, 0, err
 	}
-	return false
+	for ci := range gs.chunks[:chunks] {
+		if !skipped[ci] {
+			c := &gs.chunks[ci]
+			subs = append(subs, c.subs...)
+			linked += c.linked
+			candidates += c.candidates
+		}
+	}
+	return subs, linked, candidates, nil
 }
-
-// packPair packs an (old, new) household-number pair into one sortable
-// word; unpackPair inverts it.
-func packPair(ho, hn int32) uint64 { return uint64(uint32(ho))<<32 | uint64(uint32(hn)) }
-
-func unpackPair(k uint64) (ho, hn int32) { return int32(k >> 32), int32(uint32(k)) }
 
 // householdIndex numbers the households of one dataset in order of first
 // appearance and maps every record position to its household's number.
@@ -550,10 +543,4 @@ func newHouseholdIndex(ds *census.Dataset, graphs map[string]*hgraph.Graph) hous
 		hx.of[i] = h
 	}
 	return hx
-}
-
-// groupPair names the packed household-number pair k by household IDs.
-func groupPair(k uint64, oldHH, newHH householdIndex) GroupPair {
-	ho, hn := unpackPair(k)
-	return GroupPair{Old: oldHH.ids[ho], New: newHH.ids[hn]}
 }

@@ -349,9 +349,21 @@ func TestSubgraphDuplicateNamesOneToOne(t *testing.T) {
 	}
 }
 
-// candidateGroupPairs is the pair-list oracle of the candidate_groups
-// stage: every distinct group pair connected by at least one pre-matching
-// record link, packed and in ascending order, with no structural filter.
+// packPair packs an (old, new) household-number pair into one sortable
+// word; unpackPair inverts it.
+func packPair(ho, hn int32) uint64 { return uint64(uint32(ho))<<32 | uint64(uint32(hn)) }
+
+func unpackPair(k uint64) (ho, hn int32) { return int32(k >> 32), int32(uint32(k)) }
+
+// groupPair names the packed household-number pair k by household IDs.
+func groupPair(k uint64, oldHH, newHH householdIndex) GroupPair {
+	ho, hn := unpackPair(k)
+	return GroupPair{Old: oldHH.ids[ho], New: newHH.ids[hn]}
+}
+
+// candidateGroupPairs is the pair-list oracle of the subgraph stage: every
+// distinct group pair connected by at least one pre-matching record link,
+// packed and in ascending order, with no structural test.
 func candidateGroupPairs(pre *PreMatchResult, oldHH, newHH householdIndex) []uint64 {
 	var out []uint64
 	for _, l := range pre.Links {
@@ -381,40 +393,37 @@ func sharedMemberPairs(gOld, gNew *hgraph.Graph, pre *preMatchView, cfg MatchCon
 }
 
 // TestCandidateGroupPairs: on the running example the pass's links
-// connect four group pairs, and the candidate_groups stage keeps the
-// three whose households share two label-sharing, age-consistent members;
-// 1871_b and 1881_c share only Steve.
+// connect four group pairs, and the subgraph stage counts the three whose
+// households share two label-sharing, age-consistent members as
+// candidates; 1871_b and 1881_c share only Steve.
 func TestCandidateGroupPairs(t *testing.T) {
 	old, new := paperexample.Old(), paperexample.New()
 	pre := figure3PreMatch(1)
 	oldHH, newHH := newHouseholdIndex(old, hgraph.BuildAll(old)), newHouseholdIndex(new, hgraph.BuildAll(new))
-	names := func(keys []uint64) []GroupPair {
-		var out []GroupPair
-		for _, k := range keys {
-			out = append(out, groupPair(k, oldHH, newHH))
-		}
-		return out
+	var linked []GroupPair
+	for _, k := range candidateGroupPairs(pre, oldHH, newHH) {
+		linked = append(linked, groupPair(k, oldHH, newHH))
 	}
-	all := []GroupPair{
+	want := []GroupPair{
 		{Old: "1871_a", New: "1881_a"},
 		{Old: "1871_a", New: "1881_d"},
 		{Old: "1871_b", New: "1881_b"},
 		{Old: "1871_b", New: "1881_c"}, // via Steve
 	}
-	if got := names(candidateGroupPairs(pre, oldHH, newHH)); !reflect.DeepEqual(got, all) {
-		t.Fatalf("linked group pairs = %v, want %v", got, all)
+	if !reflect.DeepEqual(linked, want) {
+		t.Fatalf("linked group pairs = %v, want %v", linked, want)
 	}
-	var gc groupCandidates
-	kept, linked, err := gc.run(context.Background(), 1, pre, &oldHH, &newHH, paperMatchConfig(), 2)
+	f, cfg := NameOnly(1.0), paperMatchConfig()
+	gm := NewGroupMatcher(pre, f.Compile(old.Records(), new.Records()), cfg)
+	var gs groupStage
+	subs, nLinked, candidates, err := gs.run(context.Background(), 1, gm, &oldHH, &newHH, 2, PanicFailFast, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if linked != len(all) {
-		t.Errorf("linked = %d, want %d", linked, len(all))
+	if nLinked != 4 || candidates != 3 {
+		t.Errorf("linked = %d, candidates = %d, want 4 and 3", nLinked, candidates)
 	}
-	if got := names(kept); !reflect.DeepEqual(got, all[:3]) {
-		t.Errorf("kept group pairs = %v, want %v", got, all[:3])
-	}
+	checkGroupStage(t, pre, oldHH, newHH, gm, f, cfg, subs, nLinked, candidates)
 }
 
 func TestRpSim(t *testing.T) {
@@ -454,86 +463,76 @@ func TestAgeConsistent(t *testing.T) {
 	}
 }
 
-// checkGroupStage checks the output of the candidate_groups stage for one
-// pass against the pair-list oracle and matches every linked group pair
-// with both GroupMatcher.MatchGroups and the string-keyed oracle. The
-// stage's kept pairs must be oracle pairs in the oracle's order, include
-// every pair the oracle matches to a subgraph, and each hold at least two
-// label-sharing, age-consistent member pairs by a brute-force count, and
-// linked must count the oracle's pairs; the subgraphs of the kept pairs
-// must deep-equal the oracle's non-nil subgraphs, in order. It returns the
-// number of subgraphs.
+// checkGroupStage checks the output of the subgraph_match stage for one
+// pass against the oracles. Every group pair the pass's links connect
+// (candidateGroupPairs) is matched with both GroupMatcher.MatchGroups and
+// the string-keyed oracle, which must agree. The stage's subgraphs must
+// deep-equal the oracle's non-nil subgraphs, in pair order; linked must
+// count the linked pairs, and candidates those with at least two
+// label-sharing, age-consistent member pairs by a brute-force count.
 func checkGroupStage(t testing.TB, pre *PreMatchResult, oldHH, newHH householdIndex, gm *GroupMatcher,
-	f SimFunc, cfg MatchConfig, kept []uint64, linked int) int {
+	f SimFunc, cfg MatchConfig, subs []*Subgraph, linked, candidates int) {
 	t.Helper()
 	view := viewOf(pre)
 	all := candidateGroupPairs(pre, oldHH, newHH)
 	if linked != len(all) {
 		t.Fatalf("stage counts %d linked group pairs, oracle %d", linked, len(all))
 	}
-	var got, want []*Subgraph
-	next := 0 // index of the next kept pair to meet in the oracle's list
+	var want []*Subgraph
+	shared := 0
 	for _, k := range all {
-		gp := groupPair(k, oldHH, newHH)
 		ho, hn := unpackPair(k)
 		gOld, gNew := oldHH.graphs[ho], newHH.graphs[hn]
 		sub := gm.MatchGroups(gOld, gNew)
 		oracle := matchGroupsOracle(gOld, gNew, view, f, cfg)
 		if !reflect.DeepEqual(sub, oracle) {
-			t.Fatalf("%v: MatchGroups %+v, oracle %+v", gp, sub, oracle)
+			t.Fatalf("%v: MatchGroups %+v, oracle %+v", groupPair(k, oldHH, newHH), sub, oracle)
 		}
 		if oracle != nil {
 			want = append(want, oracle)
 		}
-		if next < len(kept) && kept[next] == k {
-			next++
-			if n := sharedMemberPairs(gOld, gNew, view, cfg); n < 2 {
-				t.Fatalf("%v: kept with %d label-sharing, age-consistent member pairs", gp, n)
-			}
-			if sub != nil {
-				got = append(got, sub)
-			}
-		} else if oracle != nil {
-			t.Fatalf("%v: dropped, but the oracle matches a subgraph", gp)
+		if sharedMemberPairs(gOld, gNew, view, cfg) >= 2 {
+			shared++
 		}
 	}
-	if next != len(kept) {
-		t.Fatalf("kept pair %d of %d is not an oracle pair in oracle order", next, len(kept))
+	if candidates != shared {
+		t.Fatalf("stage counts %d candidates, %d linked pairs share two label-sharing, age-consistent member pairs",
+			candidates, shared)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("subgraphs of the kept pairs differ from the oracle's")
+	if !slices.EqualFunc(subs, want, func(a, b *Subgraph) bool { return reflect.DeepEqual(a, b) }) {
+		t.Fatalf("stage matched %d subgraphs, oracle %d, or they differ", len(subs), len(want))
 	}
-	return len(want)
 }
 
-// subgraphOracleHook is a run hook that checks the candidate_groups and
-// subgraph stages of every δ iteration with checkGroupStage, before the
-// executor runs them.
+// subgraphOracleHook is a run hook that runs the subgraph_match stage of
+// every δ iteration and checks it with checkGroupStage, before the
+// executor runs it.
 type subgraphOracleHook struct {
-	t                  *testing.T
-	linked, kept, subs int
+	t                        *testing.T
+	linked, candidates, subs int
 }
 
 func (h *subgraphOracleHook) hook(rs *runState, delta float64, _, _ []*census.Record, pre *PreMatchResult, _ []RecordLink) {
 	if pre == nil {
 		return
 	}
-	kept, linked, err := rs.candidateGroups(context.Background(), delta, pre)
+	subs, linked, candidates, err := rs.subgraphMatch(context.Background(), delta, pre)
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	gm := NewGroupMatcher(pre, rs.sim.eng, rs.match)
-	h.subs += checkGroupStage(h.t, pre, rs.oldHH, rs.newHH, gm, rs.cfg.Sim.WithDelta(delta), rs.match, kept, linked)
+	checkGroupStage(h.t, pre, rs.oldHH, rs.newHH, gm, rs.cfg.Sim.WithDelta(delta), rs.match, subs, linked, candidates)
 	h.linked += linked
-	h.kept += len(kept)
+	h.candidates += candidates
+	h.subs += len(subs)
 }
 
 // TestMatchGroupsOracleDifferential: across ω1/ω2, three δ schedules, both
 // vertex policies (cluster labels and direct pairs only) and the default
-// and LSH blocking schemes, the candidate_groups stage keeps a subset of
-// the linked group pairs that loses no subgraph, and every linked group
-// pair of every iteration gets the oracle's subgraph from the
-// position-keyed, engine-scored matcher.
+// and LSH blocking schemes, every linked group pair of every iteration
+// gets the oracle's subgraph from the position-keyed, engine-scored
+// matcher, and the subgraph stage returns exactly the oracle's subgraphs,
+// linked pairs and candidates (checkGroupStage).
 func TestMatchGroupsOracleDifferential(t *testing.T) {
 	old, new, err := synth.GeneratePair(synth.TestConfig(0.02, 29), 1861, 1871)
 	if err != nil {
@@ -560,9 +559,9 @@ func TestMatchGroupsOracleDifferential(t *testing.T) {
 					if _, err := link(context.Background(), old, new, cfg, check.hook); err != nil {
 						t.Fatal(err)
 					}
-					if check.subs == 0 || check.kept >= check.linked {
-						t.Errorf("%s/%s/%s direct=%v: %d subgraphs from %d kept of %d linked group pairs; the filter is not exercised",
-							simName, schedName, scheme, directOnly, check.subs, check.kept, check.linked)
+					if check.subs == 0 || check.candidates >= check.linked {
+						t.Errorf("%s/%s/%s direct=%v: %d subgraphs from %d candidates of %d linked group pairs; the first test is not exercised",
+							simName, schedName, scheme, directOnly, check.subs, check.candidates, check.linked)
 					}
 				}
 			}
@@ -647,10 +646,10 @@ func fuzzCensus(t *testing.T, data []byte) (old, new *census.Dataset) {
 
 // FuzzStructuralFilter: on small households with duplicate names (one
 // label admitting several member pairs), missing ages and ages outside
-// the census-interval window, under both vertex policies, the
-// candidate_groups stage keeps a subset of the linked group pairs that
-// loses no subgraph, and MatchGroups agrees with the oracle on every
-// linked pair (checkGroupStage).
+// the census-interval window, under both vertex policies, the subgraph
+// stage returns the oracle's subgraphs, linked pairs and candidates, and
+// MatchGroups agrees with the oracle on every linked pair
+// (checkGroupStage).
 func FuzzStructuralFilter(f *testing.F) {
 	// A John/Thomas household found again in 1881, and a second 1881
 	// household with only a John, which shares one member pair.
@@ -669,12 +668,12 @@ func FuzzStructuralFilter(f *testing.F) {
 		cfg.DirectVerticesOnly = directOnly
 		pre := preMatchT(old.Records(), old.Year, new.Records(), new.Year, sim, cross, 1)
 		oldHH, newHH := newHouseholdIndex(old, hgraph.BuildAll(old)), newHouseholdIndex(new, hgraph.BuildAll(new))
-		var gc groupCandidates
-		kept, linked, err := gc.run(context.Background(), sim.Delta, pre, &oldHH, &newHH, cfg, 2)
+		gm := NewGroupMatcher(pre, sim.Compile(old.Records(), new.Records()), cfg)
+		var gs groupStage
+		subs, linked, candidates, err := gs.run(context.Background(), sim.Delta, gm, &oldHH, &newHH, 2, PanicFailFast, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gm := NewGroupMatcher(pre, sim.Compile(old.Records(), new.Records()), cfg)
-		checkGroupStage(t, pre, oldHH, newHH, gm, sim, cfg, kept, linked)
+		checkGroupStage(t, pre, oldHH, newHH, gm, sim, cfg, subs, linked, candidates)
 	})
 }
