@@ -60,12 +60,13 @@ report:
 	$(GO) run ./cmd/benchall -scale 0.1 -seed 1871 -o experiments_scale010.txt
 
 # Short fuzzing session over the parsing/encoding surfaces, the
-# resumable-score kernel, the integer blocking keys and the subgraph
-# stage's structural filter.
+# resumable-score kernel, the household graph's edges, the integer blocking
+# keys and the subgraph stage's structural filter.
 fuzz:
 	$(GO) test ./internal/strsim/ -fuzz FuzzEncoders -fuzztime 20s
 	$(GO) test ./internal/census/ -fuzz FuzzReadCSV -fuzztime 20s
 	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 20s
+	$(GO) test ./internal/hgraph/ -run FuzzGraphEdges -fuzz FuzzGraphEdges -fuzztime 20s
 	$(GO) test ./internal/linkage/ -run FuzzBlockingKeys -fuzz FuzzBlockingKeys -fuzztime 20s
 	$(GO) test ./internal/linkage/ -run FuzzStructuralFilter -fuzz FuzzStructuralFilter -fuzztime 20s
 
@@ -75,6 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/strsim/ -run FuzzEncoders -fuzz FuzzEncoders -fuzztime 5s
 	$(GO) test ./internal/census/ -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 5s
 	$(GO) test ./internal/compare/ -run FuzzResumeAtLeast -fuzz FuzzResumeAtLeast -fuzztime 5s
+	$(GO) test ./internal/hgraph/ -run FuzzGraphEdges -fuzz FuzzGraphEdges -fuzztime 5s
 	$(GO) test ./internal/linkage/ -run FuzzBlockingKeys -fuzz FuzzBlockingKeys -fuzztime 5s
 	$(GO) test ./internal/linkage/ -run FuzzStructuralFilter -fuzz FuzzStructuralFilter -fuzztime 5s
 

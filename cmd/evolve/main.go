@@ -48,7 +48,7 @@ func main() {
 	storeDir := flag.String("store", "", "persist per-pair linkage results as snapshots in this directory (write-through)")
 	incremental := flag.Bool("incremental", false, "with -store: skip year pairs whose snapshot already matches this input and configuration")
 	pairWorkers := flag.Int("pair-workers", 1, "link up to this many year pairs concurrently")
-	blocking := flag.String("blocking", "", "blocking scheme: default, high-recall, lsh or lsh+default")
+	blocking := flag.String("blocking", "", "blocking scheme: "+strings.Join(linkage.BlockingNames(), ", "))
 	appendPath := flag.String("append", "", "append this census CSV to the linked series via the incremental pair-append path")
 	appendYear := flag.Int("append-year", 0, "census year of the -append file (0 = derive from its census_<year>.csv name)")
 	flag.Parse()

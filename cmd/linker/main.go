@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"syscall"
 
 	"censuslink/internal/baseline/collective"
@@ -66,7 +67,7 @@ func main() {
 	lenient := flag.Bool("lenient", false, "skip bad input rows instead of aborting, printing a data-quality summary to stderr")
 	maxBadRows := flag.Int("max-bad-rows", 0, "with -lenient: give up once more than this many rows are skipped (0 = no cap)")
 	panicPolicy := flag.String("panic-policy", "fail-fast", "worker panic policy: fail-fast or skip")
-	blockingFlag := flag.String("blocking", "", "blocking scheme: default, high-recall, lsh or lsh+default (empty = the config's choice)")
+	blockingFlag := flag.String("blocking", "", "blocking scheme: "+strings.Join(linkage.BlockingNames(), ", ")+" (empty = the config's choice)")
 	storeDir := flag.String("store", "", "persist the linkage result as a content-addressed snapshot in this directory (iterative/oneshot only)")
 	incremental := flag.Bool("incremental", false, "with -store: serve a stored snapshot matching this input and configuration instead of recomputing")
 	storeVerify := flag.Bool("store-verify", false, "with -store: verify and repair the snapshot directory, print the summary and exit")

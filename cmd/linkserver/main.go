@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -75,7 +76,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	dir := fs.String("dir", "", "directory of census_<year>.csv files (required)")
 	addr := fs.String("addr", "localhost:8199", "HTTP listen address")
 	eager := fs.Bool("eager", false, "compute all year pairs and the evolution graph at startup")
-	blockingFlag := fs.String("blocking", "", "blocking scheme: default, high-recall, lsh or lsh+default (empty = the config's choice)")
+	blockingFlag := fs.String("blocking", "", "blocking scheme: "+strings.Join(linkage.BlockingNames(), ", ")+" (empty = the config's choice)")
 	configPath := fs.String("config", "", "load the linkage configuration from this JSON file")
 	computeTimeout := fs.Duration("compute-timeout", 0, "cap one year-pair computation (0 = no cap)")
 	maxConcurrent := fs.Int("max-concurrent", 2, "year-pair computations allowed to run at once")

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 
 	"censuslink/internal/census"
 	"censuslink/internal/evaluate"
@@ -45,7 +46,7 @@ func run(args []string, stdout io.Writer) error {
 	rounds := fs.Int("rounds", 40, "maximum coordinate-ascent rounds")
 	negRatio := fs.Float64("negatives", 3.0, "non-matches sampled per match")
 	seed := fs.Int64("seed", 1, "sampling seed")
-	blocking := fs.String("blocking", "", "blocking scheme for training-pair generation: default, high-recall, lsh or lsh+default")
+	blocking := fs.String("blocking", "", "blocking scheme for training-pair generation: "+strings.Join(linkage.BlockingNames(), ", "))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

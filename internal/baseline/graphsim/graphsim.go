@@ -120,18 +120,12 @@ func Link(ctx context.Context, oldDS, newDS *census.Dataset, cfg Config) (*Resul
 			for j := i + 1; j < len(gc.links); j++ {
 				tOld, dOld, okOld := gOld.EdgeBetween(gc.links[i].Old, gc.links[j].Old)
 				tNew, dNew, okNew := gNew.EdgeBetween(gc.links[i].New, gc.links[j].New)
-				if !okOld || !okNew || tOld != tNew ||
-					dOld == hgraph.AgeDiffMissing || dNew == hgraph.AgeDiffMissing {
+				if !okOld || !okNew || tOld != tNew {
 					continue
 				}
-				dev := dOld - dNew
-				if dev < 0 {
-					dev = -dev
+				if rp, ok := matchCfg.RpSim(dOld, dNew); ok {
+					rpSum += rp
 				}
-				if dev > cfg.AgeTolerance {
-					continue
-				}
-				rpSum += 1 - float64(dev)/float64(cfg.AgeTolerance+1)
 			}
 		}
 		eSim := 0.0

@@ -136,7 +136,7 @@ func TestMinHashKeyShape(t *testing.T) {
 		t.Errorf("blank surname produced keys %v", got)
 	}
 	// Every built-in key leaves the top 16 bits of Tag to scoping wrappers.
-	for _, s := range append(LSHStrategies(LSHConfig{}), HighRecallStrategies()...) {
+	for _, s := range append(LSHStrategies(LSHConfig{}), DefaultStrategies()...) {
 		r := mhRecord("mary", "smith", "f")
 		r.Age = 30
 		for _, k := range keysOf(s, r, 1871) {
@@ -262,5 +262,76 @@ func TestMinHashMissingAgeRecovered(t *testing.T) {
 		func(o, n *census.Record) { got++ })
 	if got != 1 {
 		t.Errorf("age-divergent pair candidates = %d, want 1 (full-name pass)", got)
+	}
+}
+
+// lshNamePasses returns the birth-year-guarded surname and
+// first-name+sex LSH passes with 5-year bands.
+func lshNamePasses() (sur, fn []Strategy) {
+	passes := LSHStrategies(LSHConfig{BirthYearWidth: 5})
+	return passes[:1], passes[1:2]
+}
+
+// TestComposite: the guarded LSH name passes compose the name bands with
+// sex (first-name pass only) and a birth-year band; a record missing a
+// part (no age) emits no guarded keys.
+func TestComposite(t *testing.T) {
+	sur, fn := lshNamePasses()
+	old := makeDataset(t, 1871, [][4]string{
+		{"ann", "ashworth", "f", "30"},
+		{"bob", "ashworth", "m", ""}, // missing age: excluded
+	})
+	new := makeDataset(t, 1881, [][4]string{
+		{"ann", "ashworth", "f", "40"},
+		{"ann", "ashworth", "m", "40"}, // other sex
+		{"bob", "ashworth", "m", "40"},
+	})
+	pairs := collectPairs(old, new, sur)
+	if !pairs["1871_0|1881_0"] {
+		t.Error("same surname and birth-year band should block on the surname pass")
+	}
+	if !pairs["1871_0|1881_1"] {
+		t.Error("the surname pass should ignore sex")
+	}
+	for k := range pairs {
+		if k[:6] == "1871_1" {
+			t.Error("record with missing age should emit no guarded keys")
+		}
+	}
+	pairs = collectPairs(old, new, fn)
+	if !pairs["1871_0|1881_0"] || pairs["1871_0|1881_1"] {
+		t.Errorf("first-name pass should block same sex only: %v", pairs)
+	}
+	for k := range pairs {
+		if k[:6] == "1871_1" {
+			t.Error("record with missing age should emit no guarded keys")
+		}
+	}
+}
+
+// TestCompositeMultiKeyParts: the birth-year part emits three keys per
+// name band (its band and both neighbours), so the guarded passes pair
+// records whose birth-year bands are within two and no further.
+func TestCompositeMultiKeyParts(t *testing.T) {
+	sur, fn := lshNamePasses()
+	old := makeDataset(t, 1871, [][4]string{
+		{"ann", "ashworth", "f", "30"}, // born 1841, band 368
+	})
+	new := makeDataset(t, 1881, [][4]string{
+		{"ann", "ashworth", "f", "41"}, // born 1840, band 368
+		{"ann", "ashworth", "f", "50"}, // born 1831, band 366: two bands off
+		{"ann", "ashworth", "f", "60"}, // born 1821, band 364: too far
+	})
+	for name, pass := range map[string][]Strategy{"surname": sur, "first-name": fn} {
+		pairs := collectPairs(old, new, pass)
+		if !pairs["1871_0|1881_0"] {
+			t.Errorf("%s pass: same birth-year band should block", name)
+		}
+		if !pairs["1871_0|1881_1"] {
+			t.Errorf("%s pass: birth-year bands two apart should block", name)
+		}
+		if pairs["1871_0|1881_2"] {
+			t.Errorf("%s pass: birth-year bands four apart should not block", name)
+		}
 	}
 }

@@ -43,8 +43,8 @@ func TestCacheReusesEnrichment(t *testing.T) {
 		if !ok {
 			t.Fatalf("household %s missing from cached build", id)
 		}
-		if !reflect.DeepEqual(g.Edges(), cg.Edges()) {
-			t.Fatalf("household %s: cached edges differ from plain build", id)
+		if !reflect.DeepEqual(g, cg) {
+			t.Fatalf("household %s: cached graph differs from plain build", id)
 		}
 	}
 }

@@ -44,31 +44,16 @@ func (t RelType) String() string {
 	}
 }
 
-// AgeDiffMissing is the sentinel for an edge whose age difference could not
-// be computed because one of the ages is missing.
-const AgeDiffMissing = -1000
-
-// Edge is an enriched relationship between two household members. A and B
-// are record IDs in member order; AgeDiff is age(A) - age(B) (signed), or
-// AgeDiffMissing.
-type Edge struct {
-	A, B    string
-	Type    RelType
-	AgeDiff int
-}
-
 // Graph is the enriched graph of one household: a complete graph over the
-// members with typed, age-difference annotated edges.
+// members. The unified type of each edge is stored once per unordered
+// member pair; its age difference is computed from the member records.
 type Graph struct {
 	HouseholdID string
-	Year        int
 
 	members []*census.Record
-	pos     []int32        // member position -> position in the dataset's Records()
-	index   map[string]int // record ID -> member position
-	edges   []Edge
-	// edgeAt[i*len(members)+j] for i<j indexes into edges; -1 otherwise.
-	edgeAt []int
+	pos     []int32 // member position -> position in the dataset's Records()
+	// rel[j*(j-1)/2+i] is the unified type of the edge between members i<j.
+	rel []RelType
 }
 
 // Build constructs the enriched graph for household h of dataset d
@@ -82,34 +67,14 @@ func Build(d *census.Dataset, h *census.Household) *Graph {
 			pos = append(pos, int32(i))
 		}
 	}
-	g := &Graph{
-		HouseholdID: h.ID,
-		Year:        d.Year,
-		members:     members,
-		pos:         pos,
-		index:       make(map[string]int, len(members)),
-		edgeAt:      make([]int, len(members)*len(members)),
-	}
-	for i, m := range members {
-		g.index[m.ID] = i
-	}
-	for i := range g.edgeAt {
-		g.edgeAt[i] = -1
-	}
-	for i := 0; i < len(members); i++ {
-		for j := i + 1; j < len(members); j++ {
-			a, b := members[i], members[j]
-			e := Edge{
-				A:       a.ID,
-				B:       b.ID,
-				Type:    UnifyRoles(a.Role, b.Role),
-				AgeDiff: ageDiff(a, b),
-			}
-			g.edgeAt[i*len(members)+j] = len(g.edges)
-			g.edges = append(g.edges, e)
+	n := len(members)
+	rel := make([]RelType, 0, n*(n-1)/2)
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			rel = append(rel, UnifyRoles(members[i].Role, members[j].Role))
 		}
 	}
-	return g
+	return &Graph{HouseholdID: h.ID, members: members, pos: pos, rel: rel}
 }
 
 // BuildAll enriches every household of a dataset, keyed by household ID.
@@ -128,63 +93,41 @@ func (g *Graph) Members() []*census.Record { return g.members }
 // members, parallel to Members(). The slice is shared.
 func (g *Graph) Positions() []int32 { return g.pos }
 
-// NumVertices returns the number of members.
-func (g *Graph) NumVertices() int { return len(g.members) }
-
 // NumEdges returns the number of enriched edges, n(n-1)/2 for n members.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// Edges returns all enriched edges. The slice is shared.
-func (g *Graph) Edges() []Edge { return g.edges }
-
-// Contains reports whether the record ID is a member of the household.
-func (g *Graph) Contains(id string) bool {
-	_, ok := g.index[id]
-	return ok
-}
+func (g *Graph) NumEdges() int { return len(g.rel) }
 
 // EdgeBetween returns the unified relationship type and the signed age
 // difference age(x) - age(y) for two member record IDs. ok is false when
-// either ID is not a member (or x == y).
+// either ID is not a member, when x == y, or when either age is missing.
 func (g *Graph) EdgeBetween(x, y string) (t RelType, ageDiff int, ok bool) {
-	i, okX := g.index[x]
-	j, okY := g.index[y]
-	if !okX || !okY {
-		return RelOther, AgeDiffMissing, false
+	i, j := -1, -1
+	for k, m := range g.members {
+		if m.ID == x {
+			i = k
+		}
+		if m.ID == y {
+			j = k
+		}
+	}
+	if i < 0 || j < 0 {
+		return RelOther, 0, false
 	}
 	return g.EdgeAt(i, j)
 }
 
 // EdgeAt is EdgeBetween keyed by member positions (indices into Members()):
 // the unified relationship type and the signed age difference
-// age(member i) - age(member j). ok is false when i == j.
+// age(member i) - age(member j). ok is false when i == j or when either
+// age is missing.
 func (g *Graph) EdgeAt(i, j int) (t RelType, ageDiff int, ok bool) {
-	if i == j {
-		return RelOther, AgeDiffMissing, false
+	a, b := g.members[i].Age, g.members[j].Age
+	if i == j || a == census.AgeMissing || b == census.AgeMissing {
+		return RelOther, 0, false
 	}
-	flip := false
 	if i > j {
 		i, j = j, i
-		flip = true
 	}
-	ei := g.edgeAt[i*len(g.members)+j]
-	if ei < 0 {
-		return RelOther, AgeDiffMissing, false
-	}
-	e := g.edges[ei]
-	d := e.AgeDiff
-	if flip && d != AgeDiffMissing {
-		d = -d
-	}
-	return e.Type, d, true
-}
-
-// ageDiff returns age(a) - age(b), or AgeDiffMissing.
-func ageDiff(a, b *census.Record) int {
-	if a.Age == census.AgeMissing || b.Age == census.AgeMissing {
-		return AgeDiffMissing
-	}
-	return a.Age - b.Age
+	return g.rel[j*(j-1)/2+i], a - b, true
 }
 
 // UnifyRoles derives the time-independent pairwise relationship type for two

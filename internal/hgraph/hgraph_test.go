@@ -1,9 +1,11 @@
 package hgraph
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"censuslink/internal/census"
 )
@@ -31,8 +33,8 @@ func paperHousehold(t *testing.T) (*census.Dataset, *census.Household) {
 func TestEnrichmentPaperExample(t *testing.T) {
 	d, h := paperHousehold(t)
 	g := Build(d, h)
-	if g.NumVertices() != 3 {
-		t.Fatalf("vertices = %d", g.NumVertices())
+	if len(g.Members()) != 3 {
+		t.Fatalf("vertices = %d", len(g.Members()))
 	}
 	// Complete graph over 3 members.
 	if g.NumEdges() != 3 {
@@ -55,34 +57,52 @@ func TestEnrichmentPaperExample(t *testing.T) {
 	}
 }
 
+// household builds a one-household dataset whose members r0, r1, ... have
+// the given roles and ages.
+func household(t testing.TB, roles []census.Role, ages []int) (*census.Dataset, *census.Household) {
+	t.Helper()
+	d := census.NewDataset(1871)
+	for i, role := range roles {
+		if err := d.AddRecord(&census.Record{
+			ID: fmt.Sprintf("r%d", i), HouseholdID: "h", FirstName: "f", Surname: "s",
+			Age: ages[i], Role: role,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d, d.Household("h")
+}
+
+// TestEdgeBetweenOrientation: the age difference is antisymmetric in the
+// member order, including a difference of ±1000 years.
 func TestEdgeBetweenOrientation(t *testing.T) {
-	d, h := paperHousehold(t)
-	g := Build(d, h)
-	_, fwd, _ := g.EdgeBetween("1871_6", "1871_8")
-	_, rev, _ := g.EdgeBetween("1871_8", "1871_6")
-	if fwd != -rev {
-		t.Errorf("age diff not antisymmetric: %d vs %d", fwd, rev)
-	}
-	if _, _, ok := g.EdgeBetween("1871_6", "1871_6"); ok {
-		t.Error("self edge should not exist")
-	}
-	if _, _, ok := g.EdgeBetween("1871_6", "ghost"); ok {
-		t.Error("edge to non-member should not exist")
+	for _, ages := range [][]int{{44, 17}, {40, 1040}, {1040, 40}} {
+		g := Build(household(t, []census.Role{census.RoleHead, census.RoleSon}, ages))
+		_, fwd, okFwd := g.EdgeBetween("r0", "r1")
+		_, rev, okRev := g.EdgeBetween("r1", "r0")
+		if !okFwd || !okRev || fwd != ages[0]-ages[1] || rev != ages[1]-ages[0] {
+			t.Errorf("ages %v: age diffs %d/%v and %d/%v", ages, fwd, okFwd, rev, okRev)
+		}
+		if _, _, ok := g.EdgeBetween("r0", "r0"); ok {
+			t.Error("self edge should not exist")
+		}
+		if _, _, ok := g.EdgeBetween("r0", "ghost"); ok {
+			t.Error("edge to non-member should not exist")
+		}
 	}
 }
 
+// TestMissingAgeYieldsMissingDiff: an edge one of whose ages is missing
+// has no age difference, so it is no edge in either orientation.
 func TestMissingAgeYieldsMissingDiff(t *testing.T) {
-	d := census.NewDataset(1871)
-	if err := d.AddRecord(&census.Record{ID: "r1", HouseholdID: "h", FirstName: "a", Surname: "x", Age: 40, Role: census.RoleHead}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddRecord(&census.Record{ID: "r2", HouseholdID: "h", FirstName: "b", Surname: "x", Age: census.AgeMissing, Role: census.RoleWife}); err != nil {
-		t.Fatal(err)
-	}
-	g := Build(d, d.Household("h"))
-	_, diff, ok := g.EdgeBetween("r1", "r2")
-	if !ok || diff != AgeDiffMissing {
-		t.Errorf("missing age edge = %d/%v", diff, ok)
+	for _, ages := range [][]int{{40, census.AgeMissing}, {census.AgeMissing, 40}, {census.AgeMissing, census.AgeMissing}} {
+		g := Build(household(t, []census.Role{census.RoleHead, census.RoleWife}, ages))
+		if _, diff, ok := g.EdgeBetween("r0", "r1"); ok {
+			t.Errorf("ages %v: edge r0-r1 with age diff %d", ages, diff)
+		}
+		if _, diff, ok := g.EdgeAt(1, 0); ok {
+			t.Errorf("ages %v: edge r1-r0 with age diff %d", ages, diff)
+		}
 	}
 }
 
@@ -152,48 +172,63 @@ func TestBuildAll(t *testing.T) {
 	if graphs["b"].NumEdges() != 3 || graphs["c"].NumEdges() != 0 {
 		t.Errorf("edge counts: b=%d c=%d", graphs["b"].NumEdges(), graphs["c"].NumEdges())
 	}
-	if !graphs["b"].Contains("1871_8") || graphs["b"].Contains("x1") {
-		t.Error("Contains wrong")
+	if len(graphs["b"].Members()) != 3 || graphs["c"].Members()[0].ID != "x1" {
+		t.Error("members wrong")
 	}
 }
 
-// TestCompleteGraphProperty: for any household of n members, enrichment
-// produces exactly n(n-1)/2 edges and every member pair has an edge.
-func TestCompleteGraphProperty(t *testing.T) {
-	prop := func(size uint8) bool {
-		n := int(size%12) + 1
-		d := census.NewDataset(1871)
-		ids := make([]string, n)
-		for i := 0; i < n; i++ {
-			ids[i] = fmt.Sprintf("r%d", i)
-			role := census.RoleSon
-			if i == 0 {
-				role = census.RoleHead
-			}
-			if err := d.AddRecord(&census.Record{
-				ID: ids[i], HouseholdID: "h", FirstName: "f", Surname: "s",
-				Age: 20 + i, Role: role,
-			}); err != nil {
-				return false
+// packAges packs ages as the 8-byte little-endian words FuzzGraphEdges
+// reads.
+func packAges(ages ...int) []byte {
+	out := make([]byte, 0, 8*len(ages))
+	for _, a := range ages {
+		out = binary.LittleEndian.AppendUint64(out, uint64(a))
+	}
+	return out
+}
+
+// FuzzGraphEdges: for any household of up to 16 members (roles comma
+// separated, ages packed as 8-byte words, a member past the packed ages
+// without an age), enrichment yields n(n-1)/2 edges, and EdgeAt and
+// EdgeBetween give every ordered pair of distinct members with both ages
+// UnifyRoles of their roles and the direct age difference, and every
+// other pair no edge. Ages cover the ends of int and differences of ±1000.
+func FuzzGraphEdges(f *testing.F) {
+	f.Add("head,wife,son", packAges(44, 41, 17))
+	f.Add("head,son,daughter", packAges(40, 1040, census.AgeMissing))
+	f.Add("head,wife,servant,boarder", packAges(math.MaxInt, math.MinInt, 0, -1000))
+	f.Add("father,mother,brother,sister,grandson,granddaughter,husband,nephew,niece,visitor", packAges(70, 68, 30))
+	f.Add("head", packAges(30))
+	f.Add("", []byte(nil))
+	f.Fuzz(func(t *testing.T, roleList string, packed []byte) {
+		fields := strings.Split(roleList, ",")
+		n := min(len(fields), 16)
+		roles, ages := make([]census.Role, n), make([]int, n)
+		for i := range roles {
+			roles[i], ages[i] = census.Role(fields[i]), census.AgeMissing
+			if len(packed) >= 8*(i+1) {
+				ages[i] = int(binary.LittleEndian.Uint64(packed[8*i:]))
 			}
 		}
-		g := Build(d, d.Household("h"))
-		if g.NumEdges() != n*(n-1)/2 {
-			return false
+		g := Build(household(t, roles, ages))
+		members := g.Members()
+		if len(members) != n || g.NumEdges() != n*(n-1)/2 {
+			t.Fatalf("%d members, %d edges; want %d, %d", len(members), g.NumEdges(), n, n*(n-1)/2)
 		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				_, _, ok := g.EdgeBetween(ids[i], ids[j])
-				if (i == j) == ok {
-					return false
+		for i, a := range members {
+			for j, b := range members {
+				want := i != j && a.Age != census.AgeMissing && b.Age != census.AgeMissing
+				typ, diff, ok := g.EdgeAt(i, j)
+				byID, diffByID, okByID := g.EdgeBetween(a.ID, b.ID)
+				if typ != byID || diff != diffByID || ok != okByID {
+					t.Fatalf("%d-%d: EdgeAt %v/%d/%v, EdgeBetween %v/%d/%v", i, j, typ, diff, ok, byID, diffByID, okByID)
+				}
+				if ok != want || ok && (typ != UnifyRoles(a.Role, b.Role) || diff != a.Age-b.Age) {
+					t.Fatalf("%d-%d (%s %d, %s %d): edge %v/%d/%v", i, j, a.Role, a.Age, b.Role, b.Age, typ, diff, ok)
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 func TestRelTypeString(t *testing.T) {

@@ -15,17 +15,10 @@ var blockingRegistry = map[string]func() []block.Strategy{
 	// The paper's multi-pass phonetic configuration: Soundex on surname plus
 	// Soundex on first name + sex for surname changes.
 	"default": block.DefaultStrategies,
-	// Default passes plus a surname q-gram pass for heavily corrupted names.
-	"high-recall": block.HighRecallStrategies,
 	// MinHash/LSH banded q-gram signatures (birth-year-guarded name passes
 	// plus a full-name recovery pass): several times fewer candidate pairs
 	// than the phonetic passes at ≥ 0.98 of their true-match coverage.
 	"lsh": func() []block.Strategy { return block.LSHStrategies(block.DefaultLSHConfig()) },
-	// Union of the phonetic and LSH passes, for recall-critical runs where
-	// the extra candidates are affordable.
-	"lsh+default": func() []block.Strategy {
-		return append(block.DefaultStrategies(), block.LSHStrategies(block.DefaultLSHConfig())...)
-	},
 }
 
 // BlockingNames lists the registered blocking-scheme names, sorted, for

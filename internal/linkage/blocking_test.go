@@ -21,8 +21,27 @@ func TestParseBlocking(t *testing.T) {
 	if _, err := ParseBlocking("LSH"); err != nil {
 		t.Errorf("ParseBlocking is case-sensitive: %v", err)
 	}
-	if _, err := ParseBlocking("quantum"); err == nil || !strings.Contains(err.Error(), "unknown blocking scheme") {
-		t.Errorf("unknown scheme accepted: %v", err)
+	// The deleted schemes fail like any unknown name, from a flag or from a
+	// JSON config, and the error lists the known schemes.
+	known := "(known: " + strings.Join(BlockingNames(), ", ") + ")"
+	for _, name := range []string{"quantum", "high-recall", "lsh+default"} {
+		if _, err := ParseBlocking(name); err == nil || !strings.Contains(err.Error(), "unknown blocking scheme") ||
+			!strings.Contains(err.Error(), known) {
+			t.Errorf("ParseBlocking(%q): %v", name, err)
+		}
+		spec := DefaultConfigSpec()
+		spec.Blocking = name
+		var buf bytes.Buffer
+		if err := WriteConfigSpec(&buf, spec); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadConfigSpec(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := read.Build(); err == nil || !strings.Contains(err.Error(), known) {
+			t.Errorf("config naming %q: %v", name, err)
+		}
 	}
 }
 

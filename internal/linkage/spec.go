@@ -40,7 +40,7 @@ type ConfigSpec struct {
 	StopOnEmpty        bool        `json:"stop_on_empty"`
 	DirectVerticesOnly bool        `json:"direct_vertices_only,omitempty"`
 	// Blocking selects the candidate-generation scheme: "default" (when
-	// empty), "high-recall", "lsh" or "lsh+default" (see ParseBlocking).
+	// empty) or "lsh" (see ParseBlocking).
 	Blocking string `json:"blocking,omitempty"`
 }
 

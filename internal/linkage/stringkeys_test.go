@@ -89,24 +89,6 @@ func strBirthYearBand(width int) stringStrategy {
 	}, true}
 }
 
-func strSurnameQGrams(q, minLen int) stringStrategy {
-	return stringStrategy{"surname-qgrams", func(r *census.Record, _ int) []string {
-		s := strings.ToLower(strings.TrimSpace(r.Surname))
-		if len(s) < minLen {
-			return nil
-		}
-		var keys []string
-		seen := map[string]bool{}
-		for i := 0; i+q <= len(s); i++ {
-			if g := s[i : i+q]; !seen[g] {
-				seen[g] = true
-				keys = append(keys, "sq:"+g)
-			}
-		}
-		return keys
-	}, false}
-}
-
 // strComposite keys a record by one key of every part, concatenated; a
 // part with no keys excludes the record. It spreads a block over the
 // birth-year bands when its last part does.
@@ -239,13 +221,7 @@ var strSchemes = map[string]func() []stringStrategy{
 	"default": func() []stringStrategy {
 		return []stringStrategy{strSurnameSoundex(), strFirstNameSoundexSex()}
 	},
-	"high-recall": func() []stringStrategy {
-		return []stringStrategy{strSurnameSoundex(), strFirstNameSoundexSex(), strSurnameQGrams(3, 4)}
-	},
 	"lsh": strLSHStrategies,
-	"lsh+default": func() []stringStrategy {
-		return append([]stringStrategy{strSurnameSoundex(), strFirstNameSoundexSex()}, strLSHStrategies()...)
-	},
 }
 
 // stringIndex is the string-key blocking index over the new records.
@@ -310,7 +286,7 @@ func TestCandidateTableMatchesStringKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 			oldRecs, newRecs := old.Records(), new.Records()
-			for _, scheme := range []string{"default", "high-recall", "lsh", "lsh+default"} {
+			for _, scheme := range BlockingNames() {
 				t.Run(fmt.Sprintf("%s/%g/%d", scheme, scale, seed), func(t *testing.T) {
 					strategies, err := ParseBlocking(scheme)
 					if err != nil {
@@ -399,7 +375,7 @@ func TestCandidateTableMatchesSymmetricKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 			oldRecs, newRecs := old.Records(), new.Records()
-			for _, scheme := range []string{"default", "high-recall", "lsh", "lsh+default"} {
+			for _, scheme := range BlockingNames() {
 				t.Run(fmt.Sprintf("%s/%g/%d", scheme, scale, seed), func(t *testing.T) {
 					strategies, err := ParseBlocking(scheme)
 					if err != nil {
@@ -442,12 +418,12 @@ func fuzzStrategies() ([]block.Strategy, []stringStrategy) {
 	strLSH := strLSHStrategies()
 	return []block.Strategy{
 			block.SurnameSoundex(), block.FirstNameSoundexSex(), block.BirthYearBand(5),
-			block.SurnameQGrams(3, 4), block.CrossProduct(),
+			block.CrossProduct(),
 			block.SurnameMinHash(block.MinHashParams{}), block.FirstNameMinHashSex(block.MinHashParams{}),
 			lsh[0], lsh[1], lsh[2],
 		}, []stringStrategy{
 			strSurnameSoundex(), strFirstNameSoundexSex(), strBirthYearBand(5),
-			strSurnameQGrams(3, 4), {"cross-product", func(*census.Record, int) []string { return []string{"all"} }, false},
+			{"cross-product", func(*census.Record, int) []string { return []string{"all"} }, false},
 			strSurnameMinHash(name), strFirstNameMinHashSex(name),
 			strLSH[0], strLSH[1], strLSH[2],
 		}

@@ -61,12 +61,10 @@ type MatchConfig struct {
 	DirectVerticesOnly bool
 }
 
-// rpSim converts an age-difference deviation into the relationship-property
-// similarity: 1 for exact agreement, decaying linearly, 0 beyond tolerance.
-func (c MatchConfig) rpSim(dOld, dNew int) (float64, bool) {
-	if dOld == hgraph.AgeDiffMissing || dNew == hgraph.AgeDiffMissing {
-		return 0, false
-	}
+// RpSim converts the deviation between two corresponding edges' age
+// differences into the relationship-property similarity: 1 for exact
+// agreement, decaying linearly; ok is false beyond tolerance.
+func (c MatchConfig) RpSim(dOld, dNew int) (sim float64, ok bool) {
 	dev := dOld - dNew
 	if dev < 0 {
 		dev = -dev
@@ -264,7 +262,7 @@ func (m *GroupMatcher) match(gOld *hgraph.Graph, olds []labelledOld, gNew *hgrap
 		if !okOld || !okNew || tOld != tNew {
 			return 0, false
 		}
-		return m.cfg.rpSim(dOld, dNew)
+		return m.cfg.RpSim(dOld, dNew)
 	}
 	for i := 0; i < len(cands); i++ {
 		for j := i + 1; j < len(cands); j++ {

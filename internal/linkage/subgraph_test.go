@@ -64,7 +64,7 @@ func matchGroupsOracle(gOld, gNew *hgraph.Graph, pre *preMatchView, f SimFunc, c
 		if !okOld || !okNew || tOld != tNew {
 			return 0, false
 		}
-		return cfg.rpSim(dOld, dNew)
+		return cfg.RpSim(dOld, dNew)
 	}
 	support := make([]int, len(cands))
 	for i := 0; i < len(cands); i++ {
@@ -428,20 +428,21 @@ func TestCandidateGroupPairs(t *testing.T) {
 
 func TestRpSim(t *testing.T) {
 	cfg := paperMatchConfig()
-	if rp, ok := cfg.rpSim(5, 5); !ok || rp != 1 {
+	if rp, ok := cfg.RpSim(5, 5); !ok || rp != 1 {
 		t.Errorf("exact agreement: %v/%v", rp, ok)
 	}
-	if rp, ok := cfg.rpSim(5, 7); !ok || math.Abs(rp-0.5) > 1e-9 {
+	if rp, ok := cfg.RpSim(5, 7); !ok || math.Abs(rp-0.5) > 1e-9 {
 		t.Errorf("deviation 2: %v/%v, want 0.5", rp, ok)
 	}
-	if _, ok := cfg.rpSim(5, 9); ok {
+	if _, ok := cfg.RpSim(5, 9); ok {
 		t.Error("deviation beyond tolerance accepted")
 	}
-	if _, ok := cfg.rpSim(hgraph.AgeDiffMissing, 5); ok {
-		t.Error("missing age difference accepted")
+	// -1000 is an age difference like any other.
+	if rp, ok := cfg.RpSim(-1000, -1000); !ok || rp != 1 {
+		t.Errorf("age difference -1000: %v/%v", rp, ok)
 	}
 	// Sign matters: a reversed difference is a different structure.
-	if _, ok := cfg.rpSim(5, -5); ok {
+	if _, ok := cfg.RpSim(5, -5); ok {
 		t.Error("sign-flipped difference accepted")
 	}
 }
